@@ -30,7 +30,7 @@ from .errors import (
     HypothesisFailedError,
     OracleUnavailableError,
 )
-from .families import MapFamily
+from .families import MapFamily, best_orbit, orbit_table
 from .pseudo_orbits import PseudoOrbit
 
 
@@ -382,25 +382,18 @@ def average_shadow_point(
     lift = lift_to_A(sub, po, blocks)
 
     space = family.space_at(0)
-    best = None
-    for q in sub.points:
-        orbit = family.compose(q, horizon)
-        mean = sum(
-            space.distance(orbit.points[i], lift.points[i]) for i in range(n_points)
-        ) / n_points
-        if best is None or mean < best[1]:
-            best = (q, mean, orbit)
-    y, _, orbit = best
+    orbits = orbit_table(family, horizon, starts=sub.points)
+    y, _, orbit = best_orbit(space, orbits, lift.points, mean=True)
 
     shadow_vs_lift = [
-        space.distance(orbit.points[i], lift.points[i]) for i in range(n_points)
+        space.distance(orbit[i], lift.points[i]) for i in range(n_points)
     ]
     oracle_exc = cesaro_to_density_zero(shadow_vs_lift, n_points)
 
     lift_vs_data = [
         space.distance(lift.points[i], po.points[i]) for i in range(n_points)
     ]
-    total = [space.distance(orbit.points[i], po.points[i]) for i in range(n_points)]
+    total = [space.distance(orbit[i], po.points[i]) for i in range(n_points)]
 
     def exact_mean(vals):
         acc = Fraction(0)

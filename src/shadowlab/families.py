@@ -93,9 +93,6 @@ class CircleLinearMap:
     def branch_of(self, x: float) -> int:
         return min(int(circle_reduce(x) * self.degree), self.degree - 1)
 
-    def branch_contraction(self, branch: int) -> float:
-        return 1.0 / self.degree
-
     def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
         if not 0 <= branch < self.degree:
             raise InvalidBranchIdError(f"branch {branch} not in 0..{self.degree - 1}")
@@ -105,9 +102,6 @@ class CircleLinearMap:
     @property
     def num_branches(self) -> int:
         return self.degree
-
-    def descriptor(self) -> dict:
-        return {"map": "circle_linear", "degree": self.degree}
 
 
 class TwoSlopeCircleMap:
@@ -137,11 +131,6 @@ class TwoSlopeCircleMap:
     def branch_of(self, x: float) -> int:
         return 0 if circle_reduce(x) < self.lam else 1
 
-    def branch_contraction(self, branch: int) -> float:
-        # A branch continued across the degree-2 wrap picks up the other
-        # piece's slope, so the certified contraction is the worse of the two.
-        return max(self.lam, 1.0 - self.lam)
-
     def _lift_inverse(self, t: float) -> float:
         # Inverse of the lifted covering; G(t + 2) = G(t) + 1.
         base = math.floor(t / 2.0)
@@ -162,9 +151,6 @@ class TwoSlopeCircleMap:
     def num_branches(self) -> int:
         return 2
 
-    def descriptor(self) -> dict:
-        return {"map": "two_slope_circle", "lam": self.lam}
-
 
 class CircleRotation:
     """Isometry x -> x + alpha mod 1. Single inverse branch, contraction 1."""
@@ -181,9 +167,6 @@ class CircleRotation:
     def branch_of(self, x: float) -> int:
         return 0
 
-    def branch_contraction(self, branch: int) -> float:
-        return 1.0
-
     def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
         if branch != 0:
             raise InvalidBranchIdError("rotation has a single branch")
@@ -192,9 +175,6 @@ class CircleRotation:
     @property
     def num_branches(self) -> int:
         return 1
-
-    def descriptor(self) -> dict:
-        return {"map": "circle_rotation", "alpha": self.alpha}
 
 
 class IdentityMap:
@@ -212,9 +192,6 @@ class IdentityMap:
     def branch_of(self, x) -> int:
         return 0
 
-    def branch_contraction(self, branch: int) -> float:
-        return 1.0
-
     def inverse_branch_point(self, branch: int, w, y):
         if branch != 0:
             raise InvalidBranchIdError("identity has a single branch")
@@ -223,9 +200,6 @@ class IdentityMap:
     @property
     def num_branches(self) -> int:
         return 1
-
-    def descriptor(self) -> dict:
-        return {"map": "identity"}
 
 
 class FiniteMap:
@@ -249,9 +223,6 @@ class FiniteMap:
     def branch_of(self, x: int) -> int:
         return self.preimages(self.table[x]).index(x)
 
-    def branch_contraction(self, branch: int) -> float:
-        return 1.0
-
     def inverse_branch_point(self, branch: int, w: int, y: int) -> int:
         pre = self.preimages(w)
         if not 0 <= branch < len(pre):
@@ -266,9 +237,6 @@ class FiniteMap:
     @property
     def num_branches(self) -> int:
         return max(len(self.preimages(w)) for w in range(len(self.table)))
-
-    def descriptor(self) -> dict:
-        return {"map": "finite", "table": list(self.table)}
 
 
 class ProductMap:
@@ -291,12 +259,6 @@ class ProductMap:
     def branch_of(self, x):
         return (self.left.branch_of(x[0]), self.right.branch_of(x[1]))
 
-    def branch_contraction(self, branch) -> float:
-        return max(
-            self.left.branch_contraction(branch[0]),
-            self.right.branch_contraction(branch[1]),
-        )
-
     def inverse_branch_point(self, branch, w, y):
         return (
             self.left.inverse_branch_point(branch[0], w[0], y[0]),
@@ -306,9 +268,6 @@ class ProductMap:
     @property
     def num_branches(self) -> int:
         return self.left.num_branches * self.right.num_branches
-
-    def descriptor(self) -> dict:
-        return {"map": "product", "factors": [self.left.descriptor(), self.right.descriptor()]}
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +429,45 @@ def expansiveness_falsifier(
         if close:
             return ExpansivenessReport(epsilon0, horizon, checked, (x, y))
     return ExpansivenessReport(epsilon0, horizon, checked, None)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive orbit searches (finite-state families)
+
+
+def orbit_table(family: MapFamily, length: int, starts: Optional[Sequence] = None) -> dict:
+    """Orbits out to `length` steps, keyed by start point (default: all of X_0)."""
+    if starts is None:
+        starts = family.space_at(0).points
+    return {y: family.compose(y, length).points for y in starts}
+
+
+def best_orbit(space: StateSpace, orbits: dict, target: Sequence, mean: bool = False):
+    """(start, error, orbit) of the first orbit closest to `target`.
+
+    The error is the sup distance over the target's indices, or the mean
+    distance when `mean` is set; a later orbit replaces the best one only
+    when strictly closer.
+    """
+    n = len(target)
+    best = None
+    for y, orbit in orbits.items():
+        if mean:
+            err = sum(space.distance(orbit[i], target[i]) for i in range(n)) / n
+        else:
+            err = max(space.distance(orbit[i], target[i]) for i in range(n))
+        if best is None or err < best[1]:
+            best = (y, err, orbit)
+    return best
+
+
+def shadowing_orbit(space: StateSpace, orbits: dict, target: Sequence, epsilon: float):
+    """The first orbit staying within `epsilon` of `target` at every index, else None."""
+    n = len(target)
+    for orbit in orbits.values():
+        if all(space.distance(orbit[i], target[i]) < epsilon for i in range(n)):
+            return orbit
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     OracleUnavailableError,
     PreimageSearchFailedError,
 )
-from .families import MapFamily
+from .families import MapFamily, best_orbit, orbit_table
 from .pseudo_orbits import DefectProfile, PseudoOrbit
 from .solver import pullback_shadow
 
@@ -201,16 +201,8 @@ class ExhaustiveOracle:
         return self.family.space_at(0).min_positive_distance()
 
     def shadow(self, po: PseudoOrbit, target: float):
-        best = None
-        for y in self.family.space_at(0).points:
-            orbit = self.family.compose(y, po.horizon)
-            err = max(
-                self.family.space_at(i).distance(orbit.points[i], po.points[i])
-                for i in range(po.horizon + 1)
-            )
-            if best is None or err < best[1]:
-                best = (y, err, tuple(orbit.points))
-        return best
+        orbits = orbit_table(self.family, po.horizon)
+        return best_orbit(self.family.space_at(0), orbits, po.points)
 
 
 class PullbackOracle:
@@ -312,15 +304,11 @@ def limit_shadow_point(
             f"below the deepest target {1.0 / levels}; not a limit pseudo-orbit "
             "at this horizon"
         )
-    tails = [0.0] * (horizon + 1)
-    for k in range(horizon - 1, -1, -1):
-        tails[k] = max(po.defects[k], tails[k + 1])
-
     records = []
     points = []
     for n in range(1, levels + 1):
         target = 1.0 / n
-        cut = _find_cut(tails, horizon, oracle, target)
+        cut = _find_cut(profile.tail_sups, horizon, oracle, target)
         if cut is None:
             continue
         spliced = splice(family, po, cut)

@@ -17,11 +17,17 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .errors import BudgetExceededError, ShadowlabError
-from .families import MapFamily, product_family
+from .errors import BranchDomainViolatedError, BudgetExceededError, ShadowlabError
+from .families import (
+    MapFamily,
+    best_orbit,
+    orbit_table,
+    product_family,
+    shadowing_orbit,
+)
 from .limits import limit_shadow_point
 from .pseudo_orbits import inject_defects, perturb_orbit
-from .solver import pullback_shadow
+from .solver import pull_back_chain, pullback_shadow
 
 PROVEN_VARIANTS = ("h", "s_limit")
 EMPIRICAL_VARIANTS = ("plain", "limit", "average", "asymptotic_average", "periodic", "lipschitz")
@@ -93,13 +99,6 @@ def _iter_finite_pseudo_orbits(
         yield from extend((s,))
 
 
-def _orbit_table(family: MapFamily, length: int) -> dict:
-    """Orbits of every start point out to `length` steps."""
-    return {
-        y: family.compose(y, length).points for y in family.space_at(0).points
-    }
-
-
 # ---------------------------------------------------------------------------
 # Variant checkers
 
@@ -109,22 +108,14 @@ def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     eps, delta = budget.epsilon, budget.delta
     if family.is_finite_state:
         space = family.space_at(0)
-        orbits = _orbit_table(family, budget.max_len - 1)
+        orbits = orbit_table(family, budget.max_len - 1)
         counter = _Counter(budget.enumeration_limit)
         checked = 0
         for po in _iter_finite_pseudo_orbits(family, delta, budget.max_len, counter):
             checked += 1
             n = len(po) - 1
-            found = False
-            for y, orbit in orbits.items():
-                if space.distance(y, po[0]) >= eps:
-                    continue
-                if orbit[n] != po[n]:
-                    continue
-                if all(space.distance(orbit[i], po[i]) < eps for i in range(1, n)):
-                    found = True
-                    break
-            if not found:
+            landing = {y: orbit for y, orbit in orbits.items() if orbit[n] == po[n]}
+            if shadowing_orbit(space, landing, po, eps) is None:
                 return CheckResult("h", False, checked, witness=po)
         return CheckResult("h", True, checked)
     return _h_check_continuous(family, budget)
@@ -142,17 +133,12 @@ def _h_check_continuous(family: MapFamily, budget: VariantBudget) -> CheckResult
         except ShadowlabError as exc:
             return CheckResult("h", False, checked, witness=(exc.code,))
         n = po.horizon
-        z = po.points[n]
-        ok = True
-        for j in range(n - 1, -1, -1):
-            w = family.evaluate(j, po.points[j])
-            if family.space_at(j + 1).distance(w, z) >= family.branch_radius:
-                ok = False
-                break
-            branch = family.map_at(j).branch_of(po.points[j])
-            z = family.map_at(j).inverse_branch_point(branch, w, z)
+        images = [family.evaluate(j, po.points[j]) for j in range(n)]
+        branches = [family.map_at(j).branch_of(po.points[j]) for j in range(n)]
         checked += 1
-        if not ok:
+        try:
+            z = pull_back_chain(family, images, branches, po.points[n])[0]
+        except BranchDomainViolatedError:
             return CheckResult("h", False, checked, witness=po.points)
         orbit = family.compose(z, n)
         landing = family.space_at(n).distance(orbit.points[n], po.points[n])
@@ -170,16 +156,12 @@ def plain_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     eps, delta = budget.epsilon, budget.delta
     if family.is_finite_state:
         space = family.space_at(0)
-        orbits = _orbit_table(family, budget.max_len - 1)
+        orbits = orbit_table(family, budget.max_len - 1)
         counter = _Counter(budget.enumeration_limit)
         checked = 0
         for po in _iter_finite_pseudo_orbits(family, delta, budget.max_len, counter):
             checked += 1
-            n = len(po) - 1
-            if not any(
-                all(space.distance(orbit[i], po[i]) < eps for i in range(n + 1))
-                for orbit in orbits.values()
-            ):
+            if shadowing_orbit(space, orbits, po, eps) is None:
                 return CheckResult("plain", False, checked, witness=po)
         return CheckResult("plain", True, checked)
     family.require_expanding()
@@ -199,12 +181,18 @@ def plain_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
 
 
 def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
-    """Limit pseudo-orbits are limit-shadowed (tail-exact on finite spaces)."""
+    """Limit pseudo-orbits are limit-shadowed (tail-exact on finite spaces).
+
+    On a finite family the tail-exact clause asks for an orbit agreeing with
+    the pseudo-orbit from some index k on; k = n is the weakest such clause
+    and every other one implies it, so the check reduces to a landing check
+    orbit[n] == po[n]. Finite maps are onto, hence so is F_n, and every
+    pseudo-orbit passes: at a finite horizon this verdict cannot fail.
+    """
     if family.is_finite_state:
-        space = family.space_at(0)
         head_len = max(2, budget.max_len // 2)
         counter = _Counter(budget.enumeration_limit)
-        orbits = _orbit_table(family, budget.max_len - 1)
+        orbits = orbit_table(family, budget.max_len - 1)
         checked = 0
         for head in _iter_finite_pseudo_orbits(family, budget.delta, head_len, counter):
             po = list(head)
@@ -212,15 +200,7 @@ def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
                 po.append(family.evaluate(len(po) - 1, po[-1]))
             checked += 1
             n = len(po) - 1
-            found = False
-            for orbit in orbits.values():
-                for k in range(n + 1):
-                    if all(orbit[i] == po[i] for i in range(k, n + 1)):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            if not any(orbit[n] == po[n] for orbit in orbits.values()):
                 return CheckResult("limit", False, checked, witness=tuple(po))
         return CheckResult("limit", True, checked)
     # Continuous: synthetic harmonic defects scaled into the budget.
@@ -267,24 +247,17 @@ def average_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     if not family.is_finite_state:
         return CheckResult("average", False, 0, detail="finite-state families only")
     space = family.space_at(0)
-    states = space.points
     length = budget.max_len
-    orbits = _orbit_table(family, length)
+    orbits = orbit_table(family, length)
     checked = 0
-    for s in states:
-        base = family.compose(s, length).points
+    for base in orbits.values():
         for jump_at in range(1, length + 1):
-            for target in states:
+            for target in space.points:
                 po = list(base[:jump_at]) + [target]
                 for i in range(jump_at, length):
                     po.append(family.evaluate(i, po[-1]))
                 checked += 1
-                best = min(
-                    sum(space.distance(orbit[i], po[i]) for i in range(length + 1))
-                    / (length + 1)
-                    for orbit in orbits.values()
-                )
-                if best >= budget.epsilon:
+                if best_orbit(space, orbits, po, mean=True)[1] >= budget.epsilon:
                     return CheckResult("average", False, checked, witness=tuple(po))
     return CheckResult("average", True, checked)
 
@@ -300,6 +273,7 @@ def periodic_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     if not family.is_finite_state:
         return CheckResult("periodic", False, 0, detail="finite-state families only")
     space = family.space_at(0)
+    orbits = orbit_table(family, budget.max_len - 1)
     counter = _Counter(budget.enumeration_limit)
     checked = 0
     for po in _iter_finite_pseudo_orbits(family, budget.delta, budget.max_len, counter):
@@ -307,15 +281,8 @@ def periodic_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
         if po[0] != po[n]:
             continue
         checked += 1
-        found = False
-        for y in space.points:
-            orbit = family.compose(y, n).points
-            if orbit[n] != y:
-                continue
-            if all(space.distance(orbit[i], po[i]) < budget.epsilon for i in range(n + 1)):
-                found = True
-                break
-        if not found:
+        closed = {y: orbit for y, orbit in orbits.items() if orbit[n] == y}
+        if shadowing_orbit(space, closed, po, budget.epsilon) is None:
             return CheckResult("periodic", False, checked, witness=po)
     return CheckResult("periodic", True, checked)
 
@@ -325,7 +292,7 @@ def lipschitz_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     if not family.is_finite_state:
         return CheckResult("lipschitz", False, 0, detail="finite-state families only")
     space = family.space_at(0)
-    orbits = _orbit_table(family, budget.max_len - 1)
+    orbits = orbit_table(family, budget.max_len - 1)
     counter = _Counter(budget.enumeration_limit)
     checked = 0
     for po in _iter_finite_pseudo_orbits(family, budget.delta, budget.max_len, counter):
@@ -336,11 +303,7 @@ def lipschitz_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
         if defect == 0.0:
             continue
         checked += 1
-        best = min(
-            max(space.distance(orbit[i], po[i]) for i in range(n + 1))
-            for orbit in orbits.values()
-        )
-        if best > budget.lipschitz_bound * defect:
+        if best_orbit(space, orbits, po)[1] > budget.lipschitz_bound * defect:
             return CheckResult("lipschitz", False, checked, witness=po)
     return CheckResult("lipschitz", True, checked)
 
@@ -381,9 +344,6 @@ class ShadowingVariant:
 
 # ---------------------------------------------------------------------------
 # Product equivalence
-
-
-product = product_family
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,7 @@ class PseudoOrbit:
         pts = tuple(
             family.space_at(start_index + i).require(p) for i, p in enumerate(points)
         )
-        defects = tuple(
-            family.space_at(start_index + i + 1).distance(
-                family.evaluate(start_index + i, pts[i]), pts[i + 1]
-            )
-            for i in range(len(pts) - 1)
-        )
+        defects = _defects(family, pts, start_index)
         return cls(family=family, start_index=start_index, points=pts, defects=defects)
 
     @property
@@ -53,13 +48,17 @@ class PseudoOrbit:
         return max(self.defects) if self.defects else 0.0
 
     def recomputed_defects(self) -> tuple:
-        return tuple(
-            self.family.space_at(self.start_index + i + 1).distance(
-                self.family.evaluate(self.start_index + i, self.points[i]),
-                self.points[i + 1],
-            )
-            for i in range(len(self.points) - 1)
+        return _defects(self.family, self.points, self.start_index)
+
+
+def _defects(family: MapFamily, points: Sequence, start_index: int) -> tuple:
+    """d(f_i(x_i), x_{i+1}) for each step, with times offset by start_index."""
+    return tuple(
+        family.space_at(start_index + i + 1).distance(
+            family.evaluate(start_index + i, points[i]), points[i + 1]
         )
+        for i in range(len(points) - 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,14 @@ class DeltaSchedule:
     def __len__(self) -> int:
         return len(self.values)
 
+    def check(self, defects: Sequence[float]) -> None:
+        """The hypothesis gate: every defect strictly below its step's budget."""
+        for n, defect in enumerate(defects):
+            if defect >= self.values[n]:
+                raise DeltaBudgetViolatedError(
+                    f"defect {defect} at step {n} >= budget {self.values[n]}", witness=n
+                )
+
 
 def delta_budget(
     family: MapFamily, epsilon: float, margin: float = 0.98, horizon: int = 64
@@ -235,29 +243,32 @@ class ShadowReport:
     max_defect: float
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family_name,
-            "shadow_point": _point_json(self.shadow_point),
-            "horizon": self.horizon,
-            "epsilon": self.epsilon,
-            "max_error": max(self.per_step_errors),
-            "diameter_bound": self.diameter_bound,
-            "measured_diameter": self.measured_diameter,
-            "max_defect": self.max_defect,
-            "verdict": self.verdict,
-        }
-
-
-def _point_json(p):
-    if isinstance(p, tuple):
-        return [_point_json(q) for q in p]
-    return p
-
 
 def diameter_certificate(family: MapFamily, epsilon: float, k: int) -> float:
     """2 eps * product of the k inverted maps' contraction rates."""
     return 2.0 * epsilon * math.prod(family.rate_at(j) for j in range(k))
+
+
+def pull_back_chain(family: MapFamily, images: Sequence, branches: Sequence, z) -> list:
+    """[z_0, ..., z_k] with z_k = z and z_j the branch preimage of z_{j+1}.
+
+    Step j applies the inverse branch `branches[j]` of f_j anchored at
+    `images[j]`; it raises BranchDomainViolated when z_{j+1} lies outside
+    that branch's domain B(images[j], delta_0).
+    """
+    k = len(images)
+    chain = [None] * (k + 1)
+    chain[k] = z
+    space = family.space_at(k)  # X_{j+1} on entry to step j
+    for j in range(k - 1, -1, -1):
+        if space.distance(images[j], z) >= family.branch_radius:
+            raise BranchDomainViolatedError(
+                f"backward iterate leaves branch domain at step {j}", witness=j
+            )
+        space = family.space_at(j)
+        z = space.reduce(family.map_at(j).inverse_branch_point(branches[j], images[j], z))
+        chain[j] = z
+    return chain
 
 
 def pullback_shadow(
@@ -277,12 +288,7 @@ def pullback_shadow(
     k = po.horizon
     budget = delta_budget(family, epsilon, margin=margin, horizon=max(k, 1))
     if check_budget:
-        for n in range(k):
-            if po.defects[n] >= budget.at(n):
-                raise DeltaBudgetViolatedError(
-                    f"defect {po.defects[n]} at step {n} >= budget {budget.at(n)}",
-                    witness=n,
-                )
+        budget.check(po.defects)
 
     spaces = [family.space_at(j) for j in range(k + 1)]
     images = [family.evaluate(j, po.points[j]) for j in range(k)]
@@ -316,13 +322,7 @@ def pullback_shadow(
     # Branches are right inverses, so {z_j} is the exact orbit of z_0; the
     # backward computation is contractive, hence float-stable, whereas naive
     # forward iteration would amplify rounding by the full expansion factor.
-    z = cell_center(spaces[k], chain[k])
-    orbit_points = [None] * (k + 1)
-    orbit_points[k] = z
-    for j in range(k - 1, -1, -1):
-        z = family.map_at(j).inverse_branch_point(branches[j], images[j], z)
-        z = spaces[j].reduce(z)
-        orbit_points[j] = z
+    orbit_points = pull_back_chain(family, images, branches, cell_center(spaces[k], chain[k]))
     shadow = orbit_points[0]
     errors = tuple(
         spaces[j].distance(orbit_points[j], po.points[j]) for j in range(k + 1)
@@ -419,31 +419,16 @@ def periodic_shadow(
     else:
         raise NonPeriodicInputError("rule-backed schedules cannot certify periodicity")
 
-    budget = delta_budget(
-        family, epsilon, margin=margin, horizon=max(po.horizon, period, 1)
-    )
-    for n in range(po.horizon):
-        if po.defects[n] >= budget.at(n):
-            raise DeltaBudgetViolatedError(
-                f"defect {po.defects[n]} at step {n} >= budget", witness=n
-            )
+    budget = delta_budget(family, epsilon, margin=margin, horizon=max(po.horizon, period, 1))
+    budget.check(po.defects)
 
     space = family.space_at(0)
     images = [family.evaluate(j, po.points[j]) for j in range(period)]
     branches = [family.map_at(j).branch_of(po.points[j]) for j in range(period)]
 
-    def pull_once(z):
-        for j in range(period - 1, -1, -1):
-            if space.distance(z, images[j]) >= family.branch_radius:
-                raise BranchDomainViolatedError(
-                    f"backward iterate leaves branch domain at step {j}", witness=j
-                )
-            z = family.map_at(j).inverse_branch_point(branches[j], images[j], z)
-        return space.reduce(z)
-
     z = po.points[0]
     for _ in range(max_iterations):
-        z_next = pull_once(z)
+        z_next = pull_back_chain(family, images, branches, z)[0]
         if space.distance(z_next, z) < fixed_point_tol / 2.0:
             z = z_next
             break

@@ -7,6 +7,8 @@ re-enumerates pseudo-orbits with its own breadth-first machinery.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -100,3 +102,62 @@ def exhaustive_average_minimizer(states, step, dist, po_points):
         if best is None or mean < best[1]:
             best = (y, mean)
     return best
+
+
+def _orbit(step, y, length):
+    pts = [y]
+    for i in range(length - 1):
+        pts.append(step(i, pts[-1]))
+    return pts
+
+
+def brute_force_periodic_shadowing(states, step, dist, epsilon, delta, max_points):
+    """Is every closed delta-pseudo-orbit eps-shadowed by a periodic orbit?
+
+    Enumerates every point sequence of 2..max_points points in depth-first
+    order (by state index, prefixes first) and keeps the closed
+    delta-pseudo-orbits. Returns (verdict, closed ones checked, witness).
+    """
+    index_seqs = []
+    for length in range(2, max_points + 1):
+        index_seqs.extend(itertools.product(range(len(states)), repeat=length))
+    checked = 0
+    for seq in sorted(index_seqs):
+        po = tuple(states[i] for i in seq)
+        n = len(po) - 1
+        if po[0] != po[n]:
+            continue
+        if any(dist(step(i, po[i]), po[i + 1]) >= delta for i in range(n)):
+            continue
+        checked += 1
+        shadowed = False
+        for y in states:
+            orbit = _orbit(step, y, n + 1)
+            if orbit[n] == y and all(dist(orbit[i], po[i]) < epsilon for i in range(n + 1)):
+                shadowed = True
+                break
+        if not shadowed:
+            return False, checked, po
+    return True, checked, None
+
+
+def brute_force_average_shadowing(states, step, dist, epsilon, length):
+    """Is every single-jump pseudo-orbit Cesaro-shadowed below eps?
+
+    The pseudo-orbit follows the orbit of s, jumps to `target` at index
+    jump_at and follows the map from there, over length + 1 points.
+    Returns (verdict, pseudo-orbits checked, witness).
+    """
+    checked = 0
+    for s in states:
+        base = _orbit(step, s, length + 1)
+        for jump_at in range(1, length + 1):
+            for target in states:
+                po = base[:jump_at] + [target]
+                for i in range(jump_at, length):
+                    po.append(step(i, po[-1]))
+                checked += 1
+                _, mean = exhaustive_average_minimizer(states, step, dist, po)
+                if mean >= epsilon:
+                    return False, checked, tuple(po)
+    return True, checked, None

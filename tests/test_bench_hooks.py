@@ -1,0 +1,98 @@
+"""The traced benchmark's hooks still find every library name they patch.
+
+``bench/tracing.py`` replaces names where the library looks them up at call
+time: module globals, class ``__dict__`` entries and the
+``VARIANT_CHECKERS`` table. Renaming or moving one of them must fail here,
+not halfway through a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+MODULES = (
+    "cli",
+    "solver",
+    "limits",
+    "averaging",
+    "density",
+    "products",
+    "families",
+    "pseudo_orbits",
+    "reporting",
+)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fresh_library() -> SimpleNamespace:
+    """A separate import of shadowlab, as the benchmark makes; sys.modules is left as found."""
+
+    def ours(name):
+        return name == "shadowlab" or name.startswith("shadowlab.")
+
+    saved = {name: module for name, module in sys.modules.items() if ours(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        importlib.import_module("shadowlab")
+        return SimpleNamespace(**{m: importlib.import_module(f"shadowlab.{m}") for m in MODULES})
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_instrument_patches_and_restores_a_fresh_import():
+    tracing = load_tracing()
+    lib = fresh_library()
+    tracer = tracing.Tracer()
+    patches = tracing.instrument(lib, tracer)
+    saved = list(patches.saved)
+    try:
+        patched = {(id(owner), attr) for owner, attr, _original, _is_dict in saved}
+        limits, products = lib.limits, lib.products
+        oracles = (limits.TransportOracle, limits.ExhaustiveOracle, limits.PullbackOracle)
+        expected = [(oracle, attr) for oracle in oracles for attr in ("shadow", "modulus")]
+        expected += [
+            (products, name)
+            for name in (
+                "perturb_orbit",
+                "inject_defects",
+                "limit_shadow_point",
+                "pullback_shadow",
+                "product_family",
+            )
+        ]
+        expected += [
+            (lib.pseudo_orbits.PseudoOrbit, "from_points"),
+            (lib.families.MapFamily, "compose"),
+        ]
+        for owner, attr in expected:
+            assert (id(owner), attr) in patched, (owner, attr)
+
+        fam = lib.families.finite_cycle_family(3)
+        po = lib.pseudo_orbits.PseudoOrbit.from_points(fam, (0, 2))
+        assert limits.ExhaustiveOracle(fam).shadow(po, 0.5)[0] == 0
+        budget = products.VariantBudget(epsilon=0.6, delta=0.4, max_len=3)
+        assert products.VARIANT_CHECKERS["h"](fam, budget).passed
+        names = {span[0] for span in tracer.spans}
+        assert {
+            "pseudo_orbits.from_points",
+            "limits.oracle_shadow",
+            "families.compose",
+            "products.check.h",
+        } <= names
+    finally:
+        patches.restore()
+    for owner, attr, original, is_dict in saved:
+        current = owner[attr] if is_dict else owner.__dict__[attr]
+        assert current is original, (owner, attr)

@@ -7,17 +7,19 @@ from shadowlab.errors import (
 )
 from shadowlab.families import (
     doubling_family,
+    eight_state_family,
     finite_cycle_family,
     identity_family,
     rotation_family,
 )
 from shadowlab.limits import (
+    ExhaustiveOracle,
     equicontinuity_modulus,
     limit_shadow_point,
     shadowing_oracle,
     splice,
 )
-from shadowlab.pseudo_orbits import inject_defects, perturb_orbit
+from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, perturb_orbit
 
 
 def harmonic_rotation_orbit(horizon=10_000):
@@ -185,3 +187,42 @@ def test_oracle_selection():
     odd = replace(rotation_family(), is_isometry=False)
     with pytest.raises(OracleUnavailableError):
         shadowing_oracle(odd)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive oracle: the first start point with the least sup error
+
+
+def first_sup_minimiser(family, points):
+    space = family.space_at(0)
+    best = None
+    for y in space.points:
+        orbit = family.compose(y, len(points) - 1).points
+        err = max(space.distance(a, b) for a, b in zip(orbit, points))
+        if best is None or err < best[1]:
+            best = (y, err, orbit)
+    return best
+
+
+@pytest.mark.parametrize(
+    "make,points,expected",
+    [
+        # Every start point misses by 1: the first one wins the tie.
+        (lambda: finite_cycle_family(3), (0, 2), (0, 1.0, (0, 1))),
+        # States 1 and 4 both miss by the parking distance; 1 comes first.
+        (eight_state_family, (4, 2), (1, 0.01, (1, 2))),
+    ],
+)
+def test_exhaustive_oracle_breaks_ties_toward_first_start(make, points, expected):
+    fam = make()
+    po = PseudoOrbit.from_points(fam, points)
+    assert ExhaustiveOracle(fam).shadow(po, 0.5) == expected
+    assert first_sup_minimiser(fam, points) == expected
+
+
+@pytest.mark.parametrize("noise", [0.015, 1.015])
+@pytest.mark.parametrize("seed", range(6))
+def test_exhaustive_oracle_returns_first_sup_minimiser(seed, noise):
+    fam = eight_state_family()
+    po = perturb_orbit(fam, seed % 8, 9, noise, seed)
+    assert ExhaustiveOracle(fam).shadow(po, 0.5) == first_sup_minimiser(fam, po.points)

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from oracles import brute_force_h_shadowing
+from oracles import (
+    brute_force_average_shadowing,
+    brute_force_h_shadowing,
+    brute_force_periodic_shadowing,
+)
 from shadowlab.families import (
     barely_expanding_family,
     doubling_family,
@@ -17,9 +21,11 @@ from shadowlab.products import (
     ALL_VARIANTS,
     ShadowingVariant,
     VariantBudget,
+    average_check,
     h_shadow_check,
     limit_check,
     lipschitz_check,
+    periodic_check,
     plain_shadow_check,
     product_equivalence_check,
     s_limit_check,
@@ -261,3 +267,38 @@ def test_plain_check_fail_carries_witness():
     result = plain_shadow_check(fam, budget)
     assert not result.passed
     assert result.witness is not None
+
+
+# ---------------------------------------------------------------------------
+# periodic and average checkers against direct brute force
+
+SEARCH_FAMILIES = {
+    "finite_cycle_3": lambda: finite_cycle_family(3),
+    "two_bit_swap": two_bit_swap_family,
+    "cycle_3*two_bit_swap": lambda: product_family(finite_cycle_family(3), two_bit_swap_family()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_FAMILIES))
+@pytest.mark.parametrize("eps,delta", [(0.6, 0.4), (0.6, 0.6), (1.1, 0.6), (0.4, 1.1), (1.1, 1.1)])
+def test_periodic_check_matches_brute_force(name, eps, delta):
+    fam = SEARCH_FAMILIES[name]()
+    space = fam.space_at(0)
+    max_len = 4 if "*" in name else 5
+    result = periodic_check(fam, VariantBudget(epsilon=eps, delta=delta, max_len=max_len))
+    expected = brute_force_periodic_shadowing(
+        space.points, fam.evaluate, space.distance, eps, delta, max_len
+    )
+    assert (result.passed, result.checked, result.witness) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_FAMILIES))
+@pytest.mark.parametrize("eps", [0.2, 0.3, 0.45, 0.6])
+def test_average_check_matches_brute_force(name, eps):
+    fam = SEARCH_FAMILIES[name]()
+    space = fam.space_at(0)
+    result = average_check(fam, VariantBudget(epsilon=eps, delta=0.5, max_len=4))
+    expected = brute_force_average_shadowing(
+        space.points, fam.evaluate, space.distance, eps, length=4
+    )
+    assert (result.passed, result.checked, result.witness) == expected
