@@ -347,6 +347,11 @@ class MapFamily:
             p = self.evaluate(i, p)
         return p
 
+    def sup_distance(self, xs: Sequence, ys: Sequence, lo: int, hi: int) -> float:
+        """max of d_i(xs[i], ys[i]) over lo <= i <= hi; 0.0 on an empty window."""
+        errors = (self.space_at(i).distance(xs[i], ys[i]) for i in range(lo, hi + 1))
+        return max(errors, default=0.0)
+
     def require_expanding(self):
         if not self.expanding or self.rates is None or self.branch_radius is None:
             raise NotExpandingError(f"family {self.name!r} is not expanding")
@@ -407,8 +412,8 @@ def expansiveness_falsifier(
         # Near-diagonal pairs separate last; seed the search with them.
         grid = max(2, int(math.isqrt(samples)))
         for i in range(grid):
-            x = i / grid
-            pairs.append((x, space.reduce(x + epsilon0 / 2)))
+            x = space.grid_point(i / grid)
+            pairs.append((x, space.translate(x, epsilon0 / 2)))
         while len(pairs) < samples:
             x = space.random_point(rng)
             pairs.append((x, space.displace(x, rng.random() * epsilon0, 1)))

@@ -181,12 +181,8 @@ class TransportOracle:
 
     def shadow(self, po: PseudoOrbit, target: float):
         y = po.points[0]
-        orbit = self.family.compose(y, po.horizon)
-        errors = [
-            self.family.space_at(i).distance(orbit.points[i], po.points[i])
-            for i in range(po.horizon + 1)
-        ]
-        return y, max(errors), tuple(orbit.points)
+        orbit = self.family.compose(y, po.horizon).points
+        return y, self.family.sup_distance(orbit, po.points, 0, po.horizon), orbit
 
 
 class ExhaustiveOracle:
@@ -315,10 +311,7 @@ def limit_shadow_point(
         y, sup_err, orbit_pts = oracle.shadow(spliced.orbit, target)
         window_hi = min(max(2 * cut, cut + 1), horizon)
         if orbit_pts is not None:
-            window_err = max(
-                family.space_at(i).distance(orbit_pts[i], po.points[i])
-                for i in range(cut, window_hi + 1)
-            )
+            window_err = family.sup_distance(orbit_pts, po.points, cut, window_hi)
         else:
             window_err = sup_err
         records.append(
@@ -352,22 +345,13 @@ def limit_shadow_point(
             # bound via the last level's certified errors plus the head gap.
             last = records[-1]
             spliced_last = splice(family, po, last.cut)
-            head_gap = max(
-                (
-                    family.space_at(i).distance(spliced_last.orbit.points[i], po.points[i])
-                    for i in range(rec.cut, min(window_hi, last.cut - 1) + 1)
-                ),
-                default=0.0,
+            head_gap = family.sup_distance(
+                spliced_last.orbit.points, po.points, rec.cut, min(window_hi, last.cut - 1)
             )
             table.append(last.sup_error_vs_spliced + head_gap)
         else:
             orbit = family.compose(y_final, window_hi)
-            table.append(
-                max(
-                    family.space_at(i).distance(orbit.points[i], po.points[i])
-                    for i in range(rec.cut, window_hi + 1)
-                )
-            )
+            table.append(family.sup_distance(orbit.points, po.points, rec.cut, window_hi))
     return LimitShadowResult(
         point=y_final,
         converged=converged,

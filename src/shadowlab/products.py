@@ -140,13 +140,9 @@ def _h_check_continuous(family: MapFamily, budget: VariantBudget) -> CheckResult
             z = pull_back_chain(family, images, branches, po.points[n])[0]
         except BranchDomainViolatedError:
             return CheckResult("h", False, checked, witness=po.points)
-        orbit = family.compose(z, n)
-        landing = family.space_at(n).distance(orbit.points[n], po.points[n])
-        errors = [
-            family.space_at(i).distance(orbit.points[i], po.points[i])
-            for i in range(n)
-        ]
-        if landing > 1e-10 or any(e >= eps for e in errors):
+        orbit = family.compose(z, n).points
+        landing = family.space_at(n).distance(orbit[n], po.points[n])
+        if landing > 1e-10 or family.sup_distance(orbit, po.points, 0, n - 1) >= eps:
             return CheckResult("h", False, checked, witness=po.points)
     return CheckResult("h", True, checked)
 

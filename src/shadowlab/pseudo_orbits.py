@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence
 
 from .errors import NoiseExceedsSpaceError, NonConstantSpacesError
 from .families import MapFamily
-from .spaces import FINITE, PRODUCT
 
 FINITE_HORIZON_NOTE = (
     "finite-horizon verdict: approximates a limit statement using the stored horizon"
@@ -128,24 +127,6 @@ def classify_defects(defects: Sequence[float], delta: float) -> Classification:
     return Classification(delta=delta, profile=DefectProfile.from_sequence(defects))
 
 
-def _perturbed_step(space, true_next, noise: float, rng: random.Random):
-    if noise == 0.0:
-        return true_next
-    if space.kind == FINITE:
-        candidates = [
-            q for q in space.points if space.distance(true_next, q) < noise
-        ]
-        return candidates[rng.randrange(len(candidates))]
-    if space.kind == PRODUCT:
-        return (
-            _perturbed_step(space.factors[0], true_next[0], noise, rng),
-            _perturbed_step(space.factors[1], true_next[1], noise, rng),
-        )
-    r = rng.random() * noise
-    sign = 1 if rng.random() < 0.5 else -1
-    return space.displace(true_next, r, sign)
-
-
 def perturb_orbit(
     family: MapFamily, x0, horizon: int, noise: float, seed: int
 ) -> PseudoOrbit:
@@ -165,7 +146,7 @@ def perturb_orbit(
                 f"noise {noise} exceeds space diameter {space_next.diameter}"
             )
         true_next = family.evaluate(i, points[-1])
-        points.append(space_next.reduce(_perturbed_step(space_next, true_next, noise, rng)))
+        points.append(space_next.reduce(space_next.perturb(true_next, noise, rng)))
     return PseudoOrbit.from_points(family, points)
 
 

@@ -3,9 +3,10 @@
 Given a budget-compliant pseudo-orbit of an expanding family, the solver
 pulls the closed epsilon-ball at the final point backward through the
 inverse branches selected along the pseudo-orbit, intersecting with the
-epsilon-ball around each image point on the way. Cells are represented
-exactly: arcs on the circle, intervals on [0,1], and componentwise pairs on
-products, all closed under the affine inverse branches of the built-in maps.
+epsilon-ball around each image point on the way. Cells are circle arcs and
+componentwise pairs of them on products, computed by the spaces' own cell
+calculus in floats; inclusions and the branch-domain check allow a 1e-12
+slack (rigorous outward rounding is still open).
 The final cell's center is the returned shadow point; its certified diameter
 bound is 2 * epsilon * prod(rates of the k inverted maps).
 """
@@ -26,117 +27,14 @@ from .errors import (
 )
 from .families import MapFamily
 from .pseudo_orbits import PseudoOrbit, perturb_orbit
-from .spaces import CIRCLE, INTERVAL, PRODUCT, StateSpace, circle_reduce, circle_signed_gap
+from .spaces import StateSpace
 
 _SLACK = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# Exact cell calculus (arc / interval / pair)
-
-
-def make_ball(space: StateSpace, center, radius: float):
-    if space.kind == CIRCLE:
-        return (circle_reduce(center), radius)
-    if space.kind == INTERVAL:
-        return (max(0.0, center - radius), min(1.0, center + radius))
-    if space.kind == PRODUCT:
-        return (
-            make_ball(space.factors[0], center[0], radius),
-            make_ball(space.factors[1], center[1], radius),
-        )
-    raise BranchDomainViolatedError(f"no cell calculus for {space.kind} spaces")
-
-
-def cell_intersect(space: StateSpace, c1, c2):
-    """Exact intersection; None when empty."""
-    if space.kind == CIRCLE:
-        (a, ra), (b, rb) = c1, c2
-        gap = circle_signed_gap(a, b)
-        lo = max(-ra, gap - rb)
-        hi = min(ra, gap + rb)
-        if lo > hi:
-            return None
-        return (circle_reduce(a + (lo + hi) / 2.0), (hi - lo) / 2.0)
-    if space.kind == INTERVAL:
-        lo = max(c1[0], c2[0])
-        hi = min(c1[1], c2[1])
-        if lo > hi:
-            return None
-        return (lo, hi)
-    left = cell_intersect(space.factors[0], c1[0], c2[0])
-    right = cell_intersect(space.factors[1], c1[1], c2[1])
-    if left is None or right is None:
-        return None
-    return (left, right)
-
-
-def cell_diameter(space: StateSpace, cell) -> float:
-    if space.kind == CIRCLE:
-        return 2.0 * cell[1]
-    if space.kind == INTERVAL:
-        return cell[1] - cell[0]
-    return max(
-        cell_diameter(space.factors[0], cell[0]),
-        cell_diameter(space.factors[1], cell[1]),
-    )
-
-
-def cell_center(space: StateSpace, cell):
-    if space.kind == CIRCLE:
-        return cell[0]
-    if space.kind == INTERVAL:
-        return (cell[0] + cell[1]) / 2.0
-    return (
-        cell_center(space.factors[0], cell[0]),
-        cell_center(space.factors[1], cell[1]),
-    )
-
-
-def cell_max_distance(space: StateSpace, cell, point) -> float:
-    """Largest distance from `point` to the cell (exact for small cells)."""
-    if space.kind == CIRCLE:
-        return space.distance(cell[0], point) + cell[1]
-    if space.kind == INTERVAL:
-        return max(abs(cell[0] - point), abs(cell[1] - point))
-    return max(
-        cell_max_distance(space.factors[0], cell[0], point[0]),
-        cell_max_distance(space.factors[1], cell[1], point[1]),
-    )
-
-
-def cell_pull(space_out: StateSpace, mapobj, branch, w, cell):
-    """Image of a cell under the inverse branch anchored at w.
-
-    Built-in branches are continuous and monotone on the branch domain, so
-    the image of an arc (or interval) is spanned exactly by the images of
-    its endpoints.
-    """
-    if space_out.kind == CIRCLE:
-        lo = mapobj.inverse_branch_point(branch, w, circle_reduce(cell[0] - cell[1]))
-        hi = mapobj.inverse_branch_point(branch, w, circle_reduce(cell[0] + cell[1]))
-        gap = circle_signed_gap(lo, hi)
-        radius = abs(gap) / 2.0
-        return (circle_reduce(lo + gap / 2.0), radius)
-    if space_out.kind == INTERVAL:
-        lo = mapobj.inverse_branch_point(branch, w, cell[0])
-        hi = mapobj.inverse_branch_point(branch, w, cell[1])
-        return (min(lo, hi), max(lo, hi))
-    return (
-        cell_pull(space_out.factors[0], mapobj.left, branch[0], w[0], cell[0]),
-        cell_pull(space_out.factors[1], mapobj.right, branch[1], w[1], cell[1]),
-    )
-
-
-def cell_contains(space: StateSpace, outer, inner, slack: float = _SLACK) -> bool:
-    if space.kind == CIRCLE:
-        gap = abs(circle_signed_gap(outer[0], inner[0]))
-        return gap + inner[1] <= outer[1] + slack
-    if space.kind == INTERVAL:
-        return outer[0] - slack <= inner[0] and inner[1] <= outer[1] + slack
-    return cell_contains(space.factors[0], outer[0], inner[0], slack) and cell_contains(
-        space.factors[1], outer[1], inner[1], slack
-    )
+def cell_pull(space: StateSpace, mapobj, branch, w, cell):
+    """Image of a cell of X_{n+1} under the inverse branch of f_n anchored at w."""
+    return space.cell_pull(mapobj, branch, w, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +119,7 @@ class PullbackChain:
         for cell in self.cells:
             space = po.family.space_at(cell.time_index)
             x = po.points[cell.time_index]
-            extent = cell_max_distance(space, cell.raw, x)
+            extent = space.cell_max_distance(cell.raw, x)
             if extent > epsilon + _SLACK:
                 raise ValueError(
                     f"cell at {cell.time_index} leaves the tube: {extent} > {epsilon}"
@@ -299,36 +197,35 @@ def pullback_shadow(
     # budget the intersections below the top are no-ops, so the diameter
     # contracts by the branch rate at every pullback.
     chain = [None] * (k + 1)
-    cell = make_ball(spaces[k], po.points[k], epsilon)
+    cell = spaces[k].make_ball(po.points[k], epsilon)
     if k == 0:
         chain[0] = cell
     for j in range(k - 1, -1, -1):
-        inter = cell_intersect(
-            spaces[j + 1], cell, make_ball(spaces[j + 1], images[j], epsilon)
-        )
+        space = spaces[j + 1]
+        inter = space.cell_intersect(cell, space.make_ball(images[j], epsilon))
         if inter is None:
             raise EmptyCellError(
                 f"pullback cell at step {j + 1} is empty", witness=j + 1
             )
-        if cell_max_distance(spaces[j + 1], inter, images[j]) >= family.branch_radius + _SLACK:
+        if space.cell_max_distance(inter, images[j]) >= family.branch_radius + _SLACK:
             raise BranchDomainViolatedError(
                 f"cell at step {j + 1} leaves the branch domain", witness=j + 1
             )
         chain[j + 1] = inter
-        cell = cell_pull(spaces[j + 1], family.map_at(j), branches[j], images[j], inter)
+        cell = space.cell_pull(family.map_at(j), branches[j], images[j], inter)
         chain[j] = cell
 
     # Point pass: pull the top cell's center backward through the branches.
     # Branches are right inverses, so {z_j} is the exact orbit of z_0; the
     # backward computation is contractive, hence float-stable, whereas naive
     # forward iteration would amplify rounding by the full expansion factor.
-    orbit_points = pull_back_chain(family, images, branches, cell_center(spaces[k], chain[k]))
+    orbit_points = pull_back_chain(family, images, branches, spaces[k].cell_center(chain[k]))
     shadow = orbit_points[0]
     errors = tuple(
         spaces[j].distance(orbit_points[j], po.points[j]) for j in range(k + 1)
     )
     bound = diameter_certificate(family, epsilon, k)
-    measured = cell_diameter(spaces[0], chain[0])
+    measured = spaces[0].cell_diameter(chain[0])
     report = ShadowReport(
         family_name=family.name,
         shadow_point=shadow,
@@ -344,8 +241,8 @@ def pullback_shadow(
     cells = tuple(
         PullbackCell(
             time_index=j,
-            center=cell_center(spaces[j], chain[j]),
-            radius=cell_diameter(spaces[j], chain[j]) / 2.0,
+            center=spaces[j].cell_center(chain[j]),
+            radius=spaces[j].cell_diameter(chain[j]) / 2.0,
             raw=chain[j],
         )
         for j in range(k + 1)

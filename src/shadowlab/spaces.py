@@ -4,20 +4,19 @@ Points are plain Python values: a float in [0, 1) for the circle, a float in
 [0, 1] for the interval, an integer index for finite spaces, and a 2-tuple of
 factor points for products. Circle representatives are always reduced to
 [0, 1) before any metric evaluation so results are bit-reproducible.
+
+Each kind is one class that owns its geometry: metric, membership, canonical
+representatives, displacement, random draws and, on circles and products, the
+pullback solver's cell calculus (arcs, and componentwise pairs of cells).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .errors import PointOutsideSpaceError
-
-CIRCLE = "circle"
-INTERVAL = "interval"
-FINITE = "finite"
-PRODUCT = "product"
+from .errors import BranchDomainViolatedError, PointOutsideSpaceError
 
 
 def circle_reduce(x: float) -> float:
@@ -37,53 +36,13 @@ def circle_signed_gap(base: float, other: float) -> float:
     return gap - 1.0 if gap >= 0.5 else gap
 
 
-@dataclass(frozen=True)
 class StateSpace:
-    """One of the four representable metric spaces.
+    """A metric space of one kind; the subclasses below are the four kinds.
 
-    For ``finite`` kind, ``distances`` is the explicit symmetric matrix and
-    points are the indices 0..n-1. For ``product`` kind, ``factors`` holds the
-    two component spaces and the metric is the max metric.
+    Defaults serve the continuous kinds (circle and interval).
     """
 
-    kind: str
-    description: str = ""
-    distances: Optional[Tuple[Tuple[float, ...], ...]] = None
-    factors: Optional[Tuple["StateSpace", "StateSpace"]] = None
-
-    def distance(self, a, b) -> float:
-        if self.kind == CIRCLE:
-            return circle_distance(a, b)
-        if self.kind == INTERVAL:
-            return abs(a - b)
-        if self.kind == FINITE:
-            return self.distances[a][b]
-        left, right = self.factors
-        return max(left.distance(a[0], b[0]), right.distance(a[1], b[1]))
-
-    @property
-    def diameter(self) -> float:
-        if self.kind == CIRCLE:
-            return 0.5
-        if self.kind == INTERVAL:
-            return 1.0
-        if self.kind == FINITE:
-            return max(max(row) for row in self.distances)
-        return max(f.diameter for f in self.factors)
-
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        if self.kind == CIRCLE:
-            return isinstance(p, float) or isinstance(p, int)
-        if self.kind == INTERVAL:
-            return -tol <= p <= 1.0 + tol
-        if self.kind == FINITE:
-            return isinstance(p, int) and 0 <= p < len(self.distances)
-        return (
-            isinstance(p, tuple)
-            and len(p) == 2
-            and self.factors[0].contains(p[0], tol)
-            and self.factors[1].contains(p[1], tol)
-        )
+    is_enumerable = False
 
     def require(self, p, tol: float = 1e-9):
         if not self.contains(p, tol):
@@ -92,10 +51,6 @@ class StateSpace:
 
     def reduce(self, p):
         """Canonical representative (mod-1 reduction on circle factors)."""
-        if self.kind == CIRCLE:
-            return circle_reduce(p)
-        if self.kind == PRODUCT:
-            return (self.factors[0].reduce(p[0]), self.factors[1].reduce(p[1]))
         return p
 
     def displace(self, p, amount: float, sign: int):
@@ -108,53 +63,34 @@ class StateSpace:
         """
         if amount == 0.0:
             return p
-        if self.kind == CIRCLE:
-            return circle_reduce(p + sign * amount)
-        if self.kind == INTERVAL:
-            cand = p + sign * amount
-            if not 0.0 <= cand <= 1.0:
-                cand = p - sign * amount
-            if not 0.0 <= cand <= 1.0:
-                cand = min(1.0, max(0.0, p + sign * amount))
-            return cand
-        if self.kind == FINITE:
-            best = p
-            best_err = abs(0.0 - amount)
-            for q in range(len(self.distances)):
-                err = abs(self.distances[p][q] - amount)
-                if err < best_err:
-                    best, best_err = q, err
-            return best
-        return (
-            self.factors[0].displace(p[0], amount, sign),
-            self.factors[1].displace(p[1], amount, sign),
-        )
+        return self._displace(p, amount, sign)
+
+    def perturb(self, p, noise: float, rng: random.Random):
+        """A random point at distance < noise from p; zero noise draws nothing."""
+        if noise == 0.0:
+            return p
+        return self._perturb(p, noise, rng)
+
+    def _perturb(self, p, noise: float, rng: random.Random):
+        r = rng.random() * noise
+        sign = 1 if rng.random() < 0.5 else -1
+        return self.displace(p, r, sign)
 
     def random_point(self, rng: random.Random):
-        if self.kind == CIRCLE:
-            return rng.random()
-        if self.kind == INTERVAL:
-            return rng.random()
-        if self.kind == FINITE:
-            return rng.randrange(len(self.distances))
-        return (self.factors[0].random_point(rng), self.factors[1].random_point(rng))
+        return rng.random()
+
+    def translate(self, p, t: float):
+        """p moved by +t in every coordinate, with no bounce at an interval end."""
+        return self.reduce(p + t)
+
+    def grid_point(self, t: float):
+        """The point with every coordinate t."""
+        return t
 
     @property
     def points(self) -> list:
         """All points of a finite (or finite-product) space."""
-        if self.kind == FINITE:
-            return list(range(len(self.distances)))
-        if self.kind == PRODUCT:
-            return [(a, b) for a in self.factors[0].points for b in self.factors[1].points]
         raise PointOutsideSpaceError(f"{self.kind} space is not enumerable")
-
-    @property
-    def is_enumerable(self) -> bool:
-        if self.kind == FINITE:
-            return True
-        if self.kind == PRODUCT:
-            return all(f.is_enumerable for f in self.factors)
-        return False
 
     def min_positive_distance(self) -> float:
         pts = self.points
@@ -163,19 +99,224 @@ class StateSpace:
         )
 
     def descriptor(self) -> dict:
-        if self.kind == FINITE:
-            return {"kind": FINITE, "distances": [list(r) for r in self.distances]}
-        if self.kind == PRODUCT:
-            return {"kind": PRODUCT, "factors": [f.descriptor() for f in self.factors]}
         return {"kind": self.kind}
 
+    def make_ball(self, center, radius: float):
+        raise BranchDomainViolatedError(f"no cell calculus for {self.kind} spaces")
 
-def circle_space(description: str = "circle R/Z with arc metric") -> StateSpace:
-    return StateSpace(kind=CIRCLE, description=description)
+
+@dataclass(frozen=True)
+class CircleSpace(StateSpace):
+    """R/Z with the arc metric; cells are arcs (center, radius)."""
+
+    description: str = "circle R/Z with arc metric"
+    kind = "circle"
+    diameter = 0.5
+    distance = staticmethod(circle_distance)
+    reduce = staticmethod(circle_reduce)
+
+    def contains(self, p, tol: float = 1e-9) -> bool:
+        return isinstance(p, (float, int))
+
+    def _displace(self, p, amount: float, sign: int):
+        return circle_reduce(p + sign * amount)
+
+    def make_ball(self, center, radius: float):
+        return (circle_reduce(center), radius)
+
+    def cell_intersect(self, c1, c2):
+        """Exact intersection; None when empty."""
+        (a, ra), (b, rb) = c1, c2
+        gap = circle_signed_gap(a, b)
+        lo = max(-ra, gap - rb)
+        hi = min(ra, gap + rb)
+        if lo > hi:
+            return None
+        return (circle_reduce(a + (lo + hi) / 2.0), (hi - lo) / 2.0)
+
+    def cell_pull(self, mapobj, branch, w, cell):
+        """Image of an arc under the inverse branch anchored at w.
+
+        Built-in branches are continuous and monotone on the branch domain, so
+        the image of an arc is spanned exactly by the images of its endpoints.
+        """
+        lo = mapobj.inverse_branch_point(branch, w, circle_reduce(cell[0] - cell[1]))
+        hi = mapobj.inverse_branch_point(branch, w, circle_reduce(cell[0] + cell[1]))
+        gap = circle_signed_gap(lo, hi)
+        return (circle_reduce(lo + gap / 2.0), abs(gap) / 2.0)
+
+    def cell_diameter(self, cell) -> float:
+        return 2.0 * cell[1]
+
+    def cell_center(self, cell):
+        return cell[0]
+
+    def cell_max_distance(self, cell, point) -> float:
+        """Largest distance from `point` to the cell (exact for small cells)."""
+        return circle_distance(cell[0], point) + cell[1]
+
+    def cell_contains(self, outer, inner, slack: float) -> bool:
+        gap = abs(circle_signed_gap(outer[0], inner[0]))
+        return gap + inner[1] <= outer[1] + slack
 
 
-def interval_space(description: str = "unit interval [0,1]") -> StateSpace:
-    return StateSpace(kind=INTERVAL, description=description)
+@dataclass(frozen=True)
+class IntervalSpace(StateSpace):
+    """[0, 1] with |a - b|; no expanding built-in map reaches it, so no cells."""
+
+    description: str = "unit interval [0,1]"
+    kind = "interval"
+    diameter = 1.0
+
+    def distance(self, a, b) -> float:
+        return abs(a - b)
+
+    def contains(self, p, tol: float = 1e-9) -> bool:
+        return -tol <= p <= 1.0 + tol
+
+    def _displace(self, p, amount: float, sign: int):
+        cand = p + sign * amount
+        if not 0.0 <= cand <= 1.0:
+            cand = p - sign * amount
+        if not 0.0 <= cand <= 1.0:
+            cand = min(1.0, max(0.0, p + sign * amount))
+        return cand
+
+
+@dataclass(frozen=True)
+class FiniteSpace(StateSpace):
+    """Points 0..n-1 with the explicit symmetric matrix `distances`."""
+
+    distances: Tuple[Tuple[float, ...], ...]
+    description: str = ""
+    kind = "finite"
+    is_enumerable = True
+
+    def distance(self, a, b) -> float:
+        return self.distances[a][b]
+
+    @property
+    def diameter(self) -> float:
+        return max(max(row) for row in self.distances)
+
+    def contains(self, p, tol: float = 1e-9) -> bool:
+        return isinstance(p, int) and 0 <= p < len(self.distances)
+
+    def _displace(self, p, amount: float, sign: int):
+        best = p
+        best_err = abs(0.0 - amount)
+        for q in range(len(self.distances)):
+            err = abs(self.distances[p][q] - amount)
+            if err < best_err:
+                best, best_err = q, err
+        return best
+
+    def _perturb(self, p, noise: float, rng: random.Random):
+        candidates = [q for q in self.points if self.distance(p, q) < noise]
+        return candidates[rng.randrange(len(candidates))]
+
+    def random_point(self, rng: random.Random):
+        return rng.randrange(len(self.distances))
+
+    @property
+    def points(self) -> list:
+        return list(range(len(self.distances)))
+
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, "distances": [list(r) for r in self.distances]}
+
+
+@dataclass(frozen=True)
+class ProductSpace(StateSpace):
+    """The max-metric product of two `factors`; cells are componentwise pairs."""
+
+    factors: Tuple[StateSpace, StateSpace]
+    description: str = ""
+    kind = "product"
+
+    def distance(self, a, b) -> float:
+        left, right = self.factors
+        return max(left.distance(a[0], b[0]), right.distance(a[1], b[1]))
+
+    @property
+    def diameter(self) -> float:
+        return max(f.diameter for f in self.factors)
+
+    def contains(self, p, tol: float = 1e-9) -> bool:
+        return (
+            isinstance(p, tuple)
+            and len(p) == 2
+            and self.factors[0].contains(p[0], tol)
+            and self.factors[1].contains(p[1], tol)
+        )
+
+    def reduce(self, p):
+        return (self.factors[0].reduce(p[0]), self.factors[1].reduce(p[1]))
+
+    def _displace(self, p, amount: float, sign: int):
+        left, right = self.factors
+        return (left.displace(p[0], amount, sign), right.displace(p[1], amount, sign))
+
+    def _perturb(self, p, noise: float, rng: random.Random):
+        left, right = self.factors
+        return (left._perturb(p[0], noise, rng), right._perturb(p[1], noise, rng))
+
+    def translate(self, p, t: float):
+        return (self.factors[0].translate(p[0], t), self.factors[1].translate(p[1], t))
+
+    def grid_point(self, t: float):
+        return (self.factors[0].grid_point(t), self.factors[1].grid_point(t))
+
+    def random_point(self, rng: random.Random):
+        return (self.factors[0].random_point(rng), self.factors[1].random_point(rng))
+
+    @property
+    def points(self) -> list:
+        return [(a, b) for a in self.factors[0].points for b in self.factors[1].points]
+
+    @property
+    def is_enumerable(self) -> bool:
+        return all(f.is_enumerable for f in self.factors)
+
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, "factors": [f.descriptor() for f in self.factors]}
+
+    def make_ball(self, center, radius: float):
+        left, right = self.factors
+        return (left.make_ball(center[0], radius), right.make_ball(center[1], radius))
+
+    def cell_intersect(self, c1, c2):
+        left = self.factors[0].cell_intersect(c1[0], c2[0])
+        right = self.factors[1].cell_intersect(c1[1], c2[1])
+        if left is None or right is None:
+            return None
+        return (left, right)
+
+    def cell_pull(self, mapobj, branch, w, cell):
+        left, right = self.factors
+        return (
+            left.cell_pull(mapobj.left, branch[0], w[0], cell[0]),
+            right.cell_pull(mapobj.right, branch[1], w[1], cell[1]),
+        )
+
+    def cell_diameter(self, cell) -> float:
+        return max(self.factors[0].cell_diameter(cell[0]), self.factors[1].cell_diameter(cell[1]))
+
+    def cell_center(self, cell):
+        return (self.factors[0].cell_center(cell[0]), self.factors[1].cell_center(cell[1]))
+
+    def cell_max_distance(self, cell, point) -> float:
+        return max(
+            self.factors[0].cell_max_distance(cell[0], point[0]),
+            self.factors[1].cell_max_distance(cell[1], point[1]),
+        )
+
+    def cell_contains(self, outer, inner, slack: float) -> bool:
+        return all(f.cell_contains(o, i, slack) for f, o, i in zip(self.factors, outer, inner))
+
+
+circle_space = CircleSpace
+interval_space = IntervalSpace
 
 
 def finite_space(distances: Sequence[Sequence[float]], description: str = "") -> StateSpace:
@@ -192,26 +333,22 @@ def finite_space(distances: Sequence[Sequence[float]], description: str = "") ->
             for k in range(n):
                 if matrix[i][j] > matrix[i][k] + matrix[k][j] + 1e-12:
                     raise ValueError(f"triangle inequality fails at ({i},{j},{k})")
-    return StateSpace(kind=FINITE, description=description or f"{n}-point space", distances=matrix)
+    return FiniteSpace(matrix, description or f"{n}-point space")
 
 
 def product_space(left: StateSpace, right: StateSpace) -> StateSpace:
-    return StateSpace(
-        kind=PRODUCT,
-        description=f"({left.description}) x ({right.description})",
-        factors=(left, right),
-    )
+    return ProductSpace((left, right), f"({left.description}) x ({right.description})")
 
 
 def space_from_descriptor(desc: dict) -> StateSpace:
     kind = desc.get("kind")
-    if kind == CIRCLE:
+    if kind == CircleSpace.kind:
         return circle_space()
-    if kind == INTERVAL:
+    if kind == IntervalSpace.kind:
         return interval_space()
-    if kind == FINITE:
+    if kind == FiniteSpace.kind:
         return finite_space(desc["distances"])
-    if kind == PRODUCT:
+    if kind == ProductSpace.kind:
         left, right = desc["factors"]
         return product_space(space_from_descriptor(left), space_from_descriptor(right))
     raise ValueError(f"unknown space kind {kind!r}")

@@ -96,3 +96,22 @@ def test_instrument_patches_and_restores_a_fresh_import():
     for owner, attr, original, is_dict in saved:
         current = owner[attr] if is_dict else owner.__dict__[attr]
         assert current is original, (owner, attr)
+
+
+def test_micro_benchmarks_run_on_a_fresh_import():
+    """``bench/micro.py`` calls library names directly; each must still resolve."""
+    lib = fresh_library()
+    sys.path.insert(0, str(BENCH))
+    try:
+        speed = importlib.import_module("speed")
+        micro = importlib.import_module("micro")
+        micro.CALLS = 64
+        with speed.SpeedMeter() as meter:
+            metrics = micro.micro_metrics(lib, 0, meter)
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in ("micro", "speed"):
+            sys.modules.pop(name, None)
+    assert len(metrics) == 12
+    for name, value in metrics.items():
+        assert value > 0.0, name

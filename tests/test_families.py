@@ -203,6 +203,27 @@ def test_falsifier_doubling_not_falsified():
     assert report.pairs_checked > 900
 
 
+def test_falsifier_continuous_products():
+    doubling2 = product_family(doubling_family(), doubling_family())
+    report = expansiveness_falsifier(doubling2, 0.1, horizon=20, samples=16)
+    assert not report.falsified
+    assert report.pairs_checked == 16
+    rotation2 = product_family(rotation_family(), rotation_family())
+    report = expansiveness_falsifier(rotation2, 0.1, horizon=20, samples=16)
+    assert report.falsified
+    x, y = report.counterexample
+    assert rotation2.space_at(0).distance(x, y) == pytest.approx(0.05)
+
+
+def test_sup_distance_windows():
+    fam = product_family(doubling_family(), eight_state_family())
+    xs = fam.compose((0.1, 3), 4).points
+    ys = [(x + 0.01 * i, s) for i, (x, s) in enumerate(xs)]
+    assert fam.sup_distance(xs, ys, 0, 4) == pytest.approx(0.04)
+    assert fam.sup_distance(xs, ys, 1, 2) == pytest.approx(0.02)
+    assert fam.sup_distance(xs, ys, 3, 2) == 0.0
+
+
 def test_falsifier_finite_vacuous():
     fam = finite_cycle_family(3)
     eps0 = 0.5 * fam.space_at(0).min_positive_distance()

@@ -6,7 +6,9 @@ from shadowlab.errors import NoiseExceedsSpaceError, NonConstantSpacesError
 from shadowlab.families import (
     Schedule,
     doubling_family,
+    eight_state_family,
     finite_cycle_family,
+    product_family,
     rotation_family,
 )
 from shadowlab.pseudo_orbits import (
@@ -26,6 +28,33 @@ def test_zero_noise_gives_true_orbit():
     po = perturb_orbit(fam, 0.137, 20, 0.0, seed=3)
     assert po.max_defect == 0.0
     assert po.points == fam.compose(0.137, 20).points
+
+
+def test_perturb_orbit_golden_points():
+    # Pins the RNG draw order: two random() calls per circle step, one
+    # randrange per finite step, left factor before right on products.
+    assert perturb_orbit(doubling_family(), 0.3, 6, 0.05, seed=17).points == (
+        0.3,
+        0.5739008045143753,
+        0.19582634774494445,
+        0.35334732359999127,
+        0.739763800061174,
+        0.48087443906187444,
+        0.9990686379320681,
+    )
+    assert perturb_orbit(eight_state_family(), 3, 8, 0.5, seed=17).points == (
+        3, 7, 3, 4, 5, 3, 1, 5, 0,
+    )
+    mixed = product_family(doubling_family(), eight_state_family())
+    assert perturb_orbit(mixed, (0.3, 3), 6, 0.05, seed=17).points == (
+        (0.3, 3),
+        (0.5739008045143753, 4),
+        (0.13332034014052735, 5),
+        (0.2721487827269153, 3),
+        (0.5850568698977245, 7),
+        (0.12999504164648507, 6),
+        (0.3072497790182146, 7),
+    )
 
 
 def test_perturbed_orbit_respects_noise_bound():

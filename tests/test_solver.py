@@ -9,6 +9,7 @@ from shadowlab.errors import (
     EmptyCellError,
     EpsilonTooLargeError,
     NonPeriodicInputError,
+    NotExpandingError,
     SupRateNotBoundedError,
 )
 from shadowlab.families import (
@@ -16,13 +17,13 @@ from shadowlab.families import (
     barely_expanding_family,
     constant_schedule,
     doubling_family,
+    identity_family,
     product_family,
     slow_expanding_family,
     tripling_family,
 )
 from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, periodicize, perturb_orbit
 from shadowlab.solver import (
-    cell_contains,
     delta_budget,
     diameter_certificate,
     lipschitz_report,
@@ -30,7 +31,7 @@ from shadowlab.solver import (
     pullback_shadow,
     uniqueness_certificate,
 )
-from shadowlab.spaces import circle_distance
+from shadowlab.spaces import circle_distance, interval_space
 
 
 def scheduled_noise_orbit(family, x0, horizon, epsilon, seed, fraction=0.9):
@@ -151,7 +152,7 @@ def test_monotone_nesting_of_final_cells():
         _, chain = pullback_shadow(fam, trunc, 0.1)
         cell = (chain.cells[0].center, chain.cells[0].radius)
         if previous is not None:
-            assert cell_contains(space, previous, cell, slack=1e-12)
+            assert space.cell_contains(previous, cell, 1e-12)
         previous = cell
 
 
@@ -183,6 +184,45 @@ def test_product_family_pullback():
     report, chain = pullback_shadow(fam, po, 0.09)
     assert report.verdict
     chain.validate_tube(po, 0.09)
+
+
+def test_product_cells_are_pairs_of_circle_cells():
+    fam = product_family(doubling_family(), doubling_family())
+    space, mapobj = fam.space_at(0), fam.map_at(0)
+    circle = space.factors[0]
+    rng = random.Random(21)
+    for _ in range(200):
+        p = space.random_point(rng)
+        q = space.displace(p, rng.random() * 0.15, 1)
+        ball = space.make_ball(p, 0.1)
+        assert ball == (circle.make_ball(p[0], 0.1), circle.make_ball(p[1], 0.1))
+        other = space.make_ball(q, 0.05)
+        pair = tuple(circle.cell_intersect(a, b) for a, b in zip(ball, other))
+        assert space.cell_intersect(ball, other) == pair
+        assert space.cell_center(ball) == (circle.cell_center(ball[0]), circle.cell_center(ball[1]))
+        assert space.cell_diameter(other) == max(circle.cell_diameter(c) for c in other)
+        assert space.cell_max_distance(other, p) == max(
+            circle.cell_max_distance(c, x) for c, x in zip(other, p)
+        )
+        w, branch = mapobj.apply(p), mapobj.branch_of(p)
+        image = space.make_ball(w, 0.05)
+        assert space.cell_pull(mapobj, branch, w, image) == (
+            circle.cell_pull(mapobj.left, branch[0], w[0], image[0]),
+            circle.cell_pull(mapobj.right, branch[1], w[1], image[1]),
+        )
+    # One empty factor empties the product cell.
+    ball = space.make_ball((0.2, 0.7), 0.1)
+    far_right = space.make_ball((0.25, 0.2), 0.05)
+    assert circle.cell_intersect(ball[0], far_right[0]) is not None
+    assert circle.cell_intersect(ball[1], far_right[1]) is None
+    assert space.cell_intersect(ball, far_right) is None
+
+
+def test_interval_family_stops_before_any_cell():
+    fam = identity_family(interval_space())
+    po = PseudoOrbit.from_points(fam, [0.2, 0.2, 0.2])
+    with pytest.raises(NotExpandingError):
+        pullback_shadow(fam, po, 0.1)
 
 
 # ---------------------------------------------------------------------------
