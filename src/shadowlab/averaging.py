@@ -22,6 +22,7 @@ from .density import (
     cesaro_to_density_zero,
     complement_blocks,
     density_zero_to_cesaro,
+    exact_mean,
     patch_sets,
     upper_density,
 )
@@ -62,9 +63,8 @@ class InvariantSubsystem:
 
     def verify_invariance(self, sample_indices: Optional[Sequence[int]] = None) -> None:
         """f_n(A) inside A, exhaustively over one map-schedule period."""
-        sched = self.ambient.maps
         if sample_indices is None:
-            period = len(sched.cycle) if sched.cycle and not sched.head else None
+            period = self.ambient.maps.period
             sample_indices = range(period) if period else range(16)
         members = set(self.points)
         for n in sample_indices:
@@ -394,12 +394,6 @@ def average_shadow_point(
         space.distance(lift.points[i], po.points[i]) for i in range(n_points)
     ]
     total = [space.distance(orbit[i], po.points[i]) for i in range(n_points)]
-
-    def exact_mean(vals):
-        acc = Fraction(0)
-        for v in vals:
-            acc += Fraction(v)
-        return acc / len(vals)
 
     final_exact = exact_mean(total)
     term1 = exact_mean(shadow_vs_lift)

@@ -65,6 +65,14 @@ def upper_density(index_set: IndexSet, at: int) -> Fraction:
     return Fraction(index_set.count_below(at), at)
 
 
+def exact_mean(values: Sequence[float]) -> Fraction:
+    """The mean of floats as an exact rational."""
+    acc = Fraction(0)
+    for v in values:
+        acc += Fraction(v)
+    return acc / len(values)
+
+
 def first_density_feasible(
     members: Sequence[int], horizon: int, budget: Fraction
 ) -> Optional[int]:
@@ -200,10 +208,7 @@ def density_zero_to_cesaro(
         if v < 0:
             raise BoundViolatedError(f"a_{n} = {v} is negative", witness=n)
 
-    actual = Fraction(0)
-    for v in vals:
-        actual += Fraction(v)
-    actual /= horizon
+    actual = exact_mean(vals)
 
     density_term = Fraction(bound) * upper_density(index_set, horizon)
     best = None

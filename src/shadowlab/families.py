@@ -66,6 +66,35 @@ class Schedule:
             return len(self.head)
         return None
 
+    @property
+    def period(self) -> Optional[int]:
+        """The cycle length when the schedule is periodic from index 0, else None."""
+        return len(self.cycle) if self.cycle and not self.head else None
+
+    @property
+    def values(self) -> Optional[tuple]:
+        """Every value the schedule takes, or None when a rule supplies them."""
+        return self.head + self.cycle if self.cycle or self.rule is None else None
+
+    def combine(self, other: "Schedule", fn: Callable) -> "Schedule":
+        """The schedule n -> fn(self.at(n), other.at(n)), with stored values combined once.
+
+        Finite lengths must agree, and a finite schedule truncates an infinite
+        one. Head+cycle inputs give head max(h1, h2) and period lcm(p1, p2).
+        """
+        a, b = self.finite_length, other.finite_length
+        if a is not None and b is not None and a != b:
+            raise ScheduleMismatchError(f"finite schedules of lengths {a} and {b}")
+        if a is not None or b is not None:
+            h, p = (b if a is None else a), 0
+        elif self.cycle and other.cycle:
+            h = max(len(self.head), len(other.head))
+            p = math.lcm(len(self.cycle), len(other.cycle))
+        else:
+            return Schedule(rule=lambda n: fn(self.at(n), other.at(n)))
+        values = tuple(fn(self.at(n), other.at(n)) for n in range(h + p))
+        return Schedule(head=values[:h], cycle=values[h:])
+
 
 def constant_schedule(value) -> Schedule:
     return Schedule(cycle=(value,))
@@ -76,12 +105,13 @@ def constant_schedule(value) -> Schedule:
 
 
 class CircleLinearMap:
-    """f(x) = degree * x mod 1 on the circle."""
+    """f(x) = degree * x mod 1 on the circle; inverse branches contract by 1/degree."""
 
     def __init__(self, degree: int):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.degree = degree
+        self.rate = 1.0 / degree
 
     def apply(self, x: float) -> float:
         return circle_reduce(self.degree * circle_reduce(x))
@@ -117,6 +147,7 @@ class TwoSlopeCircleMap:
         if not 0.0 < lam < 1.0:
             raise ValueError("lam must be in (0,1)")
         self.lam = lam
+        self.rate = max(lam, 1.0 - lam)
 
     def apply(self, x: float) -> float:
         x = circle_reduce(x)
@@ -240,11 +271,15 @@ class FiniteMap:
 
 
 class ProductMap:
-    """Componentwise pair map with branch ids as (left, right) pairs."""
+    """Componentwise pair map; branch ids are (left, right) pairs, the rate the larger one."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+
+    @property
+    def rate(self) -> float:
+        return max(self.left.rate, self.right.rate)
 
     def apply(self, x):
         return (self.left.apply(x[0]), self.right.apply(x[1]))
@@ -289,19 +324,16 @@ class OrbitSegment:
 class MapFamily:
     """A time-varying family with optional expanding structure.
 
-    ``rates`` holds the contraction rate of the map applied at each time
-    index (the inverse-branch Lipschitz constant), ``branch_radius`` the
-    shared branch-domain radius delta_0. ``sup_rate`` is a certified upper
-    bound on all rates strictly below 1 when one exists, else None.
+    A family is expanding when it has a ``branch_radius``, the shared
+    branch-domain radius delta_0. Each map of an expanding family carries
+    its own ``rate``, the Lipschitz constant of its inverse branches, so
+    ``rate_at`` and ``sup_rate`` read the maps and cannot disagree with them.
     """
 
     name: str
     spaces: Schedule
     maps: Schedule
-    rates: Optional[Schedule] = None
     branch_radius: Optional[float] = None
-    expanding: bool = False
-    sup_rate: Optional[float] = None
     is_isometry: bool = False
 
     def space_at(self, n: int) -> StateSpace:
@@ -311,14 +343,27 @@ class MapFamily:
         return self.maps.at(n)
 
     def rate_at(self, n: int) -> float:
-        if self.rates is None:
-            raise NotExpandingError(f"family {self.name!r} has no contraction rates")
-        return self.rates.at(n)
+        mapobj = self.maps.at(n)
+        try:
+            return mapobj.rate
+        except AttributeError:
+            raise NotExpandingError(f"family {self.name!r} has no contraction rates") from None
+
+    @property
+    def expanding(self) -> bool:
+        return self.branch_radius is not None
+
+    @property
+    def sup_rate(self) -> Optional[float]:
+        """The largest rate of an expanding head+cycle family; None otherwise."""
+        maps = self.maps.values
+        if not self.expanding or maps is None:
+            return None
+        return max((m.rate for m in maps), default=None)
 
     @property
     def constant_spaces(self) -> bool:
-        sched = self.spaces
-        return sched.finite_length is None and not sched.head and len(sched.cycle) == 1
+        return self.spaces.period == 1
 
     @property
     def is_finite_state(self) -> bool:
@@ -340,20 +385,13 @@ class MapFamily:
             points.append(self.evaluate(n, points[-1]))
         return OrbitSegment(start_index=0, points=tuple(points))
 
-    def orbit_point(self, x, n: int):
-        """F_n(x) without storing the whole segment."""
-        p = self.space_at(0).require(x)
-        for i in range(n):
-            p = self.evaluate(i, p)
-        return p
-
     def sup_distance(self, xs: Sequence, ys: Sequence, lo: int, hi: int) -> float:
         """max of d_i(xs[i], ys[i]) over lo <= i <= hi; 0.0 on an empty window."""
         errors = (self.space_at(i).distance(xs[i], ys[i]) for i in range(lo, hi + 1))
         return max(errors, default=0.0)
 
     def require_expanding(self):
-        if not self.expanding or self.rates is None or self.branch_radius is None:
+        if not self.expanding:
             raise NotExpandingError(f"family {self.name!r} is not expanding")
 
     def inverse_branch(self, n: int, w, branch, y):
@@ -486,10 +524,7 @@ def doubling_family() -> MapFamily:
         name="doubling",
         spaces=constant_schedule(circle_space()),
         maps=constant_schedule(CircleLinearMap(2)),
-        rates=constant_schedule(0.5),
         branch_radius=DELTA0_CIRCLE,
-        expanding=True,
-        sup_rate=0.5,
     )
 
 
@@ -498,10 +533,7 @@ def tripling_family() -> MapFamily:
         name="tripling",
         spaces=constant_schedule(circle_space()),
         maps=constant_schedule(CircleLinearMap(3)),
-        rates=constant_schedule(1.0 / 3.0),
         branch_radius=DELTA0_CIRCLE,
-        expanding=True,
-        sup_rate=1.0 / 3.0,
     )
 
 
@@ -511,10 +543,7 @@ def alternating_family() -> MapFamily:
         name="alternating",
         spaces=constant_schedule(circle_space()),
         maps=Schedule(cycle=(CircleLinearMap(2), CircleLinearMap(3))),
-        rates=Schedule(cycle=(0.5, 1.0 / 3.0)),
         branch_radius=DELTA0_CIRCLE,
-        expanding=True,
-        sup_rate=0.5,
     )
 
 
@@ -530,10 +559,7 @@ def slow_expanding_family() -> MapFamily:
         name="slow_expanding",
         spaces=constant_schedule(circle_space()),
         maps=Schedule(rule=lambda j: TwoSlopeCircleMap((j + 1) / (j + 2))),
-        rates=Schedule(rule=lambda j: (j + 1) / (j + 2)),
         branch_radius=DELTA0_CIRCLE,
-        expanding=True,
-        sup_rate=None,
     )
 
 
@@ -543,10 +569,7 @@ def barely_expanding_family() -> MapFamily:
         name="barely_expanding",
         spaces=constant_schedule(circle_space()),
         maps=Schedule(rule=lambda j: TwoSlopeCircleMap(1.0 - 0.5 ** (j + 1))),
-        rates=Schedule(rule=lambda j: 1.0 - 0.5 ** (j + 1)),
         branch_radius=DELTA0_CIRCLE,
-        expanding=True,
-        sup_rate=None,
     )
 
 
@@ -653,38 +676,17 @@ def eight_state_family() -> MapFamily:
 def product_family(left: MapFamily, right: MapFamily) -> MapFamily:
     """The product system on X x Y with the max metric.
 
-    Expanding structure survives when both factors carry it: branch pairs are
-    the product branches, per-step rates are the max of the factor rates, and
-    the branch radius is the min of the factor radii.
+    Spaces and maps are the factor schedules combined step by step (see
+    Schedule.combine). Expanding structure survives when both factors carry
+    it: a ProductMap's rate is the max of the factor rates, and the branch
+    radius is the min of the factor radii.
     """
-    left_len = left.maps.finite_length
-    right_len = right.maps.finite_length
-    if left_len is not None and right_len is not None and left_len != right_len:
-        raise ScheduleMismatchError(
-            f"finite schedules of lengths {left_len} and {right_len}"
-        )
-    if left.constant_spaces and right.constant_spaces:
-        spaces = constant_schedule(product_space(left.space_at(0), right.space_at(0)))
-    else:
-        spaces = Schedule(rule=lambda n: product_space(left.space_at(n), right.space_at(n)))
-    maps = Schedule(rule=lambda n: ProductMap(left.map_at(n), right.map_at(n)))
     expanding = left.expanding and right.expanding
-    rates = None
-    radius = None
-    sup = None
-    if expanding:
-        rates = Schedule(rule=lambda n: max(left.rate_at(n), right.rate_at(n)))
-        radius = min(left.branch_radius, right.branch_radius)
-        if left.sup_rate is not None and right.sup_rate is not None:
-            sup = max(left.sup_rate, right.sup_rate)
     return MapFamily(
         name=f"{left.name}*{right.name}",
-        spaces=spaces,
-        maps=maps,
-        rates=rates,
-        branch_radius=radius,
-        expanding=expanding,
-        sup_rate=sup,
+        spaces=left.spaces.combine(right.spaces, product_space),
+        maps=left.maps.combine(right.maps, ProductMap),
+        branch_radius=min(left.branch_radius, right.branch_radius) if expanding else None,
         is_isometry=left.is_isometry and right.is_isometry,
     )
 

@@ -305,16 +305,9 @@ def periodic_shadow(
         po.points[i] != po.points[i % period] for i in range(len(po.points))
     ):
         raise NonPeriodicInputError(f"points are not {period}-periodic", witness=period)
-    sched = family.maps
-    if sched.head or sched.finite_length is not None:
-        raise NonPeriodicInputError("map schedule is not periodic")
-    if sched.cycle:
-        if period % len(sched.cycle) != 0:
-            raise NonPeriodicInputError(
-                f"period {period} incompatible with map cycle {len(sched.cycle)}"
-            )
-    else:
-        raise NonPeriodicInputError("rule-backed schedules cannot certify periodicity")
+    map_period = family.maps.period
+    if map_period is None or period % map_period != 0:
+        raise NonPeriodicInputError(f"period {period} incompatible with map period {map_period}")
 
     budget = delta_budget(family, epsilon, margin=margin, horizon=max(po.horizon, period, 1))
     budget.check(po.defects)
@@ -330,14 +323,14 @@ def periodic_shadow(
             z = z_next
             break
         z = z_next
-    residual = space.distance(family.orbit_point(z, period), z)
+    orbit = family.compose(z, period)
+    residual = space.distance(orbit.points[period], z)
     if residual >= fixed_point_tol:
         raise NonPeriodicInputError(
             f"fixed-point iteration stalled at residual {residual}"
         )
     # Errors over one period determine the whole horizon: the orbit of x is
     # p-periodic up to the fixed-point residual, and the pseudo-orbit repeats.
-    orbit = family.compose(z, period)
     errors = tuple(
         space.distance(orbit.points[i], po.points[i]) for i in range(period + 1)
     )

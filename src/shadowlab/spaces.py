@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence, Tuple
 
 from .errors import BranchDomainViolatedError, PointOutsideSpaceError
@@ -116,7 +117,7 @@ class CircleSpace(StateSpace):
     reduce = staticmethod(circle_reduce)
 
     def contains(self, p, tol: float = 1e-9) -> bool:
-        return isinstance(p, (float, int))
+        return isinstance(p, (float, int)) and isfinite(p)
 
     def _displace(self, p, amount: float, sign: int):
         return circle_reduce(p + sign * amount)

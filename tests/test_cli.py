@@ -134,3 +134,9 @@ def test_main_entry_point(tmp_path):
 
 def test_bundled_suite_all_pass(tmp_path):
     assert run_suite(bundled_scenarios_dir(), tmp_path, quiet=True) == EXIT_OK
+
+
+def test_non_finite_start_point_fails_cleanly(tmp_path):
+    payload = {**SMALL_SHADOW, "parameters": {**SMALL_SHADOW["parameters"], "x0": float("nan")}}
+    path = write_scenario(tmp_path, "small-shadow", payload)
+    assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_FAIL

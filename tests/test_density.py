@@ -9,6 +9,7 @@ from shadowlab.density import (
     cesaro_to_density_zero,
     complement_blocks,
     density_zero_to_cesaro,
+    exact_mean,
     patch_sets,
     upper_density,
 )
@@ -247,3 +248,9 @@ def test_complement_blocks_and_validation():
     )
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_exact_mean_is_the_rational_mean_of_the_floats():
+    values = [0.1, 0.2, 0.7, 1e-300]
+    assert exact_mean(values) == sum(Fraction(v) for v in values) / 4
+    assert exact_mean(values) != Fraction(1, 4)

@@ -281,3 +281,74 @@ def test_families_are_immutable():
     fam = doubling_family()
     with pytest.raises(Exception):
         fam.name = "other"
+
+
+# ---------------------------------------------------------------------------
+# Schedule composition and per-map rates
+
+
+def test_schedule_period():
+    assert Schedule(cycle=(1, 2, 3)).period == 3
+    assert Schedule(head=(0,), cycle=(1,)).period is None
+    assert Schedule(head=(0, 1)).period is None
+    assert Schedule(rule=lambda n: n).period is None
+
+
+def test_combine_head_cycle_takes_lcm_period():
+    left = Schedule(cycle=(0, 1))
+    right = Schedule(head=(10,), cycle=(20, 30, 40))
+    combined = left.combine(right, lambda a, b: (a, b))
+    assert combined.rule is None
+    assert len(combined.head) == 1
+    assert len(combined.cycle) == 6
+    for n in range(40):
+        assert combined.at(n) == (left.at(n), right.at(n))
+
+
+def test_combine_finite_schedules():
+    short = Schedule(head=(1, 2))
+    assert short.combine(Schedule(head=(3, 4)), lambda a, b: a + b) == Schedule(head=(4, 6))
+    with pytest.raises(ScheduleMismatchError):
+        short.combine(Schedule(head=(3,)), lambda a, b: a + b)
+    truncated = Schedule(cycle=(10, 20, 30)).combine(short, lambda a, b: a + b)
+    assert truncated == Schedule(head=(11, 22))
+    with pytest.raises(IndexOutOfScheduleError):
+        truncated.at(2)
+
+
+def test_combine_with_rule_stays_a_rule():
+    combined = Schedule(cycle=(1, 2)).combine(Schedule(rule=lambda n: 100 * n), lambda a, b: a + b)
+    assert combined.rule is not None
+    assert combined.period is None
+    assert [combined.at(n) for n in range(4)] == [1, 102, 201, 302]
+
+
+def test_product_maps_are_built_once_per_period():
+    prod = product_family(doubling_family(), alternating_family())
+    assert prod.maps.rule is None
+    assert prod.maps.period == 2
+    assert prod.constant_spaces
+    for n in range(5):
+        assert prod.map_at(n) is prod.map_at(n + 2)
+    assert [prod.rate_at(n) for n in range(4)] == [0.5, 0.5, 0.5, 0.5]
+
+
+def test_sup_rate_comes_from_the_maps():
+    expected = {
+        "doubling": 0.5,
+        "tripling": 1.0 / 3.0,
+        "alternating": 0.5,
+        "slow_expanding": None,
+        "barely_expanding": None,
+    }
+    for kind, build in BUILTIN_FAMILIES.items():
+        assert build().sup_rate == expected.get(kind), kind
+    assert product_family(doubling_family(), tripling_family()).sup_rate == 0.5
+    assert product_family(tripling_family(), tripling_family()).sup_rate == 1.0 / 3.0
+
+
+def test_rates_need_expanding_maps():
+    for fam in (rotation_family(), product_family(doubling_family(), rotation_family())):
+        assert not fam.expanding
+        with pytest.raises(NotExpandingError):
+            fam.rate_at(0)

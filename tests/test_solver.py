@@ -72,7 +72,9 @@ def test_budget_shrinks_for_slow_family():
 def test_budget_limit_as_rate_vanishes():
     from dataclasses import replace
 
-    fam = replace(doubling_family(), rates=constant_schedule(1e-9))
+    from shadowlab.families import CircleLinearMap
+
+    fam = replace(doubling_family(), maps=constant_schedule(CircleLinearMap(10**9)))
     sched = delta_budget(fam, 0.1, margin=0.5, horizon=3)
     assert sched.at(0) == pytest.approx(0.05, rel=1e-6)
 
@@ -367,3 +369,13 @@ def test_lipschitz_errors_scale_linearly():
 def test_lipschitz_gate_for_unbounded_sup_rate():
     with pytest.raises(SupRateNotBoundedError):
         lipschitz_report(slow_expanding_family(), [0.01], horizon=16)
+
+
+def test_periodic_shadow_accepts_products_of_periodic_families():
+    fam = product_family(doubling_family(), doubling_family())
+    cycle = [(1.0 / 3.0 + 0.004, 0.003), (2.0 / 3.0 + 0.006, 0.002)]
+    po = PseudoOrbit.from_points(fam, [cycle[i % 2] for i in range(9)])
+    x, residual, errors = periodic_shadow(fam, po, 0.05)
+    assert residual < 1e-9
+    assert fam.space_at(0).distance(x, (1.0 / 3.0, 0.0)) < 0.05
+    assert max(errors) < 0.05

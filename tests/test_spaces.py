@@ -121,3 +121,12 @@ def test_descriptor_round_trip():
         for _ in range(50):
             a, b = space.random_point(rng), space.random_point(rng)
             assert rebuilt.distance(a, b) == space.distance(a, b)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_points_are_outside_every_continuous_space(bad):
+    finite = eight_state_family().space_at(0)
+    for space in (circle_space(), interval_space(), product_space(circle_space(), finite)):
+        point = (bad, 0) if space.kind == "product" else bad
+        with pytest.raises(PointOutsideSpaceError):
+            space.require(point)
