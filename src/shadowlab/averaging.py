@@ -365,12 +365,13 @@ def average_shadow_point(
     q2 = cesaro_to_density_zero(list(po.defects) + [0.0], n_points)
     j_union = q1.index_set.union(q2.index_set)
 
+    off_j = j_union.off_mask()
     ladder_cuts = []
     for i in range(1, ladder_depth + 1):
         level = 0.5**i
         cut = 0
         for k in range(n_points - 1, -1, -1):
-            if k in j_union:
+            if not off_j[k]:
                 continue
             defect = po.defects[k] if k < horizon else 0.0
             if defect >= level or distances[k] >= level:

@@ -2,16 +2,21 @@
 
 "Density zero" is not decidable at a finite horizon; the testable surrogate
 used throughout is an exact rational upper density at the horizon together
-with its behaviour under horizon growth. Counting is integer-exact
-(fractions.Fraction), never floating point.
+with its behaviour under horizon growth. Counting and means are exact and
+never rounded: inside, the kernels work in integers (a budget p/q is met by
+cross-multiplying, a float m/2^e joins a mean as an integer numerator over
+a power-of-two denominator); at the API every rational is a
+fractions.Fraction.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundViolatedError,
@@ -45,6 +50,13 @@ class IndexSet:
     def __len__(self) -> int:
         return len(self.members)
 
+    def off_mask(self) -> bytearray:
+        """off[n] is 1 exactly when n in [0, horizon) is not a member."""
+        off = bytearray(b"\x01") * self.horizon
+        for m in self.members:
+            off[m] = 0
+        return off
+
     def extended(self, horizon: int) -> "IndexSet":
         """Same members viewed inside a larger horizon."""
         if horizon < self.horizon:
@@ -65,12 +77,27 @@ def upper_density(index_set: IndexSet, at: int) -> Fraction:
     return Fraction(index_set.count_below(at), at)
 
 
+def _finite_floats(values: Sequence[float], horizon: int) -> List[float]:
+    """The first `horizon` values as floats; a NaN or infinity raises at its index."""
+    vals = [float(v) for v in values[:horizon]]
+    if not all(map(math.isfinite, vals)):
+        n = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+        raise BoundViolatedError(f"a_{n} = {vals[n]} is not finite", witness=n)
+    return vals
+
+
 def exact_mean(values: Sequence[float]) -> Fraction:
-    """The mean of floats as an exact rational."""
-    acc = Fraction(0)
-    for v in values:
-        acc += Fraction(v)
-    return acc / len(values)
+    """The mean of floats as an exact rational.
+
+    Every finite float is m / 2^e, so the sum is one integer numerator over
+    the largest denominator: the result is sum(map(Fraction, values)) / len.
+    """
+    if len(values) == 0:
+        raise ZeroHorizonError("the mean of no values is undefined")
+    vals = _finite_floats(values, len(values))
+    den = max(d for _, d in map(float.as_integer_ratio, vals))
+    total = sum(n * (den // d) for n, d in map(float.as_integer_ratio, vals))
+    return Fraction(total, den * len(vals))
 
 
 def first_density_feasible(
@@ -78,17 +105,61 @@ def first_density_feasible(
 ) -> Optional[int]:
     """Smallest N >= 1 with count(members < k)/k <= budget for all k in [N, horizon].
 
-    None when even N = horizon fails.
+    None when even N = horizon fails. The count is a constant c on each
+    stretch k in (members[c-1], members[c]], where count/k is largest at the
+    stretch's first k; so the scan takes one integer test per member, from
+    the top, and stops at the first stretch that breaks the budget p/q.
     """
-    worst = 0
-    idx = len(members) - 1
-    for k in range(horizon, 0, -1):
-        while idx >= 0 and members[idx] >= k:
-            idx -= 1
-        if Fraction(idx + 1, k) > budget:
-            worst = k
-            break
-    return worst + 1 if worst + 1 <= horizon else None
+    p, q = budget.as_integer_ratio()
+    hi = horizon
+    for c in range(len(members), -1, -1):
+        lo = members[c - 1] + 1 if c else 1
+        if lo <= hi and c * q > p * lo:  # c/lo > p/q, with lo, q > 0
+            # the largest failing k: the last one with p*k < c*q
+            worst = min(hi, (c * q - 1) // p) if p > 0 else hi
+            return worst + 1 if worst < horizon else None
+        hi = min(hi, lo - 1)
+    return 1 if horizon >= 1 else None
+
+
+def off_set_sups(
+    values: Sequence[float], index_set: IndexSet, cuts: Sequence[int]
+) -> Tuple[float, ...]:
+    """Per cut c, max(values[n] for n in [c, horizon) off the set), else 0.0.
+
+    One right-to-left pass: max() reduces each stretch between two cuts,
+    and stretches combine with >=, so equal values resolve to the leftmost
+    as a single max() over the tail does (0.0 against -0.0 gives the same
+    float).
+    """
+    off = index_set.off_mask()
+    sups = {}
+    best = None
+    hi = index_set.horizon
+    for cut in sorted(set(cuts), reverse=True):
+        if cut < hi:
+            stretch = max(compress(values[cut:hi], off[cut:hi]), default=None)
+            if stretch is not None and (best is None or stretch >= best):
+                best = stretch
+            hi = cut
+        sups[cut] = 0.0 if best is None else best
+    return tuple(sups[cut] for cut in cuts)
+
+
+def exceedances(values: Sequence[float], levels: Sequence[float]) -> List[List[int]]:
+    """exceed[k] = [n : values[n] > levels[k]] for strictly decreasing levels.
+
+    One sweep: a value above level k is above every later level, so each
+    index joins a suffix of the lists and exceed[k] is inside exceed[k + 1].
+    """
+    ascending = sorted(levels)
+    count = len(levels)
+    exceed: List[List[int]] = [[] for _ in levels]
+    for n, v in enumerate(values):
+        if v > ascending[0]:
+            for k in range(count - bisect.bisect_left(ascending, v), count):
+                exceed[k].append(n)
+    return exceed
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +196,11 @@ def cesaro_to_density_zero(
     so the complement satisfies sup_{n not in J, n >= N_k} a_n <= level_k
     for each active level.
     """
-    if horizon < 1 or len(values) < horizon:
+    if horizon < 1:
+        raise ZeroHorizonError("extraction needs horizon >= 1")
+    if len(values) < horizon:
         raise ValueError("need at least `horizon` values")
-    vals = [float(v) for v in values[:horizon]]
+    vals = _finite_floats(values, horizon)
     if levels is None:
         levels = tuple(0.5**k for k in range(1, 15))
     levels = tuple(float(x) for x in levels)
@@ -141,7 +214,7 @@ def cesaro_to_density_zero(
             f"final Cesaro mean {final_mean} is not below the first level {levels[0]}"
         )
 
-    exceed = [[n for n in range(horizon) if vals[n] > lv] for lv in levels]
+    exceed = exceedances(vals, levels)
     cuts = [0]
     active = 1
     for k in range(1, len(levels)):
@@ -152,24 +225,20 @@ def cesaro_to_density_zero(
         cuts.append(max(cuts[-1], feasible_from))
         active = k + 1
 
-    members: set = set()
+    members: List[int] = []
     bounds = cuts + [horizon]
     for k in range(active):
-        lo, hi = bounds[k], bounds[k + 1]
-        members.update(n for n in exceed[k] if lo <= n < hi)
+        window = exceed[k]
+        lo = bisect.bisect_left(window, bounds[k])
+        members.extend(window[lo : bisect.bisect_left(window, bounds[k + 1])])
     index_set = IndexSet.from_iterable(members, horizon)
-
-    comp_sups = []
-    for k in range(active):
-        tail = [vals[n] for n in range(cuts[k], horizon) if n not in index_set]
-        comp_sups.append(max(tail) if tail else 0.0)
     return ExtractionReport(
         index_set=index_set,
         levels=levels[:active],
         cuts=tuple(cuts[:active]),
         active_levels=active,
         density_at_horizon=upper_density(index_set, horizon),
-        complement_sups=tuple(comp_sups),
+        complement_sups=off_set_sups(vals, index_set, cuts),
     )
 
 
@@ -199,9 +268,13 @@ def density_zero_to_cesaro(
 ) -> CesaroCertificate:
     """Certify Cesaro smallness of a sequence supported (mostly) on J."""
     horizon = index_set.horizon
+    if horizon < 1:
+        raise ZeroHorizonError("a certificate needs horizon >= 1")
     if len(values) < horizon:
         raise ValueError("need at least `horizon` values")
-    vals = [float(v) for v in values[:horizon]]
+    if not math.isfinite(bound):
+        raise BoundViolatedError(f"bound {bound} is not finite", witness=bound)
+    vals = _finite_floats(values, horizon)
     for n, v in enumerate(vals):
         if v > bound:
             raise BoundViolatedError(f"a_{n} = {v} exceeds bound {bound}", witness=n)
@@ -211,15 +284,12 @@ def density_zero_to_cesaro(
     actual = exact_mean(vals)
 
     density_term = Fraction(bound) * upper_density(index_set, horizon)
+    dyadic_cuts = [0] + [2**j for j in range(horizon.bit_length())]
     best = None
-    cut = 0
-    while cut <= horizon:
-        off = [vals[n] for n in range(cut, horizon) if n not in index_set]
-        tail = max(off) if off else 0.0
+    for cut, tail in zip(dyadic_cuts, off_set_sups(vals, index_set, dyadic_cuts)):
         cert = density_term + Fraction(tail) + Fraction(bound) * Fraction(cut, horizon)
         if best is None or cert < best[2]:
             best = (cut, tail, cert)
-        cut = 1 if cut == 0 else cut * 2
     cut, tail, cert = best
     result = CesaroCertificate(
         bound=bound,

@@ -192,12 +192,15 @@ class ExhaustiveOracle:
         if not family.is_finite_state:
             raise OracleUnavailableError("exhaustive oracle needs a finite state family")
         self.family = family
+        self.tables = {}  # horizon -> orbit table, shared by every level
 
     def modulus(self, target: float, tail_length: int) -> float:
         return self.family.space_at(0).min_positive_distance()
 
     def shadow(self, po: PseudoOrbit, target: float):
-        orbits = orbit_table(self.family, po.horizon)
+        orbits = self.tables.get(po.horizon)
+        if orbits is None:
+            orbits = self.tables[po.horizon] = orbit_table(self.family, po.horizon)
         return best_orbit(self.family.space_at(0), orbits, po.points)
 
 

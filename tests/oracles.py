@@ -8,6 +8,7 @@ re-enumerates pseudo-orbits with its own breadth-first machinery.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -161,3 +162,29 @@ def brute_force_average_shadowing(states, step, dist, epsilon, length):
                 if mean >= epsilon:
                     return False, checked, tuple(po)
     return True, checked, None
+
+
+def density_feasible_reference(members, horizon, budget):
+    """Smallest N >= 1 with #(members < k) / k <= budget for every k in [N, horizon].
+
+    Scans k from the horizon down, one Fraction per k; None when N = horizon
+    already fails.
+    """
+    for k in range(horizon, 0, -1):
+        if Fraction(sum(1 for m in members if m < k), k) > budget:
+            return k + 1 if k < horizon else None
+    return 1 if horizon >= 1 else None
+
+
+def exact_mean_reference(values):
+    return sum(map(Fraction, values)) / len(values)
+
+
+def off_set_sups_reference(values, members, cuts):
+    """Per cut, the plain max() of the values at or past it outside members, else 0.0."""
+    outside = set(range(len(values))) - set(members)
+    sups = []
+    for cut in cuts:
+        tail = [values[n] for n in range(cut, len(values)) if n in outside]
+        sups.append(max(tail) if tail else 0.0)
+    return tuple(sups)

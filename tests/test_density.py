@@ -254,3 +254,42 @@ def test_exact_mean_is_the_rational_mean_of_the_floats():
     values = [0.1, 0.2, 0.7, 1e-300]
     assert exact_mean(values) == sum(Fraction(v) for v in values) / 4
     assert exact_mean(values) != Fraction(1, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_extraction_rejects_a_non_finite_value_at_its_index(bad):
+    values = [0.0] * 100
+    values[10] = bad
+    with pytest.raises(BoundViolatedError) as caught:
+        cesaro_to_density_zero(values, 100)
+    assert caught.value.witness == 10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_certificate_rejects_a_non_finite_value_at_its_index(bad):
+    values = [0.0] * 20
+    values[7] = bad
+    with pytest.raises(BoundViolatedError) as caught:
+        density_zero_to_cesaro(values, IndexSet.from_iterable([7], 20), 1.0)
+    assert caught.value.witness == 7
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan])
+def test_certificate_rejects_a_non_finite_bound(bound):
+    with pytest.raises(BoundViolatedError):
+        density_zero_to_cesaro([0.0] * 20, IndexSet.from_iterable([], 20), bound)
+
+
+def test_empty_inputs_raise_zero_horizon():
+    with pytest.raises(ZeroHorizonError):
+        exact_mean([])
+    with pytest.raises(ZeroHorizonError):
+        cesaro_to_density_zero([], 0)
+    with pytest.raises(ZeroHorizonError):
+        density_zero_to_cesaro([], IndexSet.from_iterable([], 0), 1.0)
+
+
+def test_exact_mean_rejects_a_non_finite_value_at_its_index():
+    with pytest.raises(BoundViolatedError) as caught:
+        exact_mean([0.5, 0.25, math.nan])
+    assert caught.value.witness == 2

@@ -6,6 +6,7 @@ from shadowlab.errors import (
     OracleUnavailableError,
 )
 from shadowlab.families import (
+    MapFamily,
     doubling_family,
     eight_state_family,
     finite_cycle_family,
@@ -226,3 +227,27 @@ def test_exhaustive_oracle_returns_first_sup_minimiser(seed, noise):
     fam = eight_state_family()
     po = perturb_orbit(fam, seed % 8, 9, noise, seed)
     assert ExhaustiveOracle(fam).shadow(po, 0.5) == first_sup_minimiser(fam, po.points)
+
+
+def test_exhaustive_oracle_builds_one_orbit_table_per_horizon(monkeypatch):
+    fam = eight_state_family()
+    calls = []
+    compose = MapFamily.compose
+
+    def counted(self, x, length):
+        calls.append(length)
+        return compose(self, x, length)
+
+    monkeypatch.setattr(MapFamily, "compose", counted)
+    oracle = ExhaustiveOracle(fam)
+    for seed in range(6):
+        oracle.shadow(perturb_orbit(fam, seed % 8, 200, 0.015, seed), 0.5)
+    assert calls == [200] * 8
+    oracle.shadow(perturb_orbit(fam, 0, 50, 0.015, 0), 0.5)
+    assert calls == [200] * 8 + [50] * 8
+    # Six levels at h=200: one table of 8 orbits plus one compose per
+    # level for the final table, where every level used to rebuild the table.
+    calls.clear()
+    po = inject_defects(fam, 0, [1.0 if i in (2, 5) else 0.0 for i in range(200)])
+    result = limit_shadow_point(fam, po, levels=6)
+    assert len(calls) == 8 + len(result.levels)
