@@ -37,16 +37,14 @@ from .pseudo_orbits import PseudoOrbit
 
 @dataclass(frozen=True)
 class InvariantSubsystem:
-    """A finite invariant closed subset of a constant-space family."""
+    """A finite invariant closed subset of a family's state space."""
 
     ambient: MapFamily
     points: tuple
 
     @classmethod
     def finite(cls, family: MapFamily, points: Sequence) -> "InvariantSubsystem":
-        if not family.constant_spaces:
-            raise OracleUnavailableError("invariant subsystems need constant spaces")
-        pts = tuple(family.space_at(0).require(p) for p in points)
+        pts = tuple(family.space.require(p) for p in points)
         if not pts:
             raise EmptyAError("A must be nonempty")
         sub = cls(ambient=family, points=pts)
@@ -55,7 +53,7 @@ class InvariantSubsystem:
 
     @property
     def diameter(self) -> float:
-        space = self.ambient.space_at(0)
+        space = self.ambient.space
         return max(
             (space.distance(a, b) for a in self.points for b in self.points),
             default=0.0,
@@ -75,11 +73,11 @@ class InvariantSubsystem:
                     )
 
     def distance_to(self, x) -> float:
-        space = self.ambient.space_at(0)
+        space = self.ambient.space
         return min(space.distance(x, a) for a in self.points)
 
     def nearest(self, x):
-        space = self.ambient.space_at(0)
+        space = self.ambient.space
         return min(self.points, key=lambda a: (space.distance(x, a), self.points.index(a)))
 
 
@@ -108,7 +106,7 @@ def visit_condition(
     stats = []
     worst = 1.0
     for x in sample_points:
-        p = sub.ambient.space_at(0).require(x)
+        p = sub.ambient.space.require(x)
         hits = 0
         for i in range(window):
             if sub.distance_to(p) < epsilon:
@@ -243,7 +241,7 @@ def lift_to_A(
     """
     if not sub.points:
         raise EmptyAError("A must be nonempty")
-    fill = sub.points[0] if fill_point is None else sub.ambient.space_at(0).require(fill_point)
+    fill = sub.points[0] if fill_point is None else sub.ambient.space.require(fill_point)
     if fill not in set(sub.points):
         raise EmptyAError(f"fill point {fill!r} is not in A")
     n_points = blocks.horizon
@@ -251,7 +249,7 @@ def lift_to_A(
         raise ValueError("block decomposition horizon must equal the point count")
     prime = set(blocks.prime_set.members)
     members_a = set(sub.points)
-    space = sub.ambient.space_at(0)
+    space = sub.ambient.space
 
     lifted = [None] * n_points
     deviations = []
@@ -335,7 +333,7 @@ def average_shadow_point(
     Cesaro-nullity of both the defect and distance-to-A sequences.
     """
     family = sub.ambient
-    if not family.is_finite_state:
+    if not family.space.is_enumerable:
         raise OracleUnavailableError(
             "the averaged-shadowing oracle needs a finite state space"
         )
@@ -343,7 +341,7 @@ def average_shadow_point(
     horizon = po.horizon
     if visit_windows is None:
         visit_windows = [2**j for j in range(2, 11) if 2**j <= max(horizon, 4)]
-    sample_points = family.space_at(0).points
+    sample_points = family.space.points
 
     reports = []
     for k in range(1, ladder_depth + 1):
@@ -382,7 +380,7 @@ def average_shadow_point(
     blocks = block_decompose(j_union, n_points, ladder_cuts=ladder_cuts)
     lift = lift_to_A(sub, po, blocks)
 
-    space = family.space_at(0)
+    space = family.space
     orbits = orbit_table(family, horizon, starts=sub.points)
     y, _, orbit = best_orbit(space, orbits, lift.points, mean=True)
 

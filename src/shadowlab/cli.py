@@ -142,7 +142,7 @@ def _run_periodic(scenario: dict, params: dict):
     seed = int(_param(params, "seed", 0))
     rng = random.Random(seed)
     jitter = [rng.uniform(-delta / 3.0, delta / 3.0) for _ in base]
-    cycle = [family.space_at(0).reduce(b + j) for b, j in zip(base, jitter)]
+    cycle = [family.space.reduce(b + j) for b, j in zip(base, jitter)]
     points = [cycle[i % len(cycle)] for i in range(horizon + 1)]
     po = PseudoOrbit.from_points(family, points)
     point, residual, errors = periodic_shadow(family, po, epsilon)
@@ -156,7 +156,7 @@ def _run_periodic(scenario: dict, params: dict):
         "fixed_point": point,
         "residual": residual,
         "period_errors": list(errors),
-        "distance_to_base": family.space_at(0).distance(point, base[0]),
+        "distance_to_base": family.space.distance(point, base[0]),
         "verdict": verdict,
     }
     series = {"errors": (["step", "error"], [[i, e] for i, e in enumerate(errors)])}

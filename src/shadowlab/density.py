@@ -201,6 +201,9 @@ def cesaro_to_density_zero(
     if len(values) < horizon:
         raise ValueError("need at least `horizon` values")
     vals = _finite_floats(values, horizon)
+    if min(vals) < 0:
+        n = next(i for i, v in enumerate(vals) if v < 0)
+        raise BoundViolatedError(f"a_{n} = {vals[n]} is negative", witness=n)
     if levels is None:
         levels = tuple(0.5**k for k in range(1, 15))
     levels = tuple(float(x) for x in levels)

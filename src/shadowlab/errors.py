@@ -44,10 +44,6 @@ class NoiseExceedsSpaceError(ShadowlabError):
     code = "NoiseExceedsSpace"
 
 
-class NonConstantSpacesError(ShadowlabError):
-    code = "NonConstantSpaces"
-
-
 class ZeroHorizonError(ShadowlabError):
     code = "ZeroHorizon"
 

@@ -1,9 +1,10 @@
 """Time-varying map families: schedules, concrete maps, and built-in systems.
 
-A family is a sequence of onto maps f_n: X_n -> X_{n+1} with the composition
-F_n = f_{n-1} o ... o f_0 and F_0 = identity. Expanding families additionally
-expose inverse branches: local right inverses defined on balls of radius
-`branch_radius` whose Lipschitz constants are the per-step contraction rates.
+A family is a sequence of onto maps f_n: X -> X on one state space X (the
+paper's X_n = X case) with the composition F_n = f_{n-1} o ... o f_0 and
+F_0 = identity. Expanding families additionally expose inverse branches:
+local right inverses defined on balls of radius `branch_radius` whose
+Lipschitz constants are the per-step contraction rates.
 
 Built-ins bracket the hypothesis boundary of the pullback shadowing
 guarantee: constant doubling (rate 1/2), alternating doubling/tripling, a
@@ -311,7 +312,7 @@ class ProductMap:
 
 @dataclass(frozen=True)
 class OrbitSegment:
-    """A finite run of an exact orbit; points[i] lives in X_{start_index+i}."""
+    """A finite run of an exact orbit; points[i] is the point at time start_index+i."""
 
     start_index: int
     points: tuple
@@ -322,7 +323,11 @@ class OrbitSegment:
 
 @dataclass(frozen=True)
 class MapFamily:
-    """A time-varying family with optional expanding structure.
+    """A time-varying family on one state space, with optional expanding structure.
+
+    Every map f_n goes from ``space`` to itself: the paper's X_n = X case,
+    which covers every built-in family and product. Varying spaces
+    f_n: X_n -> X_{n+1} wait for a family that needs them.
 
     A family is expanding when it has a ``branch_radius``, the shared
     branch-domain radius delta_0. Each map of an expanding family carries
@@ -331,13 +336,14 @@ class MapFamily:
     """
 
     name: str
-    spaces: Schedule
+    space: StateSpace
     maps: Schedule
     branch_radius: Optional[float] = None
     is_isometry: bool = False
 
     def space_at(self, n: int) -> StateSpace:
-        return self.spaces.at(n)
+        """X_n, which is ``space`` at every n."""
+        return self.space
 
     def map_at(self, n: int):
         return self.maps.at(n)
@@ -361,33 +367,23 @@ class MapFamily:
             return None
         return max((m.rate for m in maps), default=None)
 
-    @property
-    def constant_spaces(self) -> bool:
-        return self.spaces.period == 1
-
-    @property
-    def is_finite_state(self) -> bool:
-        return self.constant_spaces and self.space_at(0).is_enumerable
-
     def evaluate(self, n: int, x):
         """f_n(x), with domain/codomain membership enforced."""
-        space = self.space_at(n)
-        x = space.require(x)
-        y = self.map_at(n).apply(x)
-        return self.space_at(n + 1).require(y)
+        space = self.space
+        return space.require(self.map_at(n).apply(space.require(x)))
 
     def compose(self, x, horizon: int) -> OrbitSegment:
         """The orbit segment [x, F_1(x), ..., F_horizon(x)]."""
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        points = [self.space_at(0).require(x)]
+        points = [self.space.require(x)]
         for n in range(horizon):
             points.append(self.evaluate(n, points[-1]))
         return OrbitSegment(start_index=0, points=tuple(points))
 
     def sup_distance(self, xs: Sequence, ys: Sequence, lo: int, hi: int) -> float:
-        """max of d_i(xs[i], ys[i]) over lo <= i <= hi; 0.0 on an empty window."""
-        errors = (self.space_at(i).distance(xs[i], ys[i]) for i in range(lo, hi + 1))
+        """max of d(xs[i], ys[i]) over lo <= i <= hi; 0.0 on an empty window."""
+        errors = (self.space.distance(xs[i], ys[i]) for i in range(lo, hi + 1))
         return max(errors, default=0.0)
 
     def require_expanding(self):
@@ -401,15 +397,15 @@ class MapFamily:
         the unique preimage of y in that branch's neighborhood.
         """
         self.require_expanding()
-        space_out = self.space_at(n + 1)
-        w = space_out.require(w)
-        y = space_out.require(y)
-        if space_out.distance(w, y) >= self.branch_radius:
+        space = self.space
+        w = space.require(w)
+        y = space.require(y)
+        if space.distance(w, y) >= self.branch_radius:
             raise PointOutsideBranchDomainError(
-                f"d(w, y) = {space_out.distance(w, y)} >= delta_0 = {self.branch_radius}",
+                f"d(w, y) = {space.distance(w, y)} >= delta_0 = {self.branch_radius}",
                 witness=(w, y),
             )
-        return self.space_at(n).reduce(self.map_at(n).inverse_branch_point(branch, w, y))
+        return space.reduce(self.map_at(n).inverse_branch_point(branch, w, y))
 
 
 @dataclass(frozen=True)
@@ -440,7 +436,7 @@ def expansiveness_falsifier(
     """
     if epsilon0 <= 0:
         raise ValueError("epsilon0 must be positive")
-    space = family.space_at(0)
+    space = family.space
     rng = random.Random(seed)
     pairs = []
     if space.is_enumerable:
@@ -463,7 +459,7 @@ def expansiveness_falsifier(
         a, b = x, y
         close = True
         for n in range(horizon + 1):
-            if family.space_at(n).distance(a, b) > epsilon0:
+            if space.distance(a, b) > epsilon0:
                 close = False
                 break
             if n < horizon:
@@ -479,9 +475,9 @@ def expansiveness_falsifier(
 
 
 def orbit_table(family: MapFamily, length: int, starts: Optional[Sequence] = None) -> dict:
-    """Orbits out to `length` steps, keyed by start point (default: all of X_0)."""
+    """Orbits out to `length` steps, keyed by start point (default: all of X)."""
     if starts is None:
-        starts = family.space_at(0).points
+        starts = family.space.points
     return {y: family.compose(y, length).points for y in starts}
 
 
@@ -522,7 +518,7 @@ DELTA0_CIRCLE = 0.25
 def doubling_family() -> MapFamily:
     return MapFamily(
         name="doubling",
-        spaces=constant_schedule(circle_space()),
+        space=circle_space(),
         maps=constant_schedule(CircleLinearMap(2)),
         branch_radius=DELTA0_CIRCLE,
     )
@@ -531,7 +527,7 @@ def doubling_family() -> MapFamily:
 def tripling_family() -> MapFamily:
     return MapFamily(
         name="tripling",
-        spaces=constant_schedule(circle_space()),
+        space=circle_space(),
         maps=constant_schedule(CircleLinearMap(3)),
         branch_radius=DELTA0_CIRCLE,
     )
@@ -541,7 +537,7 @@ def alternating_family() -> MapFamily:
     """f_n doubles at even n, triples at odd n; rates alternate 1/2, 1/3."""
     return MapFamily(
         name="alternating",
-        spaces=constant_schedule(circle_space()),
+        space=circle_space(),
         maps=Schedule(cycle=(CircleLinearMap(2), CircleLinearMap(3))),
         branch_radius=DELTA0_CIRCLE,
     )
@@ -557,7 +553,7 @@ def slow_expanding_family() -> MapFamily:
     """
     return MapFamily(
         name="slow_expanding",
-        spaces=constant_schedule(circle_space()),
+        space=circle_space(),
         maps=Schedule(rule=lambda j: TwoSlopeCircleMap((j + 1) / (j + 2))),
         branch_radius=DELTA0_CIRCLE,
     )
@@ -567,7 +563,7 @@ def barely_expanding_family() -> MapFamily:
     """Negative control: rates 1 - 2^-n whose infinite product stays positive."""
     return MapFamily(
         name="barely_expanding",
-        spaces=constant_schedule(circle_space()),
+        space=circle_space(),
         maps=Schedule(rule=lambda j: TwoSlopeCircleMap(1.0 - 0.5 ** (j + 1))),
         branch_radius=DELTA0_CIRCLE,
     )
@@ -577,7 +573,7 @@ def identity_family(space: Optional[StateSpace] = None) -> MapFamily:
     space = space or circle_space()
     return MapFamily(
         name="identity",
-        spaces=constant_schedule(space),
+        space=space,
         maps=constant_schedule(IdentityMap(space)),
         is_isometry=True,
     )
@@ -589,7 +585,7 @@ GOLDEN_ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 def rotation_family(alpha: float = GOLDEN_ALPHA) -> MapFamily:
     return MapFamily(
         name="rotation",
-        spaces=constant_schedule(circle_space()),
+        space=circle_space(),
         maps=constant_schedule(CircleRotation(alpha)),
         is_isometry=True,
     )
@@ -608,7 +604,7 @@ def finite_cycle_family(n: int = 3) -> MapFamily:
     table = [(i + 1) % n for i in range(n)]
     return MapFamily(
         name=f"finite_cycle_{n}",
-        spaces=constant_schedule(space),
+        space=space,
         maps=constant_schedule(FiniteMap(space, table)),
         is_isometry=True,
     )
@@ -619,7 +615,7 @@ def identity_pair_family() -> MapFamily:
     space = finite_space([[0.0, 1.0], [1.0, 0.0]], description="two points")
     return MapFamily(
         name="identity_pair",
-        spaces=constant_schedule(space),
+        space=space,
         maps=constant_schedule(IdentityMap(space)),
         is_isometry=True,
     )
@@ -632,7 +628,7 @@ def two_bit_swap_family() -> MapFamily:
     table = [((s & 1) << 1) | (s >> 1) for s in range(4)]
     return MapFamily(
         name="two_bit_swap",
-        spaces=constant_schedule(space),
+        space=space,
         maps=constant_schedule(FiniteMap(space, table)),
         is_isometry=True,
     )
@@ -668,7 +664,7 @@ def eight_state_family() -> MapFamily:
     table = [1, 2, 0, 4, 5, 6, 7, 3]
     return MapFamily(
         name="eight_state",
-        spaces=constant_schedule(space),
+        space=space,
         maps=constant_schedule(FiniteMap(space, table)),
     )
 
@@ -676,15 +672,16 @@ def eight_state_family() -> MapFamily:
 def product_family(left: MapFamily, right: MapFamily) -> MapFamily:
     """The product system on X x Y with the max metric.
 
-    Spaces and maps are the factor schedules combined step by step (see
-    Schedule.combine). Expanding structure survives when both factors carry
-    it: a ProductMap's rate is the max of the factor rates, and the branch
-    radius is the min of the factor radii.
+    The space is the product of the factor spaces; the maps are the factor
+    schedules combined step by step (see Schedule.combine). Expanding
+    structure survives when both factors carry it: a ProductMap's rate is
+    the max of the factor rates, and the branch radius is the min of the
+    factor radii.
     """
     expanding = left.expanding and right.expanding
     return MapFamily(
         name=f"{left.name}*{right.name}",
-        spaces=left.spaces.combine(right.spaces, product_space),
+        space=product_space(left.space, right.space),
         maps=left.maps.combine(right.maps, ProductMap),
         branch_radius=min(left.branch_radius, right.branch_radius) if expanding else None,
         is_isometry=left.is_isometry and right.is_isometry,

@@ -66,10 +66,10 @@ def equicontinuity_modulus(
     results = []
     passing = None
     starts = list(range(0, min(horizon, 8)))
+    space = family.space
     for rung in ladder:
         ok = True
         for m in starts:
-            space = family.space_at(m)
             pairs = []
             for _ in range(max(4, samples // max(1, len(starts)))):
                 x = space.random_point(rng)
@@ -80,12 +80,12 @@ def equicontinuity_modulus(
             for x, y in pairs:
                 a, b = x, y
                 for n in range(m, horizon):
-                    if family.space_at(n).distance(a, b) >= epsilon:
+                    if space.distance(a, b) >= epsilon:
                         ok = False
                         break
                     a = family.evaluate(n, a)
                     b = family.evaluate(n, b)
-                if ok and family.space_at(horizon).distance(a, b) >= epsilon:
+                if ok and space.distance(a, b) >= epsilon:
                     ok = False
                 if not ok:
                     break
@@ -124,7 +124,7 @@ class SplicedOrbit:
         fam = self.orbit.family
         for i in range(self.cut_index):
             nxt = self.orbit.points[i + 1]
-            if fam.space_at(i + 1).distance(fam.evaluate(i, self.orbit.points[i]), nxt) > tol:
+            if fam.space.distance(fam.evaluate(i, self.orbit.points[i]), nxt) > tol:
                 return False
         return True
 
@@ -142,8 +142,8 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
         return SplicedOrbit(cut_index=0, head=(), orbit=po)
     z = po.points[cut]
     head = [None] * cut
+    space = family.space
     for i in range(cut - 1, -1, -1):
-        space = family.space_at(i)
         candidates = family.map_at(i).preimages(z)
         if not candidates:
             raise PreimageSearchFailedError(
@@ -189,19 +189,19 @@ class ExhaustiveOracle:
     """Finite-state families: scan every start point for the best sup error."""
 
     def __init__(self, family: MapFamily):
-        if not family.is_finite_state:
+        if not family.space.is_enumerable:
             raise OracleUnavailableError("exhaustive oracle needs a finite state family")
         self.family = family
         self.tables = {}  # horizon -> orbit table, shared by every level
 
     def modulus(self, target: float, tail_length: int) -> float:
-        return self.family.space_at(0).min_positive_distance()
+        return self.family.space.min_positive_distance()
 
     def shadow(self, po: PseudoOrbit, target: float):
         orbits = self.tables.get(po.horizon)
         if orbits is None:
             orbits = self.tables[po.horizon] = orbit_table(self.family, po.horizon)
-        return best_orbit(self.family.space_at(0), orbits, po.points)
+        return best_orbit(self.family.space, orbits, po.points)
 
 
 class PullbackOracle:
@@ -227,7 +227,7 @@ class PullbackOracle:
 
 
 def shadowing_oracle(family: MapFamily, margin: float = 0.98):
-    if family.is_finite_state:
+    if family.space.is_enumerable:
         return ExhaustiveOracle(family)
     if family.is_isometry:
         return TransportOracle(family)
@@ -332,9 +332,8 @@ def limit_shadow_point(
     if not records:
         raise NoConvergenceError("no level admits a cut within the horizon")
 
-    space0 = family.space_at(0)
     gaps = tuple(
-        space0.distance(a, b) for a, b in zip(points, points[1:])
+        family.space.distance(a, b) for a, b in zip(points, points[1:])
     )
     converged = any(g < CAUCHY_TOL for g in gaps)
     y_final = points[-1]

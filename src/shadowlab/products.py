@@ -79,7 +79,7 @@ def _iter_finite_pseudo_orbits(
     family: MapFamily, delta: float, max_len: int, counter: _Counter
 ) -> Iterator[tuple]:
     """All delta-pseudo-orbits with 2..max_len points, depth first."""
-    space = family.space_at(0)
+    space = family.space
     states = space.points
 
     def successors(i: int, x):
@@ -106,8 +106,8 @@ def _iter_finite_pseudo_orbits(
 def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """Every finite pseudo-orbit is eps-shadowed with an exact final landing."""
     eps, delta = budget.epsilon, budget.delta
-    if family.is_finite_state:
-        space = family.space_at(0)
+    space = family.space
+    if space.is_enumerable:
         orbits = orbit_table(family, budget.max_len - 1)
         counter = _Counter(budget.enumeration_limit)
         checked = 0
@@ -127,7 +127,7 @@ def _h_check_continuous(family: MapFamily, budget: VariantBudget) -> CheckResult
     eps, delta = budget.epsilon, budget.delta
     checked = 0
     for t in range(budget.trials):
-        x0 = family.space_at(0).random_point(random.Random(budget.seed + t))
+        x0 = family.space.random_point(random.Random(budget.seed + t))
         try:
             po = perturb_orbit(family, x0, budget.max_len - 1, delta, budget.seed + t)
         except ShadowlabError as exc:
@@ -141,7 +141,7 @@ def _h_check_continuous(family: MapFamily, budget: VariantBudget) -> CheckResult
         except BranchDomainViolatedError:
             return CheckResult("h", False, checked, witness=po.points)
         orbit = family.compose(z, n).points
-        landing = family.space_at(n).distance(orbit[n], po.points[n])
+        landing = family.space.distance(orbit[n], po.points[n])
         if landing > 1e-10 or family.sup_distance(orbit, po.points, 0, n - 1) >= eps:
             return CheckResult("h", False, checked, witness=po.points)
     return CheckResult("h", True, checked)
@@ -150,8 +150,8 @@ def _h_check_continuous(family: MapFamily, budget: VariantBudget) -> CheckResult
 def plain_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """Every pseudo-orbit is eps-shadowed (no landing clause)."""
     eps, delta = budget.epsilon, budget.delta
-    if family.is_finite_state:
-        space = family.space_at(0)
+    space = family.space
+    if space.is_enumerable:
         orbits = orbit_table(family, budget.max_len - 1)
         counter = _Counter(budget.enumeration_limit)
         checked = 0
@@ -164,7 +164,7 @@ def plain_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     checked = 0
     for t in range(budget.trials):
         rng = random.Random(budget.seed + 1000 + t)
-        x0 = family.space_at(0).random_point(rng)
+        x0 = space.random_point(rng)
         try:
             po = perturb_orbit(family, x0, budget.horizon, delta, budget.seed + t)
             report, _ = pullback_shadow(family, po, eps)
@@ -185,7 +185,7 @@ def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     orbit[n] == po[n]. Finite maps are onto, hence so is F_n, and every
     pseudo-orbit passes: at a finite horizon this verdict cannot fail.
     """
-    if family.is_finite_state:
+    if family.space.is_enumerable:
         head_len = max(2, budget.max_len // 2)
         counter = _Counter(budget.enumeration_limit)
         orbits = orbit_table(family, budget.max_len - 1)
@@ -201,7 +201,7 @@ def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
         return CheckResult("limit", True, checked)
     # Continuous: synthetic harmonic defects scaled into the budget.
     defects = [budget.delta / (i + 1) for i in range(budget.horizon)]
-    x0 = family.space_at(0).random_point(random.Random(budget.seed))
+    x0 = family.space.random_point(random.Random(budget.seed))
     po = inject_defects(family, x0, defects)
     try:
         result = limit_shadow_point(family, po, levels=budget.levels)
@@ -240,9 +240,9 @@ def average_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     keeps the Cesaro defect below diam/max_len; some start point must then
     track the window with Cesaro error below eps.
     """
-    if not family.is_finite_state:
+    space = family.space
+    if not space.is_enumerable:
         return CheckResult("average", False, 0, detail="finite-state families only")
-    space = family.space_at(0)
     length = budget.max_len
     orbits = orbit_table(family, length)
     checked = 0
@@ -266,9 +266,9 @@ def asymptotic_average_check(family: MapFamily, budget: VariantBudget) -> CheckR
 
 def periodic_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """Closed pseudo-orbits are shadowed by points of the same period."""
-    if not family.is_finite_state:
+    space = family.space
+    if not space.is_enumerable:
         return CheckResult("periodic", False, 0, detail="finite-state families only")
-    space = family.space_at(0)
     orbits = orbit_table(family, budget.max_len - 1)
     counter = _Counter(budget.enumeration_limit)
     checked = 0
@@ -285,9 +285,9 @@ def periodic_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
 
 def lipschitz_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """Best-shadow error stays within lipschitz_bound times the defect size."""
-    if not family.is_finite_state:
+    space = family.space
+    if not space.is_enumerable:
         return CheckResult("lipschitz", False, 0, detail="finite-state families only")
-    space = family.space_at(0)
     orbits = orbit_table(family, budget.max_len - 1)
     counter = _Counter(budget.enumeration_limit)
     checked = 0

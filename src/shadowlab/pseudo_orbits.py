@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import NoiseExceedsSpaceError, NonConstantSpacesError
+from .errors import NoiseExceedsSpaceError
 from .families import MapFamily
 
 FINITE_HORIZON_NOTE = (
@@ -32,9 +32,7 @@ class PseudoOrbit:
 
     @classmethod
     def from_points(cls, family: MapFamily, points: Sequence, start_index: int = 0) -> "PseudoOrbit":
-        pts = tuple(
-            family.space_at(start_index + i).require(p) for i, p in enumerate(points)
-        )
+        pts = tuple(family.space.require(p) for p in points)
         defects = _defects(family, pts, start_index)
         return cls(family=family, start_index=start_index, points=pts, defects=defects)
 
@@ -52,10 +50,9 @@ class PseudoOrbit:
 
 def _defects(family: MapFamily, points: Sequence, start_index: int) -> tuple:
     """d(f_i(x_i), x_{i+1}) for each step, with times offset by start_index."""
+    distance = family.space.distance
     return tuple(
-        family.space_at(start_index + i + 1).distance(
-            family.evaluate(start_index + i, points[i]), points[i + 1]
-        )
+        distance(family.evaluate(start_index + i, points[i]), points[i + 1])
         for i in range(len(points) - 1)
     )
 
@@ -138,15 +135,13 @@ def perturb_orbit(
     if noise < 0:
         raise ValueError("noise must be >= 0")
     rng = random.Random(seed)
-    points = [family.space_at(0).require(x0)]
+    space = family.space
+    points = [space.require(x0)]
+    if horizon > 0 and noise > space.diameter:
+        raise NoiseExceedsSpaceError(f"noise {noise} exceeds space diameter {space.diameter}")
     for i in range(horizon):
-        space_next = family.space_at(i + 1)
-        if noise > space_next.diameter:
-            raise NoiseExceedsSpaceError(
-                f"noise {noise} exceeds space diameter {space_next.diameter}"
-            )
         true_next = family.evaluate(i, points[-1])
-        points.append(space_next.reduce(space_next.perturb(true_next, noise, rng)))
+        points.append(space.reduce(space.perturb(true_next, noise, rng)))
     return PseudoOrbit.from_points(family, points)
 
 
@@ -165,11 +160,11 @@ def inject_defects(
     drift of isometry families bounded by the last defect.
     """
     sign_at = signs or (lambda i: 1 if i % 2 == 0 else -1)
-    points = [family.space_at(0).require(x0)]
+    space = family.space
+    points = [space.require(x0)]
     for i, e in enumerate(defects):
-        space_next = family.space_at(i + 1)
         true_next = family.evaluate(i, points[-1])
-        points.append(space_next.reduce(space_next.displace(true_next, float(e), sign_at(i))))
+        points.append(space.reduce(space.displace(true_next, float(e), sign_at(i))))
     return PseudoOrbit.from_points(family, points)
 
 
@@ -189,17 +184,15 @@ def displace_orbit(
     sign_at = signs or (lambda i: 1 if i % 2 == 0 else -1)
     orbit = family.compose(x0, len(displacements))
     points = list(orbit.points)
+    space = family.space
     for i, t in enumerate(displacements):
         if t:
-            space = family.space_at(i + 1)
             points[i + 1] = space.reduce(space.displace(points[i + 1], float(t), sign_at(i)))
     return PseudoOrbit.from_points(family, points)
 
 
 def periodicize(po: PseudoOrbit, period: int) -> PseudoOrbit:
     """Repeat the first `period` points out to the original horizon."""
-    if not po.family.constant_spaces:
-        raise NonConstantSpacesError("periodic extension needs X_n = X_0 for all n")
     if not 1 <= period <= len(po.points):
         raise ValueError("period must be in 1..len(points)")
     points = tuple(po.points[i % period] for i in range(len(po.points)))

@@ -33,7 +33,7 @@ _SLACK = 1e-12
 
 
 def cell_pull(space: StateSpace, mapobj, branch, w, cell):
-    """Image of a cell of X_{n+1} under the inverse branch of f_n anchored at w."""
+    """Image of a cell of `space` under the inverse branch of `mapobj` anchored at w."""
     return space.cell_pull(mapobj, branch, w, cell)
 
 
@@ -116,8 +116,8 @@ class PullbackChain:
         Uses the exact cell geometry: on products, center distance plus the
         max-radius summary would mix components and overstate the extent.
         """
+        space = po.family.space
         for cell in self.cells:
-            space = po.family.space_at(cell.time_index)
             x = po.points[cell.time_index]
             extent = space.cell_max_distance(cell.raw, x)
             if extent > epsilon + _SLACK:
@@ -157,13 +157,12 @@ def pull_back_chain(family: MapFamily, images: Sequence, branches: Sequence, z) 
     k = len(images)
     chain = [None] * (k + 1)
     chain[k] = z
-    space = family.space_at(k)  # X_{j+1} on entry to step j
+    space = family.space
     for j in range(k - 1, -1, -1):
         if space.distance(images[j], z) >= family.branch_radius:
             raise BranchDomainViolatedError(
                 f"backward iterate leaves branch domain at step {j}", witness=j
             )
-        space = family.space_at(j)
         z = space.reduce(family.map_at(j).inverse_branch_point(branches[j], images[j], z))
         chain[j] = z
     return chain
@@ -188,7 +187,7 @@ def pullback_shadow(
     if check_budget:
         budget.check(po.defects)
 
-    spaces = [family.space_at(j) for j in range(k + 1)]
+    space = family.space
     images = [family.evaluate(j, po.points[j]) for j in range(k)]
     branches = [family.map_at(j).branch_of(po.points[j]) for j in range(k)]
 
@@ -197,11 +196,10 @@ def pullback_shadow(
     # budget the intersections below the top are no-ops, so the diameter
     # contracts by the branch rate at every pullback.
     chain = [None] * (k + 1)
-    cell = spaces[k].make_ball(po.points[k], epsilon)
+    cell = space.make_ball(po.points[k], epsilon)
     if k == 0:
         chain[0] = cell
     for j in range(k - 1, -1, -1):
-        space = spaces[j + 1]
         inter = space.cell_intersect(cell, space.make_ball(images[j], epsilon))
         if inter is None:
             raise EmptyCellError(
@@ -219,13 +217,13 @@ def pullback_shadow(
     # Branches are right inverses, so {z_j} is the exact orbit of z_0; the
     # backward computation is contractive, hence float-stable, whereas naive
     # forward iteration would amplify rounding by the full expansion factor.
-    orbit_points = pull_back_chain(family, images, branches, spaces[k].cell_center(chain[k]))
+    orbit_points = pull_back_chain(family, images, branches, space.cell_center(chain[k]))
     shadow = orbit_points[0]
     errors = tuple(
-        spaces[j].distance(orbit_points[j], po.points[j]) for j in range(k + 1)
+        space.distance(orbit_points[j], po.points[j]) for j in range(k + 1)
     )
     bound = diameter_certificate(family, epsilon, k)
-    measured = spaces[0].cell_diameter(chain[0])
+    measured = space.cell_diameter(chain[0])
     report = ShadowReport(
         family_name=family.name,
         shadow_point=shadow,
@@ -241,8 +239,8 @@ def pullback_shadow(
     cells = tuple(
         PullbackCell(
             time_index=j,
-            center=spaces[j].cell_center(chain[j]),
-            radius=spaces[j].cell_diameter(chain[j]) / 2.0,
+            center=space.cell_center(chain[j]),
+            radius=space.cell_diameter(chain[j]) / 2.0,
             raw=chain[j],
         )
         for j in range(k + 1)
@@ -297,8 +295,6 @@ def periodic_shadow(
     right fixed-point equation.
     """
     family.require_expanding()
-    if not family.constant_spaces:
-        raise NonPeriodicInputError("periodic shadowing needs constant spaces")
     if period is None:
         period = _detect_period(po)
     if period is None or any(
@@ -312,7 +308,7 @@ def periodic_shadow(
     budget = delta_budget(family, epsilon, margin=margin, horizon=max(po.horizon, period, 1))
     budget.check(po.defects)
 
-    space = family.space_at(0)
+    space = family.space
     images = [family.evaluate(j, po.points[j]) for j in range(period)]
     branches = [family.map_at(j).branch_of(po.points[j]) for j in range(period)]
 

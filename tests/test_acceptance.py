@@ -4,6 +4,7 @@ Each test prints a single PASS line once its assertions hold, so a verbose
 run doubles as the acceptance report.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -243,18 +244,32 @@ def test_criterion_9_product_theorems_sweep():
     print(f"PASS criterion 9: {cases} equivalence records all consistent, {elapsed:.1f}s")
 
 
+# sha256 of report_body_bytes for each bundled report. A change that moves
+# one of these changes what the library reports, and must say so.
+BUNDLED_REPORT_SHA256 = {
+    "doubling-periodic.report.json": "ff92ad9e4bff0adc01dca676280d497612aa8367d20697f063ee3ea22abab02c",
+    "doubling-shadow.report.json": "2198bef817bd3075778af98d989e67d087e8aa57ccf8cd8e0fffd3d318598956",
+    "eight-state-average.report.json": "0801192e0200ba04c81c8303b4458761c44bcabfc5dacde409c6d3c9161d79cd",
+    "finite-products.report.json": "95aa395bb01987dd26a790a16e8d5b0c937bc3de87f87c3cd5130521653a1e38",
+    "rotation-limit.report.json": "153bd1d10959ef295c8bc2e81654d8f0e05ec0fe349bda8667d45d8dc87de3af",
+    "squares-density.report.json": "409b8c5aad3c213f0f2206481cf88fd147875f9d71494ea2bf195b322aed941a",
+}
+
+
 def test_criterion_10_determinism(tmp_path):
-    """The bundled acceptance suite is byte-identical across reruns."""
+    """The bundled acceptance suite is byte-identical across reruns and pinned."""
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert run_suite(bundled_scenarios_dir(), out1, quiet=True) == EXIT_OK
     assert run_suite(bundled_scenarios_dir(), out2, quiet=True) == EXIT_OK
     reports = sorted(p.name for p in out1.glob("*.report.json"))
-    assert reports
+    assert reports == sorted(BUNDLED_REPORT_SHA256)
+    assert not (out1 / "barely-expanding-control.report.json").exists()
     for name in reports:
         body1 = report_body_bytes(load_report(out1 / name))
         body2 = report_body_bytes(load_report(out2 / name))
         assert body1 == body2, name
+        assert hashlib.sha256(body1).hexdigest() == BUNDLED_REPORT_SHA256[name], name
     for name in sorted(p.name for p in out1.glob("*.csv")):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     print(f"PASS criterion 10: {len(reports)} reports byte-identical modulo metadata")

@@ -265,6 +265,19 @@ def test_extraction_rejects_a_non_finite_value_at_its_index(bad):
     assert caught.value.witness == 10
 
 
+def test_extraction_rejects_a_negative_value_at_its_index():
+    # A negative sequence has a Cesaro mean below every level, yet it is
+    # not Cesaro-null; its off-J sups of -1.0 would certify nothing.
+    with pytest.raises(BoundViolatedError) as caught:
+        cesaro_to_density_zero([-1.0] * 100, 100)
+    assert caught.value.witness == 0
+    values = [0.0] * 100
+    values[37] = -1e-300
+    with pytest.raises(BoundViolatedError) as caught:
+        cesaro_to_density_zero(values, 100)
+    assert caught.value.witness == 37
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_certificate_rejects_a_non_finite_value_at_its_index(bad):
     values = [0.0] * 20

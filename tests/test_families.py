@@ -21,8 +21,10 @@ from shadowlab.families import (
     finite_cycle_family,
     identity_family,
     identity_pair_family,
+    orbit_table,
     product_family,
     rotation_family,
+    shadowing_orbit,
     slow_expanding_family,
     tripling_family,
     two_bit_swap_family,
@@ -324,10 +326,12 @@ def test_combine_with_rule_stays_a_rule():
 
 
 def test_product_maps_are_built_once_per_period():
-    prod = product_family(doubling_family(), alternating_family())
+    left, right = doubling_family(), alternating_family()
+    prod = product_family(left, right)
     assert prod.maps.rule is None
     assert prod.maps.period == 2
-    assert prod.constant_spaces
+    assert prod.space.factors == (left.space, right.space)
+    assert all(prod.space_at(n) is prod.space for n in range(5))
     for n in range(5):
         assert prod.map_at(n) is prod.map_at(n + 2)
     assert [prod.rate_at(n) for n in range(4)] == [0.5, 0.5, 0.5, 0.5]
@@ -352,3 +356,12 @@ def test_rates_need_expanding_maps():
         assert not fam.expanding
         with pytest.raises(NotExpandingError):
             fam.rate_at(0)
+
+
+def test_shadowing_orbit_rejects_an_orbit_exactly_epsilon_away():
+    # Two points at distance 1: the orbit of 0 is exactly eps = 1 away from
+    # the target at index 1 only, and the orbit of 1 is 1 away at 0 and 2.
+    fam = identity_pair_family()
+    space, orbits = fam.space_at(0), orbit_table(fam, 2)
+    assert shadowing_orbit(space, orbits, (0, 1, 0), 1.0) is None
+    assert shadowing_orbit(space, orbits, (0, 1, 0), 1.0 + 1e-9) == (0, 0, 0)

@@ -15,6 +15,7 @@ from shadowlab.families import (
 )
 from shadowlab.limits import (
     ExhaustiveOracle,
+    LimitShadowResult,
     equicontinuity_modulus,
     limit_shadow_point,
     shadowing_oracle,
@@ -251,3 +252,11 @@ def test_exhaustive_oracle_builds_one_orbit_table_per_horizon(monkeypatch):
     po = inject_defects(fam, 0, [1.0 if i in (2, 5) else 0.0 for i in range(200)])
     result = limit_shadow_point(fam, po, levels=6)
     assert len(calls) == 8 + len(result.levels)
+
+
+def test_table_that_rises_by_a_millionth_is_not_nonincreasing():
+    def result(table):
+        return LimitShadowResult(point=0.0, converged=True, cauchy_gaps=(), levels=(), table=table)
+
+    assert result((0.5, 0.5, 0.25)).table_nonincreasing
+    assert not result((0.5, 0.5 + 1e-6, 0.25)).table_nonincreasing

@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from shadowlab.errors import NoiseExceedsSpaceError, NonConstantSpacesError
+from shadowlab.errors import NoiseExceedsSpaceError
 from shadowlab.families import (
-    Schedule,
     doubling_family,
     eight_state_family,
     finite_cycle_family,
@@ -188,16 +187,6 @@ def test_periodicize_seam_defect_recomputed():
     space = fam.space_at(0)
     seam = space.distance(fam.evaluate(2, out.points[2]), out.points[0])
     assert out.defects[2] == pytest.approx(seam, abs=1e-15)
-
-
-def test_periodicize_needs_constant_spaces():
-    fam = doubling_family()
-    from dataclasses import replace
-
-    weird = replace(fam, spaces=Schedule(head=(fam.space_at(0),), cycle=(fam.space_at(0),)))
-    po = PseudoOrbit.from_points(weird, [0.1, 0.2, 0.4])
-    with pytest.raises(NonConstantSpacesError):
-        periodicize(po, 1)
 
 
 def test_csv_rows_include_defects():

@@ -24,6 +24,9 @@ from shadowlab.families import (
 )
 from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, periodicize, perturb_orbit
 from shadowlab.solver import (
+    DeltaSchedule,
+    PullbackCell,
+    PullbackChain,
     delta_budget,
     diameter_certificate,
     lipschitz_report,
@@ -379,3 +382,22 @@ def test_periodic_shadow_accepts_products_of_periodic_families():
     assert residual < 1e-9
     assert fam.space_at(0).distance(x, (1.0 / 3.0, 0.0)) < 0.05
     assert max(errors) < 0.05
+
+
+def test_delta_schedule_rejects_a_defect_equal_to_its_budget():
+    budget = DeltaSchedule(epsilon=0.1, margin=0.98, values=(0.01, 0.02, 0.03))
+    budget.check([0.0, 0.02 - 1e-12, 0.0])
+    with pytest.raises(DeltaBudgetViolatedError) as caught:
+        budget.check([0.0, 0.02, 0.0])
+    assert caught.value.witness == 1
+
+
+def test_validate_tube_rejects_a_cell_half_again_outside_the_tube():
+    fam = doubling_family()
+    po = PseudoOrbit.from_points(fam, [0.1, 0.2])
+    inside = PullbackCell(time_index=1, center=0.2, radius=0.1, raw=(0.2, 0.1))
+    PullbackChain(cells=(inside,)).validate_tube(po, 0.1)
+    # Extent 0.05 + 0.1 = 1.5 eps: far past any rounding slack.
+    outside = PullbackCell(time_index=0, center=0.15, radius=0.1, raw=(0.15, 0.1))
+    with pytest.raises(ValueError):
+        PullbackChain(cells=(inside, outside)).validate_tube(po, 0.1)
