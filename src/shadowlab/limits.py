@@ -5,7 +5,10 @@ picks a cut past which the tail defects fit the family's shadowing modulus,
 splices an exact preimage chain onto the tail, and shadows the spliced
 orbit. The per-level shadow points y_n and their tail windows form the
 convergence table; the limit point is accepted through a Cauchy criterion
-on consecutive y_n.
+on consecutive y_n. Cuts never decrease with the level, so levels that
+share a cut are adjacent; they share one splice, and one shadow when the
+oracle's effective accuracy is also the same. Only the previous level's
+splice and shadow are kept alive.
 
 Shadowing itself enters as a per-family oracle: exact transport for
 isometry families, exhaustive search for finite-state families, and the
@@ -122,9 +125,10 @@ class SplicedOrbit:
 
     def head_is_exact(self, tol: float = 1e-10) -> bool:
         fam = self.orbit.family
+        start = self.orbit.start_index
         for i in range(self.cut_index):
             nxt = self.orbit.points[i + 1]
-            if fam.space.distance(fam.evaluate(i, self.orbit.points[i]), nxt) > tol:
+            if fam.space.distance(fam.evaluate(start + i, self.orbit.points[i]), nxt) > tol:
                 return False
         return True
 
@@ -134,7 +138,8 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
 
     Preimages are chosen closest to the original points (ties break toward
     the lower branch id), so the head stays near the data; any admissible
-    selection satisfies the construction.
+    selection satisfies the construction. Map times are offset by
+    po.start_index. The cost is O(cut): the tail and its defects are reused.
     """
     if not 0 <= cut <= po.horizon:
         raise ValueError("cut must be within the horizon")
@@ -144,23 +149,17 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
     head = [None] * cut
     space = family.space
     for i in range(cut - 1, -1, -1):
-        candidates = family.map_at(i).preimages(z)
+        n = po.start_index + i
+        candidates = family.map_at(n).preimages(z)
         if not candidates:
-            raise PreimageSearchFailedError(
-                f"no preimage of {z!r} under f_{i}", witness=i
-            )
+            raise PreimageSearchFailedError(f"no preimage of {z!r} under f_{n}", witness=n)
         best = min(
             range(len(candidates)),
             key=lambda b: (space.distance(candidates[b], po.points[i]), b),
         )
         z = space.reduce(candidates[best])
         head[i] = z
-    points = tuple(head) + po.points[cut:]
-    return SplicedOrbit(
-        cut_index=cut,
-        head=tuple(head),
-        orbit=PseudoOrbit.from_points(family, points, start_index=po.start_index),
-    )
+    return SplicedOrbit(cut_index=cut, head=tuple(head), orbit=po.with_head(head))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +177,10 @@ class TransportOracle:
     def modulus(self, target: float, tail_length: int) -> float:
         # Drift accumulates at most one defect per remaining step.
         return target / max(tail_length, 1)
+
+    def accuracy(self, target: float) -> None:
+        # The transported orbit does not depend on the target.
+        return None
 
     def shadow(self, po: PseudoOrbit, target: float):
         y = po.points[0]
@@ -197,6 +200,10 @@ class ExhaustiveOracle:
     def modulus(self, target: float, tail_length: int) -> float:
         return self.family.space.min_positive_distance()
 
+    def accuracy(self, target: float) -> None:
+        # The best orbit does not depend on the target.
+        return None
+
     def shadow(self, po: PseudoOrbit, target: float):
         orbits = self.tables.get(po.horizon)
         if orbits is None:
@@ -211,17 +218,23 @@ class PullbackOracle:
         family.require_expanding()
         self.family = family
         self.margin = margin
+        self.rate_maxima = []  # rate_maxima[n] = max(rate_at(m) for m <= n)
 
-    def epsilon_for(self, target: float) -> float:
+    def accuracy(self, target: float) -> float:
+        """The solver's epsilon at this target; equal epsilons shadow alike."""
         return min(target, 0.99 * self.family.branch_radius / 2.0)
 
     def modulus(self, target: float, tail_length: int) -> float:
-        eps = self.epsilon_for(target)
-        rates = [self.family.rate_at(n) for n in range(max(tail_length, 1))]
-        return self.margin * (1.0 - max(rates)) * eps
+        eps = self.accuracy(target)
+        count = max(tail_length, 1)
+        maxima = self.rate_maxima
+        while len(maxima) < count:
+            rate = self.family.rate_at(len(maxima))
+            maxima.append(max(maxima[-1], rate) if maxima else rate)
+        return self.margin * (1.0 - maxima[count - 1]) * eps
 
     def shadow(self, po: PseudoOrbit, target: float):
-        eps = self.epsilon_for(target)
+        eps = self.accuracy(target)
         report, _ = pullback_shadow(self.family, po, eps, margin=self.margin)
         return report.shadow_point, max(report.per_step_errors), None
 
@@ -266,11 +279,27 @@ class LimitShadowResult:
         return all(b <= a + 1e-15 for a, b in zip(self.table, self.table[1:]))
 
 
-def _find_cut(defect_tails: Sequence[float], horizon: int, oracle, target: float) -> Optional[int]:
-    for k in range(horizon + 1):
+def _find_cut(
+    defect_tails: Sequence[float], horizon: int, oracle, target: float, start: int = 0
+) -> Optional[int]:
+    """The first k >= start whose tail sup lies strictly below the modulus."""
+    for k in range(start, horizon + 1):
         if defect_tails[k] < oracle.modulus(target, horizon - k):
             return k
     return None
+
+
+def _window_hi(cut: int, horizon: int) -> int:
+    return min(max(2 * cut, cut + 1), horizon)
+
+
+def _shadow_level(family: MapFamily, po: PseudoOrbit, oracle, spliced: SplicedOrbit, target: float):
+    """(y, sup error against the splice, error against the data on the window)."""
+    y, sup_err, orbit = oracle.shadow(spliced.orbit, target)
+    if orbit is None:
+        return y, sup_err, sup_err
+    cut = spliced.cut_index
+    return y, sup_err, family.sup_distance(orbit, po.points, cut, _window_hi(cut, po.horizon))
 
 
 def limit_shadow_point(
@@ -304,19 +333,23 @@ def limit_shadow_point(
             "at this horizon"
         )
     records = []
-    points = []
+    # Only the previous level's splice and shadow are kept: a smaller target
+    # never admits an earlier cut, so levels sharing a cut are adjacent.
+    spliced = shadowed = None
     for n in range(1, levels + 1):
         target = 1.0 / n
-        cut = _find_cut(profile.tail_sups, horizon, oracle, target)
+        cut = _find_cut(
+            profile.tail_sups, horizon, oracle, target, spliced.cut_index if spliced else 0
+        )
         if cut is None:
-            continue
-        spliced = splice(family, po, cut)
-        y, sup_err, orbit_pts = oracle.shadow(spliced.orbit, target)
-        window_hi = min(max(2 * cut, cut + 1), horizon)
-        if orbit_pts is not None:
-            window_err = family.sup_distance(orbit_pts, po.points, cut, window_hi)
-        else:
-            window_err = sup_err
+            break  # no deeper level admits a cut either
+        accuracy = oracle.accuracy(target)
+        if spliced is None or spliced.cut_index != cut:
+            spliced = shadowed = None  # release the previous level first
+            spliced = splice(family, po, cut)
+        if shadowed is None or shadowed[0] != accuracy:
+            shadowed = (accuracy, *_shadow_level(family, po, oracle, spliced, target))
+        _, y, sup_err, window_err = shadowed
         records.append(
             LevelRecord(
                 level=n,
@@ -328,10 +361,10 @@ def limit_shadow_point(
                 window_error=window_err,
             )
         )
-        points.append(y)
     if not records:
         raise NoConvergenceError("no level admits a cut within the horizon")
 
+    points = [rec.point for rec in records]
     gaps = tuple(
         family.space.distance(a, b) for a, b in zip(points, points[1:])
     )
@@ -339,21 +372,24 @@ def limit_shadow_point(
     y_final = points[-1]
 
     # Final table: the returned point measured on every level's window.
-    table = []
-    for rec in records:
-        window_hi = min(max(2 * rec.cut, rec.cut + 1), horizon)
-        if isinstance(oracle, PullbackOracle):
-            # Forward float iteration is unstable for expanding families;
-            # bound via the last level's certified errors plus the head gap.
-            last = records[-1]
-            spliced_last = splice(family, po, last.cut)
-            head_gap = family.sup_distance(
-                spliced_last.orbit.points, po.points, rec.cut, min(window_hi, last.cut - 1)
-            )
-            table.append(last.sup_error_vs_spliced + head_gap)
-        else:
-            orbit = family.compose(y_final, window_hi)
-            table.append(family.sup_distance(orbit.points, po.points, rec.cut, window_hi))
+    windows = [_window_hi(rec.cut, horizon) for rec in records]
+    if isinstance(oracle, PullbackOracle):
+        # Forward float iteration is unstable for expanding families;
+        # bound via the last level's certified errors plus the head gap,
+        # measured on the last level's splice.
+        last = records[-1]
+        table = [
+            last.sup_error_vs_spliced
+            + family.sup_distance(spliced.orbit.points, po.points, rec.cut, min(hi, last.cut - 1))
+            for rec, hi in zip(records, windows)
+        ]
+    else:
+        # One orbit to the widest window; every narrower window is a prefix.
+        orbit = family.compose(y_final, max(windows)).points
+        table = [
+            family.sup_distance(orbit, po.points, rec.cut, hi)
+            for rec, hi in zip(records, windows)
+        ]
     return LimitShadowResult(
         point=y_final,
         converged=converged,

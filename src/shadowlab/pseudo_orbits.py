@@ -47,6 +47,17 @@ class PseudoOrbit:
     def recomputed_defects(self) -> tuple:
         return _defects(self.family, self.points, self.start_index)
 
+    def with_head(self, head: Sequence) -> "PseudoOrbit":
+        """The same pseudo-orbit with its first len(head) points replaced.
+
+        Only the head is validated and evaluated; the tail points and their
+        defects are reused, so the cost is O(len(head)).
+        """
+        cut = len(head)
+        pts = tuple(self.family.space.require(p) for p in head) + self.points[cut:]
+        defects = _defects(self.family, pts[: cut + 1], self.start_index) + self.defects[cut:]
+        return PseudoOrbit(family=self.family, start_index=self.start_index, points=pts, defects=defects)
+
 
 def _defects(family: MapFamily, points: Sequence, start_index: int) -> tuple:
     """d(f_i(x_i), x_{i+1}) for each step, with times offset by start_index."""

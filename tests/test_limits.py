@@ -1,5 +1,6 @@
 import pytest
 
+from shadowlab import limits
 from shadowlab.errors import (
     HypothesisFailedError,
     NotEquicontinuousAtHorizonError,
@@ -7,15 +8,19 @@ from shadowlab.errors import (
 )
 from shadowlab.families import (
     MapFamily,
+    alternating_family,
     doubling_family,
     eight_state_family,
     finite_cycle_family,
     identity_family,
     rotation_family,
+    slow_expanding_family,
 )
 from shadowlab.limits import (
     ExhaustiveOracle,
     LimitShadowResult,
+    PullbackOracle,
+    SplicedOrbit,
     equicontinuity_modulus,
     limit_shadow_point,
     shadowing_oracle,
@@ -102,6 +107,80 @@ def test_splice_head_stays_near_data():
     assert max(gaps) <= sum(po.defects[:50]) + 1e-12
 
 
+def exact_orbit_from(fam, x, start_index, horizon):
+    points = [x]
+    for i in range(horizon):
+        points.append(fam.evaluate(start_index + i, points[-1]))
+    return PseudoOrbit.from_points(fam, points, start_index=start_index)
+
+
+def test_splice_reads_map_times_from_start_index():
+    fam = alternating_family()
+    po = exact_orbit_from(fam, 0.3, 1, 12)
+    assert po.max_defect == 0.0
+    spliced = splice(fam, po, 6)
+    assert max(spliced.orbit.defects[:6]) <= 1e-12
+    assert spliced.head_is_exact()
+
+
+def test_head_is_exact_reads_map_times_from_start_index():
+    fam = alternating_family()
+    # Exact from time 0, relabelled to start at time 1: doubling and tripling
+    # swap places, so the head is not an orbit of f_1, f_2, ...
+    points = fam.compose(0.3, 12).points
+    po = PseudoOrbit.from_points(fam, points, start_index=1)
+    assert not SplicedOrbit(cut_index=6, head=points[:6], orbit=po).head_is_exact()
+
+
+def _splice_cases():
+    rot, rot_po = harmonic_rotation_orbit(40)
+    dbl = doubling_family()
+    dbl_po = inject_defects(dbl, 0.2, [0.01 / (i + 1) for i in range(30)])
+    eight = eight_state_family()
+    eight_po = perturb_orbit(eight, 3, 20, 0.015, seed=4)
+    alt = alternating_family()
+    alt_po = exact_orbit_from(alt, 0.3, 1, 24)
+    return [(rot, rot_po), (dbl, dbl_po), (eight, eight_po), (alt, alt_po)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_splice_orbit_equals_from_points_of_its_points(case):
+    fam, po = _splice_cases()[case]
+    for cut in (0, 1, po.horizon // 2, po.horizon):
+        orbit = splice(fam, po, cut).orbit
+        fresh = PseudoOrbit.from_points(fam, orbit.points, start_index=po.start_index)
+        assert orbit.points == fresh.points
+        assert orbit.defects == fresh.defects
+        assert orbit.start_index == po.start_index
+
+
+# ---------------------------------------------------------------------------
+# moduli and cuts
+
+
+def test_pullback_modulus_equals_the_brute_force_prefix_maximum():
+    fam = slow_expanding_family()
+    oracle = PullbackOracle(fam)
+    eps = oracle.accuracy(0.125)
+
+    def brute(t):
+        return oracle.margin * (1.0 - max(fam.rate_at(n) for n in range(max(t, 1)))) * eps
+
+    for t in (50, 7, 2, 1, 0, 0, 1, 2, 7, 50):
+        assert oracle.modulus(0.125, t) == brute(t)
+
+
+def test_cut_needs_a_tail_strictly_below_the_modulus():
+    fam = finite_cycle_family(4)
+    po = inject_defects(fam, 0, [0.5, 0.5, 0.0, 0.0])
+    oracle = ExhaustiveOracle(fam)
+    # The tail sups at k = 0, 1 equal the modulus exactly: not admissible.
+    assert oracle.modulus(1.0, 4) == 0.5
+    assert po.defects == (0.5, 0.5, 0.0, 0.0)
+    (record,) = limit_shadow_point(fam, po, levels=1).levels
+    assert record.cut == 2
+
+
 # ---------------------------------------------------------------------------
 # limit_shadow_point
 
@@ -171,6 +250,38 @@ def test_doubling_family_through_solver_oracle():
     for rec in result.levels:
         assert rec.sup_error_vs_spliced < rec.target
     assert result.converged
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_levels_sharing_a_cut_share_one_splice_and_one_pullback(monkeypatch):
+    fam = doubling_family()
+    po = inject_defects(fam, 0.2, [1.0 / (i + 1) for i in range(100)])
+    pullbacks = counting(monkeypatch, limits, "pullback_shadow")
+    splices = counting(monkeypatch, limits, "splice")
+    result = limit_shadow_point(fam, po, levels=8)
+    assert len({rec.cut for rec in result.levels}) == 1
+    assert len(result.levels) == 8
+    assert len(pullbacks) == 1
+    assert len(splices) == 1
+
+
+def test_rotation_composes_once_per_level_and_once_for_the_table(monkeypatch):
+    fam, po = harmonic_rotation_orbit(2000)
+    calls = counting(monkeypatch, MapFamily, "compose")
+    result = limit_shadow_point(fam, po, levels=8)
+    assert len({rec.cut for rec in result.levels}) == len(result.levels)
+    assert len(calls) == len(result.levels) + 1
 
 
 def test_non_limit_pseudo_orbit_rejected():
@@ -246,12 +357,13 @@ def test_exhaustive_oracle_builds_one_orbit_table_per_horizon(monkeypatch):
     assert calls == [200] * 8
     oracle.shadow(perturb_orbit(fam, 0, 50, 0.015, 0), 0.5)
     assert calls == [200] * 8 + [50] * 8
-    # Six levels at h=200: one table of 8 orbits plus one compose per
-    # level for the final table, where every level used to rebuild the table.
+    # Six levels at h=200 share one cut: one table of 8 orbits plus one
+    # compose to the widest window for the final table.
     calls.clear()
     po = inject_defects(fam, 0, [1.0 if i in (2, 5) else 0.0 for i in range(200)])
     result = limit_shadow_point(fam, po, levels=6)
-    assert len(calls) == 8 + len(result.levels)
+    assert len(result.levels) == 6
+    assert len(calls) == 8 + 1
 
 
 def test_table_that_rises_by_a_millionth_is_not_nonincreasing():

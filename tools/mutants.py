@@ -47,6 +47,11 @@ MUTANTS = [
         "return all(b <= a + 1e-3 for a, b in zip(self.table, self.table[1:]))",
     ),
     (
+        "src/shadowlab/limits.py",
+        "if defect_tails[k] < oracle.modulus(target, horizon - k):",
+        "if defect_tails[k] <= oracle.modulus(target, horizon - k):",
+    ),
+    (
         "src/shadowlab/density.py",
         "if min(vals) < 0:",
         "if min(vals) < -1.0:",
