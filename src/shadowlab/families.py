@@ -500,15 +500,6 @@ def best_orbit(space: StateSpace, orbits: dict, target: Sequence, mean: bool = F
     return best
 
 
-def shadowing_orbit(space: StateSpace, orbits: dict, target: Sequence, epsilon: float):
-    """The first orbit staying within `epsilon` of `target` at every index, else None."""
-    n = len(target)
-    for orbit in orbits.values():
-        if all(space.distance(orbit[i], target[i]) < epsilon for i in range(n)):
-            return orbit
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 

@@ -196,9 +196,10 @@ class ExhaustiveOracle:
             raise OracleUnavailableError("exhaustive oracle needs a finite state family")
         self.family = family
         self.tables = {}  # horizon -> orbit table, shared by every level
+        self.min_distance = family.space.min_positive_distance()
 
     def modulus(self, target: float, tail_length: int) -> float:
-        return self.family.space.min_positive_distance()
+        return self.min_distance
 
     def accuracy(self, target: float) -> None:
         # The best orbit does not depend on the target.

@@ -1,30 +1,26 @@
 """Product systems and variant-parameterized shadowing checkers.
 
 Each shadowing variant binds to one decidable finite-horizon checker.
-Finite-state families are checked by exhaustive enumeration of pseudo-orbits
-up to a length budget; expanding circle families route through the pullback
-solver and the splice machinery. The product equivalence record runs one
-variant on both factors and on their product at the shared modulus
-delta_0 = min(delta_F, delta_G) and reports whether the results agree with
-the factorwise conjunction ("consistent"). The h and s-limit equivalences
-are provable from the max metric; the remaining tags are checked
-empirically and labeled as such.
+Expanding circle families route through the pullback solver and the splice
+machinery. Finite families, products of two included, run on `FiniteKernel`:
+states coded by their index in ``space.points``, one distance matrix, step
+and orbit tables, and one depth-first walk over the delta-pseudo-orbits that
+carries every orbit's running sup error and the running max defect. The
+product equivalence record runs one variant on both factors and on their
+product at the shared modulus delta_0 = min(delta_F, delta_G) and reports
+whether the results agree with the factorwise conjunction ("consistent").
+The h and s-limit equivalences are provable from the max metric; the
+remaining tags are checked empirically.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import BranchDomainViolatedError, BudgetExceededError, ShadowlabError
-from .families import (
-    MapFamily,
-    best_orbit,
-    orbit_table,
-    product_family,
-    shadowing_orbit,
-)
+from .families import MapFamily, product_family
 from .limits import limit_shadow_point
 from .pseudo_orbits import inject_defects, perturb_orbit
 from .solver import pull_back_chain, pullback_shadow
@@ -59,44 +55,85 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Finite-state enumeration
+# Finite-state kernel
 
 
-class _Counter:
-    __slots__ = ("count", "limit")
+class FiniteKernel:
+    """Integer tables of a finite family over its first `steps` maps.
 
-    def __init__(self, limit: int):
-        self.count = 0
-        self.limit = limit
+    States are coded by their index in ``space.points``: ``dist`` holds the
+    same floats as ``space.distance``, ``step[i][a]`` codes f_i(a),
+    ``orbits[y]`` the orbit of y, and ``cols[i][b][y] = dist[orbits[y][i]][b]``.
+    """
 
-    def tick(self, n: int = 1):
-        self.count += n
-        if self.count > self.limit:
-            raise BudgetExceededError(f"enumeration exceeded {self.limit} nodes")
+    def __init__(self, family: MapFamily, steps: int):
+        space = family.space
+        self.points = points = space.points
+        code = {p: k for k, p in enumerate(points)}
+        if steps < 0:
+            raise ValueError("horizon must be >= 0")
+        self.dist = space.distance_table()
+        self.step = [[code[family.evaluate(i, p)] for p in points] for i in range(steps)]
+        self.orbits = [self.follow(0, y, steps) for y in range(len(points))]
+        # Lists: freed tuples of these sizes linger in CPython's free lists.
+        self.ends = [list(at) for at in zip(*self.orbits)]  # ends[i][y] = orbits[y][i]
+        columns = [list(col) for col in zip(*self.dist)]
+        self.cols = [[list(map(col.__getitem__, at)) for col in columns] for at in self.ends]
+
+    def witness(self, codes) -> tuple:
+        return tuple(self.points[c] for c in codes)
+
+    def follow(self, time: int, x: int, stop: int) -> list:
+        """Codes of the orbit of x from `time` to `stop`."""
+        codes = [x]
+        for table in self.step[time:stop]:
+            codes.append(table[codes[-1]])
+        return codes
+
+    def walk(self, delta: float, max_len: int, limit: int, visit):
+        """Depth-first over the delta-pseudo-orbits of 1..max_len points.
+
+        Nodes come in point order, prefixes first, and each one counts against
+        `limit`. A node of 2+ points calls visit(path, errors, defect) with its
+        codes, every orbit's running sup error and the running max defect; it
+        returns None (not checked), True or False. Returns (checked, the first
+        failing path or None).
+        """
+        near = [[(q, d) for q, d in enumerate(row) if d < delta] for row in self.dist]
+        successors = [[near[fa] for fa in table] for table in self.step[: max_len - 1]]
+        cols, n = self.cols, len(self.points)
+        # A frame per node with unvisited children, under a virtual root at 0.
+        frames = [(iter([(s, 0.0) for s in range(n)]), [0.0] * n, 0.0)]
+        path, count, checked = [], 0, 0
+        while frames:
+            children, errors, defect = frames[-1]
+            for q, d in children:
+                count += 1
+                if count > limit:
+                    raise BudgetExceededError(f"enumeration exceeded {limit} nodes")
+                path.append(q)
+                t = len(path) - 1
+                grown = [e if e > c else c for e, c in zip(errors, cols[t][q])]
+                worst = d if d > defect else defect
+                verdict = visit(path, grown, worst) if t else None
+                if verdict is not None:
+                    checked += 1
+                    if not verdict:
+                        return checked, path
+                if t + 1 < max_len:
+                    frames.append((iter(successors[t][q]), grown, worst))
+                    break
+                path.pop()
+            else:
+                frames.pop()
+                del path[-1:]  # empty once the virtual root is done
+        return checked, None
 
 
-def _iter_finite_pseudo_orbits(
-    family: MapFamily, delta: float, max_len: int, counter: _Counter
-) -> Iterator[tuple]:
-    """All delta-pseudo-orbits with 2..max_len points, depth first."""
-    space = family.space
-    states = space.points
-
-    def successors(i: int, x):
-        fx = family.evaluate(i, x)
-        return [q for q in states if space.distance(fx, q) < delta]
-
-    def extend(prefix: tuple) -> Iterator[tuple]:
-        counter.tick()
-        if len(prefix) >= 2:
-            yield prefix
-        if len(prefix) >= max_len:
-            return
-        for q in successors(len(prefix) - 1, prefix[-1]):
-            yield from extend(prefix + (q,))
-
-    for s in states:
-        yield from extend((s,))
+def _walk_check(variant: str, kernel: FiniteKernel, budget: VariantBudget, visit) -> CheckResult:
+    checked, bad = kernel.walk(budget.delta, budget.max_len, budget.enumeration_limit, visit)
+    witness = None if bad is None else kernel.witness(bad)
+    return CheckResult(variant, bad is None, checked, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -105,24 +142,15 @@ def _iter_finite_pseudo_orbits(
 
 def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """Every finite pseudo-orbit is eps-shadowed with an exact final landing."""
-    eps, delta = budget.epsilon, budget.delta
-    space = family.space
-    if space.is_enumerable:
-        orbits = orbit_table(family, budget.max_len - 1)
-        counter = _Counter(budget.enumeration_limit)
-        checked = 0
-        for po in _iter_finite_pseudo_orbits(family, delta, budget.max_len, counter):
-            checked += 1
-            n = len(po) - 1
-            landing = {y: orbit for y, orbit in orbits.items() if orbit[n] == po[n]}
-            if shadowing_orbit(space, landing, po, eps) is None:
-                return CheckResult("h", False, checked, witness=po)
-        return CheckResult("h", True, checked)
-    return _h_check_continuous(family, budget)
+    if family.space.is_enumerable:
+        kernel, eps = FiniteKernel(family, budget.max_len - 1), budget.epsilon
 
+        def lands(path, errors, defect):
+            ends, q = kernel.ends[len(path) - 1], path[-1]
+            return any(e < eps for e, end in zip(errors, ends) if end == q)
 
-def _h_check_continuous(family: MapFamily, budget: VariantBudget) -> CheckResult:
-    """Sampled pseudo-orbits, exact landing via the backward branch chain."""
+        return _walk_check("h", kernel, budget, lands)
+    # Sampled pseudo-orbits, exact landing via the backward branch chain.
     family.require_expanding()
     eps, delta = budget.epsilon, budget.delta
     checked = 0
@@ -152,14 +180,8 @@ def plain_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     eps, delta = budget.epsilon, budget.delta
     space = family.space
     if space.is_enumerable:
-        orbits = orbit_table(family, budget.max_len - 1)
-        counter = _Counter(budget.enumeration_limit)
-        checked = 0
-        for po in _iter_finite_pseudo_orbits(family, delta, budget.max_len, counter):
-            checked += 1
-            if shadowing_orbit(space, orbits, po, eps) is None:
-                return CheckResult("plain", False, checked, witness=po)
-        return CheckResult("plain", True, checked)
+        kernel = FiniteKernel(family, budget.max_len - 1)
+        return _walk_check("plain", kernel, budget, lambda path, errors, defect: min(errors) < eps)
     family.require_expanding()
     checked = 0
     for t in range(budget.trials):
@@ -187,18 +209,17 @@ def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """
     if family.space.is_enumerable:
         head_len = max(2, budget.max_len // 2)
-        counter = _Counter(budget.enumeration_limit)
-        orbits = orbit_table(family, budget.max_len - 1)
-        checked = 0
-        for head in _iter_finite_pseudo_orbits(family, budget.delta, head_len, counter):
-            po = list(head)
-            while len(po) < budget.max_len:
-                po.append(family.evaluate(len(po) - 1, po[-1]))
-            checked += 1
-            n = len(po) - 1
-            if not any(orbit[n] == po[n] for orbit in orbits.values()):
-                return CheckResult("limit", False, checked, witness=tuple(po))
-        return CheckResult("limit", True, checked)
+        kernel = FiniteKernel(family, budget.max_len - 1)
+
+        def extend(path):
+            return path + kernel.follow(len(path) - 1, path[-1], budget.max_len - 1)[1:]
+
+        checked, bad = kernel.walk(
+            budget.delta, head_len, budget.enumeration_limit,
+            lambda path, errors, defect: extend(path)[-1] in kernel.ends[-1],
+        )
+        witness = None if bad is None else kernel.witness(extend(bad))
+        return CheckResult("limit", bad is None, checked, witness=witness)
     # Continuous: synthetic harmonic defects scaled into the budget.
     defects = [budget.delta / (i + 1) for i in range(budget.horizon)]
     x0 = family.space.random_point(random.Random(budget.seed))
@@ -209,13 +230,9 @@ def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
         return CheckResult("limit", False, 1, witness=(exc.code,))
     last = result.levels[-1]
     passed = result.table_nonincreasing and last.sup_error_vs_spliced < last.target
-    return CheckResult(
-        "limit",
-        passed,
-        len(result.levels),
-        witness=None if passed else (last.level, last.sup_error_vs_spliced),
-        detail=f"final window error {result.table[-1]:.3g}",
-    )
+    witness = None if passed else (last.level, last.sup_error_vs_spliced)
+    detail = f"final window error {result.table[-1]:.3g}"
+    return CheckResult("limit", passed, len(result.levels), witness, detail)
 
 
 def s_limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
@@ -224,13 +241,8 @@ def s_limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     if not plain.passed:
         return CheckResult("s_limit", False, plain.checked, plain.witness, "clause (i) fails")
     lim = limit_check(family, budget)
-    return CheckResult(
-        "s_limit",
-        lim.passed,
-        plain.checked + lim.checked,
-        lim.witness,
-        "clause (ii) fails" if not lim.passed else "",
-    )
+    detail = "" if lim.passed else "clause (ii) fails"
+    return CheckResult("s_limit", lim.passed, plain.checked + lim.checked, lim.witness, detail)
 
 
 def average_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
@@ -240,21 +252,28 @@ def average_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     keeps the Cesaro defect below diam/max_len; some start point must then
     track the window with Cesaro error below eps.
     """
-    space = family.space
-    if not space.is_enumerable:
+    if not family.space.is_enumerable:
         return CheckResult("average", False, 0, detail="finite-state families only")
     length = budget.max_len
-    orbits = orbit_table(family, length)
+    kernel = FiniteKernel(family, length)
+    cols, n = kernel.cols, length + 1
+    # tails[j][x]: codes of the pseudo-orbit after a jump to x at index j.
+    tails = [[kernel.follow(j, x, length) for x in range(len(cols[0]))] for j in range(n)]
     checked = 0
-    for base in orbits.values():
-        for jump_at in range(1, length + 1):
-            for target in space.points:
-                po = list(base[:jump_at]) + [target]
-                for i in range(jump_at, length):
-                    po.append(family.evaluate(i, po[-1]))
+    for base in kernel.orbits:
+        # Running sums over the shared prefix base[:j], added left to right
+        # from int 0 like sum(), so every mean is bit-identical to it.
+        sums = [0] * len(kernel.orbits)
+        for jump_at in range(1, n):
+            sums = [a + d for a, d in zip(sums, cols[jump_at - 1][base[jump_at - 1]])]
+            for tail in tails[jump_at]:
+                totals = sums
+                for i, x in enumerate(tail, jump_at):
+                    totals = [a + d for a, d in zip(totals, cols[i][x])]
                 checked += 1
-                if best_orbit(space, orbits, po, mean=True)[1] >= budget.epsilon:
-                    return CheckResult("average", False, checked, witness=tuple(po))
+                if min(totals) / n >= budget.epsilon:
+                    po = base[:jump_at] + tail
+                    return CheckResult("average", False, checked, witness=kernel.witness(po))
     return CheckResult("average", True, checked)
 
 
@@ -266,42 +285,31 @@ def asymptotic_average_check(family: MapFamily, budget: VariantBudget) -> CheckR
 
 def periodic_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """Closed pseudo-orbits are shadowed by points of the same period."""
-    space = family.space
-    if not space.is_enumerable:
+    if not family.space.is_enumerable:
         return CheckResult("periodic", False, 0, detail="finite-state families only")
-    orbits = orbit_table(family, budget.max_len - 1)
-    counter = _Counter(budget.enumeration_limit)
-    checked = 0
-    for po in _iter_finite_pseudo_orbits(family, budget.delta, budget.max_len, counter):
-        n = len(po) - 1
-        if po[0] != po[n]:
-            continue
-        checked += 1
-        closed = {y: orbit for y, orbit in orbits.items() if orbit[n] == y}
-        if shadowing_orbit(space, closed, po, budget.epsilon) is None:
-            return CheckResult("periodic", False, checked, witness=po)
-    return CheckResult("periodic", True, checked)
+    kernel, eps = FiniteKernel(family, budget.max_len - 1), budget.epsilon
+
+    def closed(path, errors, defect):
+        if path[0] != path[-1]:
+            return None
+        ends = kernel.ends[len(path) - 1]
+        return any(e < eps and end == y for y, (e, end) in enumerate(zip(errors, ends)))
+
+    return _walk_check("periodic", kernel, budget, closed)
 
 
 def lipschitz_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     """Best-shadow error stays within lipschitz_bound times the defect size."""
-    space = family.space
-    if not space.is_enumerable:
+    if not family.space.is_enumerable:
         return CheckResult("lipschitz", False, 0, detail="finite-state families only")
-    orbits = orbit_table(family, budget.max_len - 1)
-    counter = _Counter(budget.enumeration_limit)
-    checked = 0
-    for po in _iter_finite_pseudo_orbits(family, budget.delta, budget.max_len, counter):
-        n = len(po) - 1
-        defect = max(
-            space.distance(family.evaluate(i, po[i]), po[i + 1]) for i in range(n)
-        )
+    kernel, bound = FiniteKernel(family, budget.max_len - 1), budget.lipschitz_bound
+
+    def bounded(path, errors, defect):
         if defect == 0.0:
-            continue
-        checked += 1
-        if best_orbit(space, orbits, po)[1] > budget.lipschitz_bound * defect:
-            return CheckResult("lipschitz", False, checked, witness=po)
-    return CheckResult("lipschitz", True, checked)
+            return None
+        return not min(errors) > bound * defect
+
+    return _walk_check("lipschitz", kernel, budget, bounded)
 
 
 VARIANT_CHECKERS = {
@@ -327,15 +335,11 @@ class ShadowingVariant:
             raise ValueError(f"unknown variant {self.tag!r}")
 
     @property
-    def checker(self):
-        return VARIANT_CHECKERS[self.tag]
-
-    @property
     def basis(self) -> str:
         return "proven" if self.tag in PROVEN_VARIANTS else "empirical"
 
     def run(self, family: MapFamily, budget: VariantBudget) -> CheckResult:
-        return self.checker(family, budget)
+        return VARIANT_CHECKERS[self.tag](family, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +385,11 @@ def product_equivalence_check(
     tag = ShadowingVariant(variant)
     d0 = min(delta_left or budget.delta, delta_right or budget.delta)
     shared = replace(budget, delta=d0)
-    res_left = tag.run(left, shared)
-    res_right = tag.run(right, shared)
-    res_prod = tag.run(product_family(left, right), shared)
     return EquivalenceRecord(
         variant=variant,
         basis=tag.basis,
         delta_shared=d0,
-        factor_left=res_left,
-        factor_right=res_right,
-        product_result=res_prod,
+        factor_left=tag.run(left, shared),
+        factor_right=tag.run(right, shared),
+        product_result=tag.run(product_family(left, right), shared),
     )

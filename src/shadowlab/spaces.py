@@ -93,11 +93,13 @@ class StateSpace:
         """All points of a finite (or finite-product) space."""
         raise PointOutsideSpaceError(f"{self.kind} space is not enumerable")
 
+    def distance_table(self) -> list:
+        """Rows of d(a, b) over ``points``, in point order."""
+        return [[self.distance(a, b) for b in self.points] for a in self.points]
+
     def min_positive_distance(self) -> float:
-        pts = self.points
-        return min(
-            self.distance(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]
-        )
+        table = self.distance_table()
+        return min(d for i, row in enumerate(table) for d in row[i + 1 :])
 
     def descriptor(self) -> dict:
         return {"kind": self.kind}
@@ -274,6 +276,11 @@ class ProductSpace(StateSpace):
     @property
     def points(self) -> list:
         return [(a, b) for a in self.factors[0].points for b in self.factors[1].points]
+
+    def distance_table(self) -> list:
+        # The max metric, read from the factor tables instead of per pair.
+        left, right = (f.distance_table() for f in self.factors)
+        return [[y if y > x else x for x in lrow for y in rrow] for lrow in left for rrow in right]
 
     @property
     def is_enumerable(self) -> bool:

@@ -112,23 +112,31 @@ def _orbit(step, y, length):
     return pts
 
 
-def brute_force_periodic_shadowing(states, step, dist, epsilon, delta, max_points):
-    """Is every closed delta-pseudo-orbit eps-shadowed by a periodic orbit?
+def _pseudo_orbits(states, step, dist, delta, max_points):
+    """Every delta-pseudo-orbit of 2..max_points points, depth first.
 
-    Enumerates every point sequence of 2..max_points points in depth-first
-    order (by state index, prefixes first) and keeps the closed
-    delta-pseudo-orbits. Returns (verdict, closed ones checked, witness).
+    Enumerates every point sequence of those lengths and sorts them by state
+    index, which puts each prefix before its extensions.
     """
     index_seqs = []
     for length in range(2, max_points + 1):
         index_seqs.extend(itertools.product(range(len(states)), repeat=length))
-    checked = 0
     for seq in sorted(index_seqs):
         po = tuple(states[i] for i in seq)
+        if all(dist(step(i, po[i]), po[i + 1]) < delta for i in range(len(po) - 1)):
+            yield po
+
+
+def brute_force_periodic_shadowing(states, step, dist, epsilon, delta, max_points):
+    """Is every closed delta-pseudo-orbit eps-shadowed by a periodic orbit?
+
+    Keeps the closed delta-pseudo-orbits of 2..max_points points, depth
+    first. Returns (verdict, closed ones checked, witness).
+    """
+    checked = 0
+    for po in _pseudo_orbits(states, step, dist, delta, max_points):
         n = len(po) - 1
         if po[0] != po[n]:
-            continue
-        if any(dist(step(i, po[i]), po[i + 1]) >= delta for i in range(n)):
             continue
         checked += 1
         shadowed = False
@@ -138,6 +146,39 @@ def brute_force_periodic_shadowing(states, step, dist, epsilon, delta, max_point
                 shadowed = True
                 break
         if not shadowed:
+            return False, checked, po
+    return True, checked, None
+
+
+def brute_force_plain_shadowing(states, step, dist, epsilon, delta, max_points):
+    """Is every delta-pseudo-orbit of 2..max_points points eps-shadowed?
+
+    Returns (verdict, pseudo-orbits checked, witness).
+    """
+    checked = 0
+    for po in _pseudo_orbits(states, step, dist, delta, max_points):
+        checked += 1
+        if not any(all(dist(o, p) < epsilon for o, p in zip(_orbit(step, y, len(po)), po)) for y in states):
+            return False, checked, po
+    return True, checked, None
+
+
+def brute_force_lipschitz_shadowing(states, step, dist, bound, delta, max_points):
+    """Is the best sup error of every defective delta-pseudo-orbit at most bound * defect?
+
+    Pseudo-orbits with zero defect are skipped. Returns (verdict,
+    pseudo-orbits checked, witness).
+    """
+    checked = 0
+    for po in _pseudo_orbits(states, step, dist, delta, max_points):
+        defect = max(dist(step(i, po[i]), po[i + 1]) for i in range(len(po) - 1))
+        if defect == 0.0:
+            continue
+        checked += 1
+        best = min(
+            max(dist(o, p) for o, p in zip(_orbit(step, y, len(po)), po)) for y in states
+        )
+        if best > bound * defect:
             return False, checked, po
     return True, checked, None
 

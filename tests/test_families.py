@@ -21,10 +21,8 @@ from shadowlab.families import (
     finite_cycle_family,
     identity_family,
     identity_pair_family,
-    orbit_table,
     product_family,
     rotation_family,
-    shadowing_orbit,
     slow_expanding_family,
     tripling_family,
     two_bit_swap_family,
@@ -356,12 +354,3 @@ def test_rates_need_expanding_maps():
         assert not fam.expanding
         with pytest.raises(NotExpandingError):
             fam.rate_at(0)
-
-
-def test_shadowing_orbit_rejects_an_orbit_exactly_epsilon_away():
-    # Two points at distance 1: the orbit of 0 is exactly eps = 1 away from
-    # the target at index 1 only, and the orbit of 1 is 1 away at 0 and 2.
-    fam = identity_pair_family()
-    space, orbits = fam.space_at(0), orbit_table(fam, 2)
-    assert shadowing_orbit(space, orbits, (0, 1, 0), 1.0) is None
-    assert shadowing_orbit(space, orbits, (0, 1, 0), 1.0 + 1e-9) == (0, 0, 0)

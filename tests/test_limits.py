@@ -366,6 +366,30 @@ def test_exhaustive_oracle_builds_one_orbit_table_per_horizon(monkeypatch):
     assert len(calls) == 8 + 1
 
 
+def test_exhaustive_oracle_measures_the_minimum_distance_once(monkeypatch):
+    fam = eight_state_family()
+    space_type = type(fam.space)
+    measure = space_type.min_positive_distance
+    calls, probes = [], []
+
+    def counted(self):
+        calls.append(self)
+        return measure(self)
+
+    modulus = ExhaustiveOracle.modulus
+
+    def probed(self, target, tail_length):
+        probes.append(tail_length)
+        return modulus(self, target, tail_length)
+
+    monkeypatch.setattr(space_type, "min_positive_distance", counted)
+    monkeypatch.setattr(ExhaustiveOracle, "modulus", probed)
+    po = inject_defects(fam, 0, [1.0 if i in (2, 5) else 0.0 for i in range(200)])
+    limit_shadow_point(fam, po, levels=6)
+    assert len(probes) > 1
+    assert len(calls) == 1
+
+
 def test_table_that_rises_by_a_millionth_is_not_nonincreasing():
     def result(table):
         return LimitShadowResult(point=0.0, converged=True, cauchy_gaps=(), levels=(), table=table)

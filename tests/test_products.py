@@ -1,15 +1,20 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from oracles import (
     brute_force_average_shadowing,
     brute_force_h_shadowing,
+    brute_force_lipschitz_shadowing,
     brute_force_periodic_shadowing,
+    brute_force_plain_shadowing,
 )
+from shadowlab.errors import BudgetExceededError
 from shadowlab.families import (
     barely_expanding_family,
     doubling_family,
+    family_from_descriptor,
     finite_cycle_family,
     identity_family,
     identity_pair_family,
@@ -302,3 +307,141 @@ def test_average_check_matches_brute_force(name, eps):
         space.points, fam.evaluate, space.distance, eps, length=4
     )
     assert (result.passed, result.checked, result.witness) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_FAMILIES))
+@pytest.mark.parametrize("eps,delta", [(0.6, 0.4), (0.6, 0.6), (1.1, 0.6), (0.4, 1.1), (1.1, 1.1)])
+def test_plain_check_matches_brute_force(name, eps, delta):
+    fam = SEARCH_FAMILIES[name]()
+    space = fam.space_at(0)
+    max_len = 4 if "*" in name else 5
+    result = plain_shadow_check(fam, VariantBudget(epsilon=eps, delta=delta, max_len=max_len))
+    expected = brute_force_plain_shadowing(
+        space.points, fam.evaluate, space.distance, eps, delta, max_len
+    )
+    assert (result.passed, result.checked, result.witness) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_FAMILIES))
+@pytest.mark.parametrize("bound,delta", [(2.0, 0.4), (2.0, 0.6), (1.0, 0.6), (1.0, 1.1), (0.5, 0.6)])
+def test_lipschitz_check_matches_brute_force(name, bound, delta):
+    fam = SEARCH_FAMILIES[name]()
+    space = fam.space_at(0)
+    max_len = 4 if "*" in name else 5
+    budget = VariantBudget(epsilon=0.5, delta=delta, max_len=max_len, lipschitz_bound=bound)
+    result = lipschitz_check(fam, budget)
+    expected = brute_force_lipschitz_shadowing(
+        space.points, fam.evaluate, space.distance, bound, delta, max_len
+    )
+    assert (result.passed, result.checked, result.witness) == expected
+
+
+# ---------------------------------------------------------------------------
+# gates at their boundary
+
+
+def test_plain_check_rejects_an_orbit_exactly_epsilon_away():
+    # Two points at distance 1 under the identity: every orbit is constant,
+    # so the best orbit for (0, 0, 1) is exactly 1 away, and none is further.
+    fam = identity_pair_family()
+    at = VariantBudget(epsilon=1.0, delta=1.1, max_len=3)
+    failed = plain_shadow_check(fam, at)
+    assert (failed.passed, failed.checked, failed.witness) == (False, 3, (0, 0, 1))
+    assert plain_shadow_check(fam, replace(at, epsilon=1.0 + 1e-9)).passed
+
+
+def test_lipschitz_check_accepts_an_error_exactly_at_the_bound():
+    # (0, 1) and (1, 0) have defect 1 and best sup error 1 = bound * defect;
+    # (0, 0) and (1, 1) have no defect and are not checked.
+    fam = identity_pair_family()
+    budget = VariantBudget(epsilon=0.5, delta=1.1, max_len=2, lipschitz_bound=1.0)
+    result = lipschitz_check(fam, budget)
+    assert (result.passed, result.checked, result.witness) == (True, 2, None)
+    assert not lipschitz_check(fam, replace(budget, lipschitz_bound=1.0 - 1e-9)).passed
+
+
+@pytest.mark.parametrize(
+    "check,make,budget,nodes",
+    [
+        # Every point sequence is a 1.1-pseudo-orbit: 3 + 9 + 27 + 81 nodes.
+        (lipschitz_check, lambda: finite_cycle_family(3), VariantBudget(0.6, 1.1, max_len=4), 120),
+        # Roots count too: (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0) pass and
+        # (0, 0, 0, 1), the fifth node, fails.
+        (plain_shadow_check, identity_pair_family, VariantBudget(0.3, 1.6, max_len=4), 5),
+    ],
+)
+def test_enumeration_limit_is_the_node_count(check, make, budget, nodes):
+    fam = make()
+    unlimited = check(fam, budget)
+    assert check(fam, replace(budget, enumeration_limit=nodes)) == unlimited
+    with pytest.raises(BudgetExceededError):
+        check(fam, replace(budget, enumeration_limit=nodes - 1))
+
+
+# ---------------------------------------------------------------------------
+# every product workload case, pinned: (passed, checked, witness) of the
+# left factor, the right factor and the product
+
+SWAP = {"kind": "two_bit_swap"}
+C3 = {"kind": "finite_cycle", "n": 3}
+C4 = {"kind": "finite_cycle", "n": 4}
+PAIR = {"kind": "identity_pair"}
+EIGHT = {"kind": "eight_state"}
+
+# (name, left, right, variant, epsilon, delta, max_len, factor moduli, results)
+PINNED_CASES = [
+    ("lipschitz-swap-c4", SWAP, C4, "lipschitz", 0.5, 0.6, 4, {},
+     ((True, 144, None), (True, 144, None), (True, 13056, None))),
+    ("average-eight-swap", EIGHT, SWAP, "average", 0.5, 0.6, 4, {},
+     ((True, 256, None), (True, 64, None), (True, 4096, None))),
+    ("lipschitz-c3-swap", C3, SWAP, "lipschitz", 0.5, 0.6, 5, {},
+     ((True, 0, None), (True, 464, None), (True, 1392, None))),
+    ("lipschitz-c3-c4", C3, C4, "lipschitz", 0.5, 0.6, 5, {},
+     ((True, 0, None), (True, 464, None), (True, 1392, None))),
+    ("lipschitz-pair-swap", PAIR, SWAP, "lipschitz", 0.5, 0.6, 5, {},
+     ((True, 0, None), (True, 464, None), (True, 928, None))),
+    ("asymptotic-average-c4-swap", C4, SWAP, "asymptotic_average", 0.5, 0.6, 4, {},
+     ((True, 64, None), (True, 64, None), (True, 1024, None))),
+    ("average-c3-c4", C3, C4, "average", 0.5, 0.6, 4, {},
+     ((True, 36, None), (True, 64, None), (True, 576, None))),
+    ("periodic-swap-swap", SWAP, SWAP, "periodic", 0.9, 0.6, 4, {},
+     ((True, 40, None), (True, 40, None), (True, 824, None))),
+    ("limit-eight-swap", EIGHT, SWAP, "limit", 0.3, 0.2, 6, {},
+     ((True, 82, None), (True, 8, None), (True, 328, None))),
+    ("h-eight-swap", EIGHT, SWAP, "h", 0.3, 0.6, 4, {},
+     ((False, 4, (0, 1, 2, 3)), (False, 4, (0, 0, 0, 1)), (False, 4, ((0, 0), (1, 0), (2, 0), (0, 1))))),
+    ("s-limit-eight-swap", EIGHT, SWAP, "s_limit", 0.3, 0.6, 4, {},
+     ((False, 220, (7, 0, 7, 0)), (False, 4, (0, 0, 0, 1)), (False, 4, ((0, 0), (1, 0), (2, 0), (0, 1))))),
+    ("s-limit-eight-c3", EIGHT, C3, "s_limit", 0.5, 0.6, 4, {},
+     ((False, 220, (7, 0, 7, 0)), (True, 12, None), (False, 642, ((7, 0), (0, 1), (7, 2), (0, 0))))),
+    ("plain-eight-c3", EIGHT, C3, "plain", 0.5, 0.6, 4, {},
+     ((False, 220, (7, 0, 7, 0)), (True, 9, None), (False, 642, ((7, 0), (0, 1), (7, 2), (0, 0))))),
+    ("lipschitz-eight-c3", EIGHT, C3, "lipschitz", 0.3, 0.2, 6, {},
+     ((False, 155, (0, 7, 0, 7, 0)), (True, 0, None), (False, 155, ((0, 0), (7, 1), (0, 2), (7, 0), (0, 1))))),
+    ("lipschitz-swap-eight", SWAP, EIGHT, "lipschitz", 0.3, 0.2, 6, {},
+     ((True, 0, None), (False, 155, (0, 7, 0, 7, 0)), (False, 155, ((0, 0), (0, 7), (0, 0), (0, 7), (0, 0))))),
+    ("average-eight-swap-short", EIGHT, SWAP, "average", 0.3, 0.2, 6, {},
+     ((False, 19, (0, 1, 2, 2, 0, 1, 2)), (False, 12, (0, 0, 0, 3, 3, 3, 3)), (False, 68, ((0, 0), (1, 0), (2, 0), (0, 3), (1, 3), (2, 3), (0, 3))))),
+    ("bundled-0", C3, SWAP, "h", 0.3, 0.2, 6, {},
+     ((True, 15, None), (True, 20, None), (True, 60, None))),
+    ("bundled-1", C3, PAIR, "h", 0.3, 0.2, 6, {"delta_left": 0.2, "delta_right": 1.6},
+     ((True, 15, None), (True, 10, None), (True, 30, None))),
+    ("bundled-2", PAIR, SWAP, "s_limit", 0.3, 0.2, 6, {},
+     ((True, 14, None), (True, 28, None), (True, 56, None))),
+    ("bundled-3", SWAP, C3, "s_limit", 0.25, 1.6, 6, {},
+     ((False, 6, (0, 0, 0, 0, 0, 1)), (False, 1, (0, 0)), (False, 1, ((0, 0), (0, 0))))),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_CASES, ids=lambda case: case[0])
+def test_checker_results_are_pinned(case):
+    _, left, right, variant, eps, delta, max_len, moduli, expected = case
+    record = product_equivalence_check(
+        family_from_descriptor(left),
+        family_from_descriptor(right),
+        variant,
+        VariantBudget(epsilon=eps, delta=delta, max_len=max_len),
+        **moduli,
+    )
+    results = (record.factor_left, record.factor_right, record.product_result)
+    assert tuple((r.passed, r.checked, r.witness) for r in results) == expected

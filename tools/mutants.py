@@ -37,9 +37,14 @@ MUTANTS = [
         "if extent > 2 * epsilon + _SLACK:",
     ),
     (
-        "src/shadowlab/families.py",
-        "space.distance(orbit[i], target[i]) < epsilon for i in range(n)",
-        "space.distance(orbit[i], target[i]) <= epsilon for i in range(n)",
+        "src/shadowlab/products.py",
+        "lambda path, errors, defect: min(errors) < eps)",
+        "lambda path, errors, defect: min(errors) <= eps)",
+    ),
+    (
+        "src/shadowlab/products.py",
+        "return not min(errors) > bound * defect",
+        "return not min(errors) >= bound * defect",
     ),
     (
         "src/shadowlab/limits.py",
@@ -63,6 +68,7 @@ DEFAULT_TESTS = [
     "tests/test_families.py",
     "tests/test_limits.py",
     "tests/test_density.py",
+    "tests/test_products.py",
 ]
 
 
