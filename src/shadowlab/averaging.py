@@ -105,13 +105,14 @@ def visit_condition(
         raise ValueError("window must be >= 1")
     stats = []
     worst = 1.0
+    maps = sub.ambient.window(0, window)
     for x in sample_points:
         p = sub.ambient.space.require(x)
         hits = 0
-        for i in range(window):
+        for mapobj in maps:
             if sub.distance_to(p) < epsilon:
                 hits += 1
-            p = sub.ambient.evaluate(i, p)
+            p = mapobj.apply(p)
         frac = hits / window
         worst = min(worst, frac)
         stats.append(VisitStatistics(epsilon=epsilon, window=window, fraction=frac))
@@ -250,6 +251,7 @@ def lift_to_A(
     prime = set(blocks.prime_set.members)
     members_a = set(sub.points)
     space = sub.ambient.space
+    maps = sub.ambient.window(0, n_points - 1)
 
     lifted = [None] * n_points
     deviations = []
@@ -258,7 +260,7 @@ def lift_to_A(
         worst = space.distance(y, po.points[a])
         lifted[a] = y
         for i in range(a, b):
-            y = sub.ambient.evaluate(i, y)
+            y = maps[i].apply(y)
             if y not in members_a:
                 raise HypothesisFailedError(
                     f"restricted orbit leaves A at index {i + 1}", witness=(a, i + 1)
@@ -272,10 +274,7 @@ def lift_to_A(
                 raise ValueError(f"index {i} neither in J' nor covered by a block")
             lifted[i] = fill
 
-    defects = tuple(
-        space.distance(sub.ambient.evaluate(i, lifted[i]), lifted[i + 1])
-        for i in range(n_points - 1)
-    )
+    defects = tuple(map(space.distance, (m.apply(y) for m, y in zip(maps, lifted)), lifted[1:]))
     support = IndexSet.from_iterable(
         [i for i, d in enumerate(defects) if d > 0.0], n_points - 1
     )

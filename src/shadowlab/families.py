@@ -127,7 +127,7 @@ class CircleLinearMap:
     def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
         if not 0 <= branch < self.degree:
             raise InvalidBranchIdError(f"branch {branch} not in 0..{self.degree - 1}")
-        z = self.preimages(w)[branch]
+        z = circle_reduce((circle_reduce(w) + branch) / self.degree)  # preimages(w)[branch]
         return circle_reduce(z + circle_signed_gap(w, y) / self.degree)
 
     @property
@@ -333,6 +333,10 @@ class MapFamily:
     branch-domain radius delta_0. Each map of an expanding family carries
     its own ``rate``, the Lipschitz constant of its inverse branches, so
     ``rate_at`` and ``sup_rate`` read the maps and cannot disagree with them.
+
+    Maps return canonical points of ``space`` (``require`` is the identity
+    on them), so only boundaries validate: ``evaluate`` both ends, ``compose``
+    its start; library loops run ``window``'s maps from a validated start.
     """
 
     name: str
@@ -347,6 +351,13 @@ class MapFamily:
 
     def map_at(self, n: int):
         return self.maps.at(n)
+
+    def window(self, start: int, k: int) -> list:
+        """[f_start, ..., f_{start+k-1}], each looked up (or built by a rule) once."""
+        maps = self.maps
+        if maps.period == 1 and start >= 0:
+            return [maps.cycle[0]] * k
+        return [maps.at(n) for n in range(start, start + k)]
 
     def rate_at(self, n: int) -> float:
         mapobj = self.maps.at(n)
@@ -377,8 +388,8 @@ class MapFamily:
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         points = [self.space.require(x)]
-        for n in range(horizon):
-            points.append(self.evaluate(n, points[-1]))
+        for mapobj in self.window(0, horizon):
+            points.append(mapobj.apply(points[-1]))
         return OrbitSegment(start_index=0, points=tuple(points))
 
     def sup_distance(self, xs: Sequence, ys: Sequence, lo: int, hi: int) -> float:

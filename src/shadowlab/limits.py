@@ -148,10 +148,11 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
     z = po.points[cut]
     head = [None] * cut
     space = family.space
+    maps = family.window(po.start_index, cut)
     for i in range(cut - 1, -1, -1):
-        n = po.start_index + i
-        candidates = family.map_at(n).preimages(z)
+        candidates = maps[i].preimages(z)
         if not candidates:
+            n = po.start_index + i
             raise PreimageSearchFailedError(f"no preimage of {z!r} under f_{n}", witness=n)
         best = min(
             range(len(candidates)),

@@ -73,7 +73,7 @@ class FiniteKernel:
         if steps < 0:
             raise ValueError("horizon must be >= 0")
         self.dist = space.distance_table()
-        self.step = [[code[family.evaluate(i, p)] for p in points] for i in range(steps)]
+        self.step = [[code[m.apply(p)] for p in points] for m in family.window(0, steps)]
         self.orbits = [self.follow(0, y, steps) for y in range(len(points))]
         # Lists: freed tuples of these sizes linger in CPython's free lists.
         self.ends = [list(at) for at in zip(*self.orbits)]  # ends[i][y] = orbits[y][i]
@@ -160,12 +160,12 @@ def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
             po = perturb_orbit(family, x0, budget.max_len - 1, delta, budget.seed + t)
         except ShadowlabError as exc:
             return CheckResult("h", False, checked, witness=(exc.code,))
-        n = po.horizon
-        images = [family.evaluate(j, po.points[j]) for j in range(n)]
-        branches = [family.map_at(j).branch_of(po.points[j]) for j in range(n)]
+        n, maps = po.horizon, family.window(0, po.horizon)
+        images = [m.apply(x) for m, x in zip(maps, po.points)]
+        branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
         checked += 1
         try:
-            z = pull_back_chain(family, images, branches, po.points[n])[0]
+            z = pull_back_chain(family, maps, images, branches, po.points[n])[0]
         except BranchDomainViolatedError:
             return CheckResult("h", False, checked, witness=po.points)
         orbit = family.compose(z, n).points
@@ -208,7 +208,8 @@ def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     pseudo-orbit passes: at a finite horizon this verdict cannot fail.
     """
     if family.space.is_enumerable:
-        head_len = max(2, budget.max_len // 2)
+        # Two-point heads at least, but never past max_len points.
+        head_len = min(budget.max_len, max(2, budget.max_len // 2))
         kernel = FiniteKernel(family, budget.max_len - 1)
 
         def extend(path):

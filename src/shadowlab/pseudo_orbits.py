@@ -5,6 +5,10 @@ are small in one of three senses: uniformly (delta-pseudo-orbit), eventually
 (limit pseudo-orbit), or in Cesaro mean (asymptotic-average pseudo-orbit).
 Finite-horizon classification is necessarily an approximation of the limit
 statements; every verdict record says so.
+
+`PseudoOrbit.from_points` validates every point; the generators validate
+their start point only, run the map window on the canonical points that
+follow, and take each defect from the image they already computed.
 """
 
 from __future__ import annotations
@@ -48,24 +52,21 @@ class PseudoOrbit:
         return _defects(self.family, self.points, self.start_index)
 
     def with_head(self, head: Sequence) -> "PseudoOrbit":
-        """The same pseudo-orbit with its first len(head) points replaced.
+        """The same pseudo-orbit with its first len(head) canonical points replaced.
 
-        Only the head is validated and evaluated; the tail points and their
+        Only the head's defects are computed; the tail points and their
         defects are reused, so the cost is O(len(head)).
         """
         cut = len(head)
-        pts = tuple(self.family.space.require(p) for p in head) + self.points[cut:]
+        pts = tuple(head) + self.points[cut:]
         defects = _defects(self.family, pts[: cut + 1], self.start_index) + self.defects[cut:]
         return PseudoOrbit(family=self.family, start_index=self.start_index, points=pts, defects=defects)
 
 
 def _defects(family: MapFamily, points: Sequence, start_index: int) -> tuple:
-    """d(f_i(x_i), x_{i+1}) for each step, with times offset by start_index."""
-    distance = family.space.distance
-    return tuple(
-        distance(family.evaluate(start_index + i, points[i]), points[i + 1])
-        for i in range(len(points) - 1)
-    )
+    """d(f_i(x_i), x_{i+1}) for each step of canonical points, times offset by start_index."""
+    maps = family.window(start_index, len(points) - 1)
+    return tuple(map(family.space.distance, (m.apply(x) for m, x in zip(maps, points)), points[1:]))
 
 
 @dataclass(frozen=True)
@@ -147,13 +148,16 @@ def perturb_orbit(
         raise ValueError("noise must be >= 0")
     rng = random.Random(seed)
     space = family.space
-    points = [space.require(x0)]
-    if horizon > 0 and noise > space.diameter:
+    x = space.require(x0)
+    if horizon > 0 and not noise <= space.diameter:
         raise NoiseExceedsSpaceError(f"noise {noise} exceeds space diameter {space.diameter}")
-    for i in range(horizon):
-        true_next = family.evaluate(i, points[-1])
-        points.append(space.reduce(space.perturb(true_next, noise, rng)))
-    return PseudoOrbit.from_points(family, points)
+    points, defects = [x], []
+    for mapobj in family.window(0, horizon):
+        true_next = mapobj.apply(x)
+        x = space.reduce(space.perturb(true_next, noise, rng))
+        points.append(x)
+        defects.append(space.distance(true_next, x))
+    return PseudoOrbit(family, 0, tuple(points), tuple(defects))
 
 
 def inject_defects(
@@ -172,11 +176,14 @@ def inject_defects(
     """
     sign_at = signs or (lambda i: 1 if i % 2 == 0 else -1)
     space = family.space
-    points = [space.require(x0)]
-    for i, e in enumerate(defects):
-        true_next = family.evaluate(i, points[-1])
-        points.append(space.reduce(space.displace(true_next, float(e), sign_at(i))))
-    return PseudoOrbit.from_points(family, points)
+    x = space.require(x0)
+    points, realized = [x], []
+    for i, (mapobj, e) in enumerate(zip(family.window(0, len(defects)), defects)):
+        true_next = mapobj.apply(x)
+        x = space.reduce(space.displace(true_next, float(e), sign_at(i)))
+        points.append(x)
+        realized.append(space.distance(true_next, x))
+    return PseudoOrbit(family, 0, tuple(points), tuple(realized))
 
 
 def displace_orbit(
@@ -193,13 +200,12 @@ def displace_orbit(
     cumulatively and realizes the prescribed per-step defect exactly.
     """
     sign_at = signs or (lambda i: 1 if i % 2 == 0 else -1)
-    orbit = family.compose(x0, len(displacements))
-    points = list(orbit.points)
+    points = list(family.compose(x0, len(displacements)).points)
     space = family.space
     for i, t in enumerate(displacements):
         if t:
             points[i + 1] = space.reduce(space.displace(points[i + 1], float(t), sign_at(i)))
-    return PseudoOrbit.from_points(family, points)
+    return PseudoOrbit(family, 0, tuple(points), _defects(family, points, 0))
 
 
 def periodicize(po: PseudoOrbit, period: int) -> PseudoOrbit:

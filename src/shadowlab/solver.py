@@ -9,6 +9,10 @@ calculus in floats; inclusions and the branch-domain check allow a 1e-12
 slack (rigorous outward rounding is still open).
 The final cell's center is the returned shadow point; its certified diameter
 bound is 2 * epsilon * prod(rates of the k inverted maps).
+
+Pseudo-orbit points are canonical (validated where they entered), so each
+solver resolves its maps once as a `MapFamily.window` and calls `apply`,
+`branch_of`, `inverse_branch_point` and `rate` on it with no re-validation.
 """
 
 from __future__ import annotations
@@ -83,8 +87,7 @@ def delta_budget(
             f"epsilon {epsilon} >= delta_0/2 = {family.branch_radius / 2.0}"
         )
     values = []
-    for n in range(horizon):
-        lam = family.rate_at(n)
+    for n, lam in enumerate(m.rate for m in family.window(0, horizon)):
         delta = margin * (1.0 - lam) * epsilon
         if not delta + lam * epsilon < epsilon:
             raise EpsilonTooLargeError(
@@ -106,9 +109,28 @@ class PullbackCell:
     raw: object = None
 
 
+class _LazyCells(Sequence):
+    """PullbackCells over raw cells by time index, each built when read."""
+
+    def __init__(self, space: StateSpace, raw: list):
+        self.space, self.raw = space, raw
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, index):
+        j = range(len(self.raw))[index]
+        if isinstance(j, range):
+            return tuple(map(self.__getitem__, j))
+        raw = self.raw[j]
+        return PullbackCell(j, self.space.cell_center(raw), self.space.cell_diameter(raw) / 2.0, raw)
+
+
 @dataclass(frozen=True)
 class PullbackChain:
-    cells: Tuple[PullbackCell, ...]
+    """Cells by time index; `pullback_shadow` passes a view that builds them on read."""
+
+    cells: Sequence[PullbackCell]
 
     def validate_tube(self, po: PseudoOrbit, epsilon: float) -> None:
         """Every cell sits inside the eps-tube around the pseudo-orbit.
@@ -144,26 +166,30 @@ class ShadowReport:
 
 def diameter_certificate(family: MapFamily, epsilon: float, k: int) -> float:
     """2 eps * product of the k inverted maps' contraction rates."""
-    return 2.0 * epsilon * math.prod(family.rate_at(j) for j in range(k))
+    return _diameter_bound(epsilon, family.window(0, k))
 
 
-def pull_back_chain(family: MapFamily, images: Sequence, branches: Sequence, z) -> list:
+def _diameter_bound(epsilon: float, maps: Sequence) -> float:
+    return 2.0 * epsilon * math.prod(m.rate for m in maps)
+
+
+def pull_back_chain(family: MapFamily, maps: Sequence, images: Sequence, branches: Sequence, z) -> list:
     """[z_0, ..., z_k] with z_k = z and z_j the branch preimage of z_{j+1}.
 
-    Step j applies the inverse branch `branches[j]` of f_j anchored at
-    `images[j]`; it raises BranchDomainViolated when z_{j+1} lies outside
-    that branch's domain B(images[j], delta_0).
+    Step j applies the inverse branch `branches[j]` of `maps[j]` = f_j
+    anchored at `images[j]`; it raises BranchDomainViolated when z_{j+1}
+    lies outside that branch's domain B(images[j], delta_0).
     """
     k = len(images)
     chain = [None] * (k + 1)
     chain[k] = z
-    space = family.space
+    distance, radius = family.space.distance, family.branch_radius
     for j in range(k - 1, -1, -1):
-        if space.distance(images[j], z) >= family.branch_radius:
+        if distance(images[j], z) >= radius:
             raise BranchDomainViolatedError(
                 f"backward iterate leaves branch domain at step {j}", witness=j
             )
-        z = space.reduce(family.map_at(j).inverse_branch_point(branches[j], images[j], z))
+        z = maps[j].inverse_branch_point(branches[j], images[j], z)
         chain[j] = z
     return chain
 
@@ -188,8 +214,9 @@ def pullback_shadow(
         budget.check(po.defects)
 
     space = family.space
-    images = [family.evaluate(j, po.points[j]) for j in range(k)]
-    branches = [family.map_at(j).branch_of(po.points[j]) for j in range(k)]
+    maps = family.window(0, k)
+    images = [m.apply(x) for m, x in zip(maps, po.points)]
+    branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
 
     # Backward cell pass. chain[j] is the intersected cell at level j for
     # j >= 1 and the fully pulled-back cell at level 0; under the defect
@@ -202,50 +229,34 @@ def pullback_shadow(
     for j in range(k - 1, -1, -1):
         inter = space.cell_intersect(cell, space.make_ball(images[j], epsilon))
         if inter is None:
-            raise EmptyCellError(
-                f"pullback cell at step {j + 1} is empty", witness=j + 1
-            )
+            raise EmptyCellError(f"pullback cell at step {j + 1} is empty", witness=j + 1)
         if space.cell_max_distance(inter, images[j]) >= family.branch_radius + _SLACK:
             raise BranchDomainViolatedError(
                 f"cell at step {j + 1} leaves the branch domain", witness=j + 1
             )
         chain[j + 1] = inter
-        cell = space.cell_pull(family.map_at(j), branches[j], images[j], inter)
+        cell = space.cell_pull(maps[j], branches[j], images[j], inter)
         chain[j] = cell
 
     # Point pass: pull the top cell's center backward through the branches.
     # Branches are right inverses, so {z_j} is the exact orbit of z_0; the
     # backward computation is contractive, hence float-stable, whereas naive
     # forward iteration would amplify rounding by the full expansion factor.
-    orbit_points = pull_back_chain(family, images, branches, space.cell_center(chain[k]))
-    shadow = orbit_points[0]
-    errors = tuple(
-        space.distance(orbit_points[j], po.points[j]) for j in range(k + 1)
-    )
-    bound = diameter_certificate(family, epsilon, k)
-    measured = space.cell_diameter(chain[0])
+    orbit_points = pull_back_chain(family, maps, images, branches, space.cell_center(chain[k]))
+    errors = tuple(map(space.distance, orbit_points, po.points))
     report = ShadowReport(
         family_name=family.name,
-        shadow_point=shadow,
+        shadow_point=orbit_points[0],
         horizon=k,
         epsilon=epsilon,
         per_step_errors=errors,
-        diameter_bound=bound,
-        measured_diameter=measured,
+        diameter_bound=_diameter_bound(epsilon, maps),
+        measured_diameter=space.cell_diameter(chain[0]),
         delta_schedule=tuple(budget.values[:k]),
         max_defect=po.max_defect,
         verdict=all(e < epsilon for e in errors),
     )
-    cells = tuple(
-        PullbackCell(
-            time_index=j,
-            center=space.cell_center(chain[j]),
-            radius=space.cell_diameter(chain[j]) / 2.0,
-            raw=chain[j],
-        )
-        for j in range(k + 1)
-    )
-    return report, PullbackChain(cells=cells)
+    return report, PullbackChain(cells=_LazyCells(space, chain))
 
 
 def uniqueness_certificate(
@@ -269,7 +280,7 @@ def uniqueness_certificate(
         defects=po.defects[:k],
     )
     report, _ = pullback_shadow(family, truncated, epsilon, margin=margin)
-    bound = diameter_certificate(family, epsilon, k)
+    bound = report.diameter_bound
     if report.measured_diameter > bound + _SLACK:
         raise EmptyCellError(
             f"measured diameter {report.measured_diameter} exceeds certificate {bound}"
@@ -309,12 +320,13 @@ def periodic_shadow(
     budget.check(po.defects)
 
     space = family.space
-    images = [family.evaluate(j, po.points[j]) for j in range(period)]
-    branches = [family.map_at(j).branch_of(po.points[j]) for j in range(period)]
+    maps = family.window(0, period)
+    images = [m.apply(po.points[j]) for j, m in enumerate(maps)]
+    branches = [m.branch_of(po.points[j]) for j, m in enumerate(maps)]
 
     z = po.points[0]
     for _ in range(max_iterations):
-        z_next = pull_back_chain(family, images, branches, z)[0]
+        z_next = pull_back_chain(family, maps, images, branches, z)[0]
         if space.distance(z_next, z) < fixed_point_tol / 2.0:
             z = z_next
             break

@@ -64,6 +64,8 @@ class StateSpace:
         """
         if amount == 0.0:
             return p
+        if not isfinite(amount):  # would leave every space; callers trust the result
+            raise PointOutsideSpaceError(f"displacement {amount} is not finite", witness=p)
         return self._displace(p, amount, sign)
 
     def perturb(self, p, noise: float, rng: random.Random):

@@ -24,6 +24,7 @@ from shadowlab.families import (
 )
 from shadowlab.products import (
     ALL_VARIANTS,
+    VARIANT_CHECKERS,
     ShadowingVariant,
     VariantBudget,
     average_check,
@@ -445,3 +446,39 @@ def test_checker_results_are_pinned(case):
     )
     results = (record.factor_left, record.factor_right, record.product_result)
     assert tuple((r.passed, r.checked, r.witness) for r in results) == expected
+
+
+# (passed, checked) of every checker on finite_cycle(3) x two_bit_swap at
+# max_len 1 and 2. One point has no step to check, so every walk-based
+# checker passes with checked=0 at max_len 1; limit and s_limit used to raise
+# IndexError there. average counts max_len in steps, so its max_len 1 is one
+# jump over two points.
+SHORT_RESULTS = {
+    1: {
+        "h": (True, 0), "s_limit": (True, 0), "plain": (True, 0), "limit": (True, 0),
+        "average": (False, 1), "asymptotic_average": (False, 1),
+        "periodic": (True, 0), "lipschitz": (True, 0),
+    },
+    2: {
+        "h": (False, 2), "s_limit": (False, 2), "plain": (False, 2), "limit": (True, 36),
+        "average": (True, 288), "asymptotic_average": (True, 288),
+        "periodic": (True, 0), "lipschitz": (True, 24),
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_CHECKERS))
+def test_checkers_at_the_shortest_lengths(variant):
+    check = VARIANT_CHECKERS[variant]
+    family = product_family(finite_cycle_family(3), two_bit_swap_family())
+    for max_len, expected in SHORT_RESULTS.items():
+        result = check(family, VariantBudget(epsilon=0.5, delta=0.6, max_len=max_len))
+        assert (result.passed, result.checked) == expected[variant], max_len
+    # max_len 0 asks for pseudo-orbits of no points: the walk-based checkers
+    # reject it, and average (in steps) has nothing to check.
+    zero = VariantBudget(epsilon=0.5, delta=0.6, max_len=0)
+    if variant in ("average", "asymptotic_average"):
+        assert (check(family, zero).passed, check(family, zero).checked) == (True, 0)
+    else:
+        with pytest.raises(ValueError):
+            check(family, zero)

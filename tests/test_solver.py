@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,7 +13,10 @@ from shadowlab.errors import (
     NotExpandingError,
     SupRateNotBoundedError,
 )
+from shadowlab import families
 from shadowlab.families import (
+    CircleLinearMap,
+    MapFamily,
     alternating_family,
     barely_expanding_family,
     constant_schedule,
@@ -401,3 +405,93 @@ def test_validate_tube_rejects_a_cell_half_again_outside_the_tube():
     outside = PullbackCell(time_index=0, center=0.15, radius=0.1, raw=(0.15, 0.1))
     with pytest.raises(ValueError):
         PullbackChain(cells=(inside, outside)).validate_tube(po, 0.1)
+
+
+def test_delta_budget_rejects_equality_in_the_budget_inequality():
+    # At this margin delta + rate*eps rounds to exactly eps on doubling.
+    margin = math.nextafter(1.0, 0.0)
+    assert margin * 0.5 * 0.1 + 0.5 * 0.1 == 0.1
+    with pytest.raises(EpsilonTooLargeError):
+        delta_budget(doubling_family(), 0.1, margin=margin)
+    delta_budget(doubling_family(), 0.1, margin=math.nextafter(margin, 0.0))
+
+
+def test_uniqueness_certificate_rejects_an_understated_rate():
+    # A doubling map that claims rate 0.4: the measured cell (2 eps * 0.5)
+    # is 1.25 times the certified bound (2 eps * 0.4).
+    liar = CircleLinearMap(2)
+    liar.rate = 0.4
+    fam = MapFamily("liar", doubling_family().space, constant_schedule(liar), branch_radius=0.25)
+    po = perturb_orbit(fam, 0.3, 1, 0.0, 0)
+    with pytest.raises(EmptyCellError):
+        uniqueness_certificate(fam, po, 0.1, 1)
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of repr((shadow_point, per_step_errors, diameter_bound,
+# measured_diameter, delta_schedule, verdict)): floats the bundled report
+# hashes do not reach (long horizons, products, rule-backed rates).
+PULLBACK_SHA256 = {
+    "doubling*doubling": "bfcd76bc7299b7270e525a44239ee72f6aadc54176deffcdd5b05a2507673bad",
+    "slow_expanding": "7e5163d2a3ff05ed520c2f24b54f4572f366482d82291cf750f45f818a3f2d5d",
+    "alternating": "8fe36bb81339818acccb5bbff3c593047eff7a9465d78dc838a2d9e2adfa2ad3",
+}
+
+
+def test_long_pullback_reports_are_pinned():
+    pair = product_family(doubling_family(), doubling_family())
+    cases = {
+        "doubling*doubling": (pair, (0.3, 0.7), 1024, 0.04, 11),
+        # slow_expanding's tightest budget is 0.98 * 0.1 / 1025, at the last step.
+        "slow_expanding": (slow_expanding_family(), 0.2, 1024, 0.9 * 0.98 * 0.1 / 1025, 12),
+        "alternating": (alternating_family(), 0.45, 3072, 0.04, 13),
+    }
+    for name, (fam, x0, k, noise, seed) in cases.items():
+        report, _ = pullback_shadow(fam, perturb_orbit(fam, x0, k, noise, seed), 0.1)
+        assert report.verdict, name
+        key = (
+            report.shadow_point,
+            report.per_step_errors,
+            report.diameter_bound,
+            report.measured_diameter,
+            report.delta_schedule,
+            report.verdict,
+        )
+        assert _sha256(key) == PULLBACK_SHA256[name], name
+
+
+def test_chain_cells_are_pinned():
+    pair = product_family(doubling_family(), doubling_family())
+    expected = {
+        pair: "1c6df04a21d53eea95a8b30a2531ca2145bd930a89de096aac8e9b732462839d",
+        doubling_family(): "c6ecaa95e4ec215e1ac95bc4640aae0cec61380b7b0c554f3e40047c5be7b933",
+    }
+    for fam, digest in expected.items():
+        po = perturb_orbit(fam, (0.3, 0.7) if fam is pair else 0.3, 8, 0.04, 5)
+        _, chain = pullback_shadow(fam, po, 0.1)
+        assert len(chain.cells) == 9
+        cells = [(c.time_index, c.center, c.radius) for c in chain.cells]
+        assert _sha256(cells) == digest, fam.name
+        assert chain.cells[-1] == chain.cells[8]
+        chain.validate_tube(po, 0.1)
+
+
+def test_rule_backed_maps_are_built_once_per_window(monkeypatch):
+    built = []
+
+    class Counted(families.TwoSlopeCircleMap):
+        def __init__(self, lam):
+            built.append(lam)
+            super().__init__(lam)
+
+    monkeypatch.setattr(families, "TwoSlopeCircleMap", Counted)
+    fam = slow_expanding_family()
+    po = perturb_orbit(fam, 0.2, 64, 0.98 * 0.1 / 66, 3)
+    assert len(built) <= 64
+    built.clear()
+    report, _ = pullback_shadow(fam, po, 0.1)
+    assert report.verdict
+    assert len(built) <= 128

@@ -1,0 +1,169 @@
+"""Property tests: the trusted per-step loops equal the validated ones.
+
+The library validates points where they enter (start points, and
+``PseudoOrbit.from_points``) and then runs each map's ``apply``,
+``branch_of`` and ``inverse_branch_point`` without re-validating. That is
+only sound because every map returns a canonical point of its space; these
+tests check it over every built-in family and two products, with start
+points at 0.0, -0.0, 1 - 2^-53 and on branch boundaries. Equality is by
+``repr``, so 0.0 against -0.0 counts as a difference.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from shadowlab.errors import (  # noqa: E402
+    InvalidBranchIdError,
+    NoiseExceedsSpaceError,
+    PointOutsideSpaceError,
+)
+from shadowlab.families import (  # noqa: E402
+    BUILTIN_FAMILIES,
+    CircleLinearMap,
+    doubling_family,
+    product_family,
+    slow_expanding_family,
+)
+from shadowlab.pseudo_orbits import (  # noqa: E402
+    PseudoOrbit,
+    displace_orbit,
+    inject_defects,
+    perturb_orbit,
+)
+from shadowlab.spaces import circle_reduce, circle_signed_gap  # noqa: E402
+
+FAMILIES = {name: build() for name, build in BUILTIN_FAMILIES.items()}
+FAMILIES["doubling*doubling"] = product_family(doubling_family(), doubling_family())
+FAMILIES["slow_expanding*doubling"] = product_family(slow_expanding_family(), doubling_family())
+EXPANDING = sorted(name for name, fam in FAMILIES.items() if fam.expanding)
+
+# Branch boundaries of doubling, tripling, and the two-slope maps of
+# slow_expanding (j+1)/(j+2) and barely_expanding 1 - 2^-(j+1), with the
+# floats on either side of each.
+_BOUNDARIES = [1 / 2, 1 / 3, 2 / 3, 3 / 4, 4 / 5, 7 / 8, 15 / 16]
+CIRCLE_EDGES = [0.0, -0.0, 1.0 - 2.0**-53, 1.0, -1.0 + 2.0**-53] + [
+    x for b in _BOUNDARIES for x in (b, math.nextafter(b, 0.0), math.nextafter(b, 1.0))
+]
+
+
+def raw_points(space):
+    """Start points as a caller may pass them: circle floats need not be reduced."""
+    if space.kind == "product":
+        left, right = space.factors
+        return st.tuples(raw_points(left), raw_points(right))
+    if space.is_enumerable:
+        return st.sampled_from(space.points)
+    return st.one_of(st.sampled_from(CIRCLE_EDGES), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def family_and_point(draw, names=tuple(sorted(FAMILIES))):
+    name = draw(st.sampled_from(names))
+    family = FAMILIES[name]
+    return family, draw(raw_points(family.space))
+
+
+def same(a, b) -> bool:
+    return repr(a) == repr(b)
+
+
+@given(data=family_and_point(), n=st.integers(0, 40))
+def test_apply_returns_canonical_points(data, n):
+    family, raw = data
+    space = family.space
+    y = family.map_at(n).apply(space.require(raw))
+    assert same(space.require(y), y)
+
+
+@given(data=family_and_point(), horizon=st.integers(0, 40))
+def test_compose_equals_stepwise_evaluate(data, horizon):
+    family, raw = data
+    points = family.compose(raw, horizon).points
+    assert same(points[0], family.space.require(raw))
+    for i in range(horizon):
+        assert same(points[i + 1], family.evaluate(i, points[i]))
+
+
+def _same_orbit(po: PseudoOrbit) -> None:
+    validated = PseudoOrbit.from_points(po.family, po.points)
+    assert same(po.points, validated.points)
+    assert same(po.defects, validated.defects)
+
+
+@given(
+    data=family_and_point(),
+    horizon=st.integers(0, 40),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_perturb_orbit_equals_from_points(data, horizon, share, seed):
+    family, raw = data
+    _same_orbit(perturb_orbit(family, raw, horizon, share * family.space.diameter, seed))
+
+
+@given(data=family_and_point(), defects=st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_inject_defects_and_displace_orbit_equal_from_points(data, defects):
+    family, raw = data
+    _same_orbit(inject_defects(family, raw, defects))
+    _same_orbit(displace_orbit(family, raw, defects))
+
+
+@given(
+    data=family_and_point(tuple(EXPANDING)),
+    n=st.integers(0, 40),
+    share=st.floats(0.0, 0.99),
+    sign=st.sampled_from([1, -1]),
+)
+def test_inverse_branches_return_canonical_points(data, n, share, sign):
+    family, raw = data
+    space, mapobj = family.space, family.map_at(n)
+    x = space.require(raw)
+    w = mapobj.apply(x)
+    y = space.reduce(space.displace(w, share * family.branch_radius, sign))
+    z = mapobj.inverse_branch_point(mapobj.branch_of(x), w, y)
+    assert same(space.reduce(z), z)
+
+
+@given(
+    degree=st.integers(1, 5),
+    branch=st.integers(0, 4),
+    w=st.one_of(st.sampled_from(CIRCLE_EDGES), st.floats(-3.0, 3.0)),
+    y=st.one_of(st.sampled_from(CIRCLE_EDGES), st.floats(-3.0, 3.0)),
+)
+def test_single_inverse_branch_equals_the_preimage_list(degree, branch, w, y):
+    mapobj = CircleLinearMap(degree)
+    if branch >= degree:
+        with pytest.raises(InvalidBranchIdError):
+            mapobj.inverse_branch_point(branch, w, y)
+        return
+    expected = circle_reduce(mapobj.preimages(w)[branch] + circle_signed_gap(w, y) / degree)
+    assert same(mapobj.inverse_branch_point(branch, w, y), expected)
+
+
+def test_window_resolves_each_map_once():
+    alternating = FAMILIES["alternating"]
+    window = alternating.window(3, 5)
+    assert window == [alternating.map_at(n) for n in range(3, 8)]
+    doubling = FAMILIES["doubling"]
+    assert doubling.window(7, 3) == [doubling.map_at(0)] * 3
+    assert doubling.window(0, 0) == []
+
+
+@pytest.mark.parametrize("name", ["doubling", "eight_state", "doubling*doubling"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_displacements_are_rejected_where_they_enter(name, bad):
+    # The generators do not re-validate the points they build, so an amount
+    # that would put a non-point into the orbit must be refused up front.
+    family = FAMILIES[name]
+    x0 = family.space.points[0] if family.space.is_enumerable else family.space.grid_point(0.3)
+    with pytest.raises(PointOutsideSpaceError):
+        inject_defects(family, x0, [0.01, bad])
+    with pytest.raises(PointOutsideSpaceError):
+        displace_orbit(family, x0, [0.01, bad])
+    with pytest.raises(NoiseExceedsSpaceError):
+        perturb_orbit(family, x0, 3, math.nan, 0)

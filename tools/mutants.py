@@ -61,6 +61,16 @@ MUTANTS = [
         "if min(vals) < 0:",
         "if min(vals) < -1.0:",
     ),
+    (
+        "src/shadowlab/solver.py",
+        "if not delta + lam * epsilon < epsilon:",
+        "if not delta + lam * epsilon <= epsilon:",
+    ),
+    (
+        "src/shadowlab/solver.py",
+        "if report.measured_diameter > bound + _SLACK:",
+        "if report.measured_diameter > 2 * bound + _SLACK:",
+    ),
 ]
 
 DEFAULT_TESTS = [
