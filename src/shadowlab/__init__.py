@@ -20,7 +20,6 @@ from .families import (
     BUILTIN_FAMILIES,
     MapFamily,
     OrbitSegment,
-    expansiveness_falsifier,
     family_from_descriptor,
     product_family,
 )
@@ -38,17 +37,14 @@ from .products import (
 )
 from .pseudo_orbits import (
     PseudoOrbit,
-    classify,
     displace_orbit,
     inject_defects,
-    periodicize,
     perturb_orbit,
 )
 from .solver import (
     DeltaSchedule,
     ShadowReport,
     delta_budget,
-    lipschitz_report,
     periodic_shadow,
     pullback_shadow,
     uniqueness_certificate,
@@ -68,21 +64,17 @@ __all__ = [
     "average_shadow_point",
     "block_decompose",
     "cesaro_to_density_zero",
-    "classify",
     "delta_budget",
     "density_zero_to_cesaro",
     "displace_orbit",
     "equicontinuity_modulus",
-    "expansiveness_falsifier",
     "family_from_descriptor",
     "h_shadow_check",
     "inject_defects",
     "lift_to_A",
     "limit_shadow_point",
-    "lipschitz_report",
     "patch_sets",
     "periodic_shadow",
-    "periodicize",
     "perturb_orbit",
     "product_equivalence_check",
     "product_family",

@@ -413,10 +413,6 @@ class BlockDecomposition:
     blocks: Tuple[Tuple[int, int], ...]
     fill_markers: Tuple[int, ...]
 
-    @property
-    def marker_set(self) -> IndexSet:
-        return IndexSet.from_iterable(self.fill_markers, self.horizon)
-
     def validate(self) -> None:
         prev_end = -1
         for a, b in self.blocks:

@@ -32,10 +32,6 @@ class NotExpandingError(ShadowlabError):
     code = "NotExpanding"
 
 
-class PointOutsideBranchDomainError(ShadowlabError):
-    code = "PointOutsideBranchDomain"
-
-
 class InvalidBranchIdError(ShadowlabError):
     code = "InvalidBranchId"
 
@@ -78,10 +74,6 @@ class EmptyCellError(ShadowlabError):
 
 class NonPeriodicInputError(ShadowlabError):
     code = "NonPeriodicInput"
-
-
-class SupRateNotBoundedError(ShadowlabError):
-    code = "SupRateNotBounded"
 
 
 class NotEquicontinuousAtHorizonError(ShadowlabError):

@@ -18,7 +18,6 @@ rate_{j+1}.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +25,6 @@ from .errors import (
     IndexOutOfScheduleError,
     InvalidBranchIdError,
     NotExpandingError,
-    PointOutsideBranchDomainError,
     ScheduleMismatchError,
 )
 from .spaces import (
@@ -71,11 +69,6 @@ class Schedule:
     def period(self) -> Optional[int]:
         """The cycle length when the schedule is periodic from index 0, else None."""
         return len(self.cycle) if self.cycle and not self.head else None
-
-    @property
-    def values(self) -> Optional[tuple]:
-        """Every value the schedule takes, or None when a rule supplies them."""
-        return self.head + self.cycle if self.cycle or self.rule is None else None
 
     def combine(self, other: "Schedule", fn: Callable) -> "Schedule":
         """The schedule n -> fn(self.at(n), other.at(n)), with stored values combined once.
@@ -130,10 +123,6 @@ class CircleLinearMap:
         z = circle_reduce((circle_reduce(w) + branch) / self.degree)  # preimages(w)[branch]
         return circle_reduce(z + circle_signed_gap(w, y) / self.degree)
 
-    @property
-    def num_branches(self) -> int:
-        return self.degree
-
 
 class TwoSlopeCircleMap:
     """Degree-2 piecewise-linear circle covering with one slow branch.
@@ -179,10 +168,6 @@ class TwoSlopeCircleMap:
         w = circle_reduce(w)
         return circle_reduce(self._lift_inverse(w + branch + circle_signed_gap(w, y)))
 
-    @property
-    def num_branches(self) -> int:
-        return 2
-
 
 class CircleRotation:
     """Isometry x -> x + alpha mod 1. Single inverse branch, contraction 1."""
@@ -204,10 +189,6 @@ class CircleRotation:
             raise InvalidBranchIdError("rotation has a single branch")
         return circle_reduce(self.preimages(w)[0] + circle_signed_gap(w, y))
 
-    @property
-    def num_branches(self) -> int:
-        return 1
-
 
 class IdentityMap:
     """Identity on any space."""
@@ -228,10 +209,6 @@ class IdentityMap:
         if branch != 0:
             raise InvalidBranchIdError("identity has a single branch")
         return self.space.reduce(y)
-
-    @property
-    def num_branches(self) -> int:
-        return 1
 
 
 class FiniteMap:
@@ -266,10 +243,6 @@ class FiniteMap:
             return pre_y[branch]
         return pre[branch]
 
-    @property
-    def num_branches(self) -> int:
-        return max(len(self.preimages(w)) for w in range(len(self.table)))
-
 
 class ProductMap:
     """Componentwise pair map; branch ids are (left, right) pairs, the rate the larger one."""
@@ -301,10 +274,6 @@ class ProductMap:
             self.right.inverse_branch_point(branch[1], w[1], y[1]),
         )
 
-    @property
-    def num_branches(self) -> int:
-        return self.left.num_branches * self.right.num_branches
-
 
 # ---------------------------------------------------------------------------
 # Orbit segments and families
@@ -332,7 +301,7 @@ class MapFamily:
     A family is expanding when it has a ``branch_radius``, the shared
     branch-domain radius delta_0. Each map of an expanding family carries
     its own ``rate``, the Lipschitz constant of its inverse branches, so
-    ``rate_at`` and ``sup_rate`` read the maps and cannot disagree with them.
+    ``rate_at`` reads the maps and cannot disagree with them.
 
     Maps return canonical points of ``space`` (``require`` is the identity
     on them), so only boundaries validate: ``evaluate`` both ends, ``compose``
@@ -370,14 +339,6 @@ class MapFamily:
     def expanding(self) -> bool:
         return self.branch_radius is not None
 
-    @property
-    def sup_rate(self) -> Optional[float]:
-        """The largest rate of an expanding head+cycle family; None otherwise."""
-        maps = self.maps.values
-        if not self.expanding or maps is None:
-            return None
-        return max((m.rate for m in maps), default=None)
-
     def evaluate(self, n: int, x):
         """f_n(x), with domain/codomain membership enforced."""
         space = self.space
@@ -400,85 +361,6 @@ class MapFamily:
     def require_expanding(self):
         if not self.expanding:
             raise NotExpandingError(f"family {self.name!r} is not expanding")
-
-    def inverse_branch(self, n: int, w, branch, y):
-        """Apply the branch of f_n^{-1} selected at preimage `branch`, at y.
-
-        The branch is defined on the ball B(w, delta_0); the returned point is
-        the unique preimage of y in that branch's neighborhood.
-        """
-        self.require_expanding()
-        space = self.space
-        w = space.require(w)
-        y = space.require(y)
-        if space.distance(w, y) >= self.branch_radius:
-            raise PointOutsideBranchDomainError(
-                f"d(w, y) = {space.distance(w, y)} >= delta_0 = {self.branch_radius}",
-                witness=(w, y),
-            )
-        return space.reduce(self.map_at(n).inverse_branch_point(branch, w, y))
-
-
-@dataclass(frozen=True)
-class ExpansivenessReport:
-    """Outcome of a finite-horizon expansiveness search. Falsifier only."""
-
-    epsilon0: float
-    horizon: int
-    pairs_checked: int
-    counterexample: Optional[tuple]
-
-    @property
-    def falsified(self) -> bool:
-        return self.counterexample is not None
-
-
-def expansiveness_falsifier(
-    family: MapFamily,
-    epsilon0: float,
-    horizon: int,
-    samples: int,
-    seed: int = 0,
-) -> ExpansivenessReport:
-    """Search for x != y whose orbits stay epsilon0-close through the horizon.
-
-    A surviving pair is evidence against expansiveness at this horizon; the
-    absence of one certifies nothing ("not falsified at this horizon").
-    """
-    if epsilon0 <= 0:
-        raise ValueError("epsilon0 must be positive")
-    space = family.space
-    rng = random.Random(seed)
-    pairs = []
-    if space.is_enumerable:
-        pts = space.points
-        pairs = [(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]][:samples]
-    else:
-        # Near-diagonal pairs separate last; seed the search with them.
-        grid = max(2, int(math.isqrt(samples)))
-        for i in range(grid):
-            x = space.grid_point(i / grid)
-            pairs.append((x, space.translate(x, epsilon0 / 2)))
-        while len(pairs) < samples:
-            x = space.random_point(rng)
-            pairs.append((x, space.displace(x, rng.random() * epsilon0, 1)))
-    checked = 0
-    for x, y in pairs:
-        if x == y:
-            continue
-        checked += 1
-        a, b = x, y
-        close = True
-        for n in range(horizon + 1):
-            if space.distance(a, b) > epsilon0:
-                close = False
-                break
-            if n < horizon:
-                a = family.evaluate(n, a)
-                b = family.evaluate(n, b)
-        if close:
-            return ExpansivenessReport(epsilon0, horizon, checked, (x, y))
-    return ExpansivenessReport(epsilon0, horizon, checked, None)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     PreimageSearchFailedError,
 )
 from .families import MapFamily, best_orbit, orbit_table
-from .pseudo_orbits import DefectProfile, PseudoOrbit
+from .pseudo_orbits import PseudoOrbit
 from .solver import pullback_shadow
 
 CAUCHY_TOL = 1e-9
@@ -122,15 +122,6 @@ class SplicedOrbit:
     cut_index: int
     head: tuple
     orbit: PseudoOrbit
-
-    def head_is_exact(self, tol: float = 1e-10) -> bool:
-        fam = self.orbit.family
-        start = self.orbit.start_index
-        for i in range(self.cut_index):
-            nxt = self.orbit.points[i + 1]
-            if fam.space.distance(fam.evaluate(start + i, self.orbit.points[i]), nxt) > tol:
-                return False
-        return True
 
 
 def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
@@ -281,6 +272,14 @@ class LimitShadowResult:
         return all(b <= a + 1e-15 for a, b in zip(self.table, self.table[1:]))
 
 
+def _tail_sups(values: Sequence[float]) -> tuple:
+    """tails[n] = sup of values[i] over i >= n, with tails[len(values)] = 0.0."""
+    tails = [0.0] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        tails[i] = max(float(values[i]), tails[i + 1])
+    return tuple(tails)
+
+
 def _find_cut(
     defect_tails: Sequence[float], horizon: int, oracle, target: float, start: int = 0
 ) -> Optional[int]:
@@ -327,10 +326,11 @@ def limit_shadow_point(
     # Limit pseudo-orbit gate: the final-quarter tail must already sit below
     # the deepest level's target, else the per-level claims are vacuous
     # (a full-horizon splice "shadows" anything).
-    profile = DefectProfile.from_sequence(po.defects)
-    if profile.tail_sup_at(int(0.75 * horizon)) >= 1.0 / levels:
+    tail_sups = _tail_sups(po.defects)
+    final_quarter = tail_sups[int(0.75 * horizon)]
+    if final_quarter >= 1.0 / levels:
         raise HypothesisFailedError(
-            f"tail defects {profile.tail_sup_at(int(0.75 * horizon))} do not fall "
+            f"tail defects {final_quarter} do not fall "
             f"below the deepest target {1.0 / levels}; not a limit pseudo-orbit "
             "at this horizon"
         )
@@ -341,7 +341,7 @@ def limit_shadow_point(
     for n in range(1, levels + 1):
         target = 1.0 / n
         cut = _find_cut(
-            profile.tail_sups, horizon, oracle, target, spliced.cut_index if spliced else 0
+            tail_sups, horizon, oracle, target, spliced.cut_index if spliced else 0
         )
         if cut is None:
             break  # no deeper level admits a cut either

@@ -1,10 +1,8 @@
-"""Pseudo-orbits: random perturbation, synthetic defect injection, classification.
+"""Pseudo-orbits: random perturbation and synthetic defect injection.
 
 A pseudo-orbit is a point sequence whose per-step defects d(f_i(x_i), x_{i+1})
 are small in one of three senses: uniformly (delta-pseudo-orbit), eventually
 (limit pseudo-orbit), or in Cesaro mean (asymptotic-average pseudo-orbit).
-Finite-horizon classification is necessarily an approximation of the limit
-statements; every verdict record says so.
 
 `PseudoOrbit.from_points` validates every point; the generators validate
 their start point only, run the map window on the canonical points that
@@ -19,11 +17,6 @@ from typing import Callable, Optional, Sequence
 
 from .errors import NoiseExceedsSpaceError
 from .families import MapFamily
-
-FINITE_HORIZON_NOTE = (
-    "finite-horizon verdict: approximates a limit statement using the stored horizon"
-)
-
 
 @dataclass(frozen=True)
 class PseudoOrbit:
@@ -48,9 +41,6 @@ class PseudoOrbit:
     def max_defect(self) -> float:
         return max(self.defects) if self.defects else 0.0
 
-    def recomputed_defects(self) -> tuple:
-        return _defects(self.family, self.points, self.start_index)
-
     def with_head(self, head: Sequence) -> "PseudoOrbit":
         """The same pseudo-orbit with its first len(head) canonical points replaced.
 
@@ -67,73 +57,6 @@ def _defects(family: MapFamily, points: Sequence, start_index: int) -> tuple:
     """d(f_i(x_i), x_{i+1}) for each step of canonical points, times offset by start_index."""
     maps = family.window(start_index, len(points) - 1)
     return tuple(map(family.space.distance, (m.apply(x) for m, x in zip(maps, points)), points[1:]))
-
-
-@dataclass(frozen=True)
-class DefectProfile:
-    """Summary statistics of a nonnegative defect sequence.
-
-    cesaro_means[n-1] = (1/n) sum_{i<n} e_i, tail_sups[n] = sup_{i>=n} e_i.
-    """
-
-    values: tuple
-    cesaro_means: tuple
-    tail_sups: tuple
-
-    @classmethod
-    def from_sequence(cls, values: Sequence[float]) -> "DefectProfile":
-        vals = tuple(float(v) for v in values)
-        means = []
-        acc = 0.0
-        for n, v in enumerate(vals, start=1):
-            acc += v
-            means.append(acc / n)
-        tails = [0.0] * (len(vals) + 1)
-        for i in range(len(vals) - 1, -1, -1):
-            tails[i] = max(vals[i], tails[i + 1])
-        return cls(values=vals, cesaro_means=tuple(means), tail_sups=tuple(tails))
-
-    @property
-    def max_defect(self) -> float:
-        return max(self.values) if self.values else 0.0
-
-    def cesaro_at(self, n: int) -> float:
-        if n <= 0:
-            return 0.0
-        return self.cesaro_means[min(n, len(self.cesaro_means)) - 1]
-
-    def tail_sup_at(self, n: int) -> float:
-        return self.tail_sups[min(n, len(self.tail_sups) - 1)]
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Three-way pseudo-orbit verdict at a fixed horizon."""
-
-    delta: float
-    profile: DefectProfile
-    note: str = FINITE_HORIZON_NOTE
-
-    @property
-    def is_delta_pseudo(self) -> bool:
-        return self.profile.max_defect < self.delta
-
-    def is_limit_pseudo_at(self, horizon: int, tol: float) -> bool:
-        """Tail sup over the final quarter of the horizon below tol."""
-        cut = int(0.75 * horizon)
-        return self.profile.tail_sup_at(cut) < tol
-
-    def is_asymptotic_average_at(self, horizon: int, tol: float) -> bool:
-        return self.profile.cesaro_at(horizon) < tol
-
-
-def classify(po: PseudoOrbit, delta: float) -> Classification:
-    return Classification(delta=delta, profile=DefectProfile.from_sequence(po.defects))
-
-
-def classify_defects(defects: Sequence[float], delta: float) -> Classification:
-    """Classification of a raw synthetic defect sequence (no orbit needed)."""
-    return Classification(delta=delta, profile=DefectProfile.from_sequence(defects))
 
 
 def perturb_orbit(
@@ -206,14 +129,6 @@ def displace_orbit(
         if t:
             points[i + 1] = space.reduce(space.displace(points[i + 1], float(t), sign_at(i)))
     return PseudoOrbit(family, 0, tuple(points), _defects(family, points, 0))
-
-
-def periodicize(po: PseudoOrbit, period: int) -> PseudoOrbit:
-    """Repeat the first `period` points out to the original horizon."""
-    if not 1 <= period <= len(po.points):
-        raise ValueError("period must be in 1..len(points)")
-    points = tuple(po.points[i % period] for i in range(len(po.points)))
-    return PseudoOrbit.from_points(po.family, points, start_index=po.start_index)
 
 
 def pseudo_orbit_rows(po: PseudoOrbit) -> list:

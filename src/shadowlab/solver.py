@@ -27,10 +27,9 @@ from .errors import (
     EmptyCellError,
     EpsilonTooLargeError,
     NonPeriodicInputError,
-    SupRateNotBoundedError,
 )
 from .families import MapFamily
-from .pseudo_orbits import PseudoOrbit, perturb_orbit
+from .pseudo_orbits import PseudoOrbit
 from .spaces import StateSpace
 
 _SLACK = 1e-12
@@ -351,58 +350,3 @@ def _detect_period(po: PseudoOrbit) -> Optional[int]:
         if all(po.points[i] == po.points[i % p] for i in range(n)):
             return p
     return None
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz shadowing report
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Observed error/defect ratios against the geometric-series certificate."""
-
-    certificate: float
-    sup_rate: float
-    deltas: Tuple[float, ...]
-    ratios: Tuple[float, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(r <= self.certificate for r in self.ratios)
-
-
-def lipschitz_report(
-    family: MapFamily,
-    deltas: Sequence[float],
-    horizon: int = 64,
-    seed: int = 0,
-    margin: float = 0.98,
-) -> LipschitzReport:
-    """Run shadowing trials and report max error / delta per trial.
-
-    Only meaningful when sup of the rates is certified below 1; the
-    certificate is L = 1/(1 - sup rate).
-    """
-    if family.sup_rate is None or not family.sup_rate < 1.0:
-        raise SupRateNotBoundedError(
-            f"family {family.name!r} has no certified sup rate below 1"
-        )
-    certificate = 1.0 / (1.0 - family.sup_rate)
-    ratios = []
-    for t, delta in enumerate(deltas):
-        epsilon = delta / ((1.0 - family.sup_rate) * margin)
-        x0 = 0.1 + 0.7 * ((seed + t) % 7) / 7.0
-        po = perturb_orbit(family, x0, horizon, delta, seed + t)
-        report, _ = pullback_shadow(family, po, epsilon, margin=margin)
-        ratios.append(max(report.per_step_errors) / delta)
-    result = LipschitzReport(
-        certificate=certificate,
-        sup_rate=family.sup_rate,
-        deltas=tuple(float(d) for d in deltas),
-        ratios=tuple(ratios),
-    )
-    if not result.holds:
-        raise SupRateNotBoundedError(
-            f"observed ratio {max(ratios)} exceeds certificate {certificate}"
-        )
-    return result

@@ -82,14 +82,6 @@ class StateSpace:
     def random_point(self, rng: random.Random):
         return rng.random()
 
-    def translate(self, p, t: float):
-        """p moved by +t in every coordinate, with no bounce at an interval end."""
-        return self.reduce(p + t)
-
-    def grid_point(self, t: float):
-        """The point with every coordinate t."""
-        return t
-
     @property
     def points(self) -> list:
         """All points of a finite (or finite-product) space."""
@@ -102,9 +94,6 @@ class StateSpace:
     def min_positive_distance(self) -> float:
         table = self.distance_table()
         return min(d for i, row in enumerate(table) for d in row[i + 1 :])
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind}
 
     def make_ball(self, center, radius: float):
         raise BranchDomainViolatedError(f"no cell calculus for {self.kind} spaces")
@@ -159,10 +148,6 @@ class CircleSpace(StateSpace):
     def cell_max_distance(self, cell, point) -> float:
         """Largest distance from `point` to the cell (exact for small cells)."""
         return circle_distance(cell[0], point) + cell[1]
-
-    def cell_contains(self, outer, inner, slack: float) -> bool:
-        gap = abs(circle_signed_gap(outer[0], inner[0]))
-        return gap + inner[1] <= outer[1] + slack
 
 
 @dataclass(frozen=True)
@@ -227,9 +212,6 @@ class FiniteSpace(StateSpace):
     def points(self) -> list:
         return list(range(len(self.distances)))
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "distances": [list(r) for r in self.distances]}
-
 
 @dataclass(frozen=True)
 class ProductSpace(StateSpace):
@@ -266,12 +248,6 @@ class ProductSpace(StateSpace):
         left, right = self.factors
         return (left._perturb(p[0], noise, rng), right._perturb(p[1], noise, rng))
 
-    def translate(self, p, t: float):
-        return (self.factors[0].translate(p[0], t), self.factors[1].translate(p[1], t))
-
-    def grid_point(self, t: float):
-        return (self.factors[0].grid_point(t), self.factors[1].grid_point(t))
-
     def random_point(self, rng: random.Random):
         return (self.factors[0].random_point(rng), self.factors[1].random_point(rng))
 
@@ -287,9 +263,6 @@ class ProductSpace(StateSpace):
     @property
     def is_enumerable(self) -> bool:
         return all(f.is_enumerable for f in self.factors)
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "factors": [f.descriptor() for f in self.factors]}
 
     def make_ball(self, center, radius: float):
         left, right = self.factors
@@ -320,9 +293,6 @@ class ProductSpace(StateSpace):
             self.factors[0].cell_max_distance(cell[0], point[0]),
             self.factors[1].cell_max_distance(cell[1], point[1]),
         )
-
-    def cell_contains(self, outer, inner, slack: float) -> bool:
-        return all(f.cell_contains(o, i, slack) for f, o, i in zip(self.factors, outer, inner))
 
 
 circle_space = CircleSpace

@@ -229,3 +229,17 @@ def off_set_sups_reference(values, members, cuts):
         tail = [values[n] for n in range(cut, len(values)) if n in outside]
         sups.append(max(tail) if tail else 0.0)
     return tuple(sups)
+
+
+def head_is_exact(spliced, tol=1e-10):
+    """True when every step of a splice's head is exact up to `tol`.
+
+    Each step is re-evaluated through the validated ``MapFamily.evaluate``
+    at the orbit's own map times (offset by its start index).
+    """
+    po = spliced.orbit
+    fam, start = po.family, po.start_index
+    return not any(
+        fam.space.distance(fam.evaluate(start + i, po.points[i]), po.points[i + 1]) > tol
+        for i in range(spliced.cut_index)
+    )

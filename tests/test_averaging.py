@@ -121,7 +121,8 @@ def test_block_decompose_squares_exhaustive():
     for a, b in blocks.blocks:
         assert not any(a <= s <= b for s in squares.members)
     # Marker set density reported small.
-    assert float(upper_density(blocks.marker_set, horizon)) < 0.02
+    markers = IndexSet.from_iterable(blocks.fill_markers, horizon)
+    assert float(upper_density(markers, horizon)) < 0.02
 
 
 def test_block_decompose_rejects_dense_set():

@@ -6,7 +6,6 @@ from shadowlab.errors import (
     IndexOutOfScheduleError,
     InvalidBranchIdError,
     NotExpandingError,
-    PointOutsideBranchDomainError,
     ScheduleMismatchError,
 )
 from shadowlab.families import (
@@ -16,10 +15,8 @@ from shadowlab.families import (
     barely_expanding_family,
     doubling_family,
     eight_state_family,
-    expansiveness_falsifier,
     family_from_descriptor,
     finite_cycle_family,
-    identity_family,
     identity_pair_family,
     product_family,
     rotation_family,
@@ -27,7 +24,6 @@ from shadowlab.families import (
     tripling_family,
     two_bit_swap_family,
 )
-from shadowlab.spaces import circle_space
 
 
 def test_evaluate_doubling():
@@ -68,21 +64,16 @@ def test_compose_agrees_with_continuation_exactly():
 
 
 def test_inverse_branch_examples():
-    fam = doubling_family()
-    assert fam.inverse_branch(0, 0.5, 0, 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert fam.inverse_branch(0, 0.5, 0, 0.52) == pytest.approx(0.26, abs=1e-15)
-    tri = tripling_family()
-    assert tri.inverse_branch(0, 0.3, 1, 0.33) == pytest.approx(0.11 + 1.0 / 3.0, abs=1e-12)
+    double = doubling_family().map_at(0)
+    assert double.inverse_branch_point(0, 0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert double.inverse_branch_point(0, 0.5, 0.52) == pytest.approx(0.26, abs=1e-15)
+    triple = tripling_family().map_at(0)
+    assert triple.inverse_branch_point(1, 0.3, 0.33) == pytest.approx(0.11 + 1.0 / 3.0, abs=1e-12)
 
 
 def test_inverse_branch_errors():
-    with pytest.raises(NotExpandingError):
-        identity_family().inverse_branch(0, 0.5, 0, 0.5)
-    fam = doubling_family()
-    with pytest.raises(PointOutsideBranchDomainError):
-        fam.inverse_branch(0, 0.5, 0, 0.8)  # d(w, y) = 0.3 >= delta_0
     with pytest.raises(InvalidBranchIdError):
-        fam.inverse_branch(0, 0.5, 5, 0.51)
+        doubling_family().map_at(0).inverse_branch_point(5, 0.5, 0.51)
 
 
 EXPANDING = [doubling_family, alternating_family, slow_expanding_family, barely_expanding_family]
@@ -100,9 +91,9 @@ def test_inverse_branch_lipschitz_sampled(make):
         y = space.displace(w, rng.random() * fam.branch_radius, 1)
         z = space.displace(w, rng.random() * fam.branch_radius, -1)
         mapobj = fam.map_at(n)
-        for branch in range(mapobj.num_branches):
-            gy = fam.inverse_branch(n, w, branch, y)
-            gz = fam.inverse_branch(n, w, branch, z)
+        for branch in range(len(mapobj.preimages(w))):
+            gy = mapobj.inverse_branch_point(branch, w, y)
+            gz = mapobj.inverse_branch_point(branch, w, z)
             assert space.distance(gy, gz) <= rate * space.distance(y, z) + 1e-12
 
 
@@ -116,8 +107,8 @@ def test_inverse_branch_round_trip(make):
         w = space.random_point(rng)
         y = space.displace(w, rng.random() * fam.branch_radius * 0.99, 1)
         mapobj = fam.map_at(n)
-        for branch in range(mapobj.num_branches):
-            z = fam.inverse_branch(n, w, branch, y)
+        for branch in range(len(mapobj.preimages(w))):
+            z = mapobj.inverse_branch_point(branch, w, y)
             assert fam.space_at(n + 1).distance(fam.evaluate(n, z), y) < 1e-10
 
 
@@ -130,8 +121,9 @@ def test_branch_at_preimage_recovers_point():
             n = rng.randrange(6)
             x = fam.space_at(n).random_point(rng)
             w = fam.evaluate(n, x)
-            branch = fam.map_at(n).branch_of(x)
-            assert fam.space_at(n).distance(fam.inverse_branch(n, w, branch, w), x) < 1e-10
+            mapobj = fam.map_at(n)
+            z = mapobj.inverse_branch_point(mapobj.branch_of(x), w, w)
+            assert fam.space_at(n).distance(z, x) < 1e-10
 
 
 def test_finite_maps_are_onto_exhaustively():
@@ -190,31 +182,6 @@ def test_rate_index_convention():
     assert bare.rate_at(4) == 1.0 - 2.0**-5
 
 
-def test_falsifier_identity_finds_counterexample():
-    report = expansiveness_falsifier(identity_family(), 0.1, horizon=10, samples=50)
-    assert report.falsified
-    x, y = report.counterexample
-    assert circle_space().distance(x, y) <= 0.1
-
-
-def test_falsifier_doubling_not_falsified():
-    report = expansiveness_falsifier(doubling_family(), 0.1, horizon=20, samples=1000, seed=4)
-    assert not report.falsified
-    assert report.pairs_checked > 900
-
-
-def test_falsifier_continuous_products():
-    doubling2 = product_family(doubling_family(), doubling_family())
-    report = expansiveness_falsifier(doubling2, 0.1, horizon=20, samples=16)
-    assert not report.falsified
-    assert report.pairs_checked == 16
-    rotation2 = product_family(rotation_family(), rotation_family())
-    report = expansiveness_falsifier(rotation2, 0.1, horizon=20, samples=16)
-    assert report.falsified
-    x, y = report.counterexample
-    assert rotation2.space_at(0).distance(x, y) == pytest.approx(0.05)
-
-
 def test_sup_distance_windows():
     fam = product_family(doubling_family(), eight_state_family())
     xs = fam.compose((0.1, 3), 4).points
@@ -224,19 +191,11 @@ def test_sup_distance_windows():
     assert fam.sup_distance(xs, ys, 3, 2) == 0.0
 
 
-def test_falsifier_finite_vacuous():
-    fam = finite_cycle_family(3)
-    eps0 = 0.5 * fam.space_at(0).min_positive_distance()
-    report = expansiveness_falsifier(fam, eps0, horizon=5, samples=10)
-    assert not report.falsified
-
-
 def test_product_family_structure():
     prod = product_family(doubling_family(), tripling_family())
     assert prod.expanding
     assert prod.rate_at(0) == 0.5
     assert prod.branch_radius == 0.25
-    assert prod.sup_rate == 0.5
     x = (0.2, 0.7)
     assert prod.evaluate(0, x) == pytest.approx((0.4, 0.1), abs=1e-12)
 
@@ -333,20 +292,6 @@ def test_product_maps_are_built_once_per_period():
     for n in range(5):
         assert prod.map_at(n) is prod.map_at(n + 2)
     assert [prod.rate_at(n) for n in range(4)] == [0.5, 0.5, 0.5, 0.5]
-
-
-def test_sup_rate_comes_from_the_maps():
-    expected = {
-        "doubling": 0.5,
-        "tripling": 1.0 / 3.0,
-        "alternating": 0.5,
-        "slow_expanding": None,
-        "barely_expanding": None,
-    }
-    for kind, build in BUILTIN_FAMILIES.items():
-        assert build().sup_rate == expected.get(kind), kind
-    assert product_family(doubling_family(), tripling_family()).sup_rate == 0.5
-    assert product_family(tripling_family(), tripling_family()).sup_rate == 1.0 / 3.0
 
 
 def test_rates_need_expanding_maps():

@@ -1,5 +1,9 @@
+import math
+import random
+
 import pytest
 
+from oracles import head_is_exact
 from shadowlab import limits
 from shadowlab.errors import (
     HypothesisFailedError,
@@ -77,7 +81,7 @@ def test_splice_finite_permutation_exact_backward():
     fam = finite_cycle_family(5)
     po = inject_defects(fam, 0, [0.0, 1.0, 0.0, 1.0] + [0.0] * 10)
     spliced = splice(fam, po, 6)
-    assert spliced.head_is_exact()
+    assert head_is_exact(spliced)
     # Permutations invert exactly: the head is the exact backward orbit.
     z = po.points[6]
     for i in range(5, -1, -1):
@@ -120,7 +124,7 @@ def test_splice_reads_map_times_from_start_index():
     assert po.max_defect == 0.0
     spliced = splice(fam, po, 6)
     assert max(spliced.orbit.defects[:6]) <= 1e-12
-    assert spliced.head_is_exact()
+    assert head_is_exact(spliced)
 
 
 def test_head_is_exact_reads_map_times_from_start_index():
@@ -129,7 +133,7 @@ def test_head_is_exact_reads_map_times_from_start_index():
     # swap places, so the head is not an orbit of f_1, f_2, ...
     points = fam.compose(0.3, 12).points
     po = PseudoOrbit.from_points(fam, points, start_index=1)
-    assert not SplicedOrbit(cut_index=6, head=points[:6], orbit=po).head_is_exact()
+    assert not head_is_exact(SplicedOrbit(cut_index=6, head=points[:6], orbit=po))
 
 
 def _splice_cases():
@@ -282,6 +286,20 @@ def test_rotation_composes_once_per_level_and_once_for_the_table(monkeypatch):
     result = limit_shadow_point(fam, po, levels=8)
     assert len({rec.cut for rec in result.levels}) == len(result.levels)
     assert len(calls) == len(result.levels) + 1
+
+
+def test_tail_sups_of_harmonic_and_squares_defects():
+    # tails[n] = sup of e_i over i >= n; the limit gate reads the final quarter.
+    horizon = 10_000
+    harmonic = limits._tail_sups([1.0 / (i + 1) for i in range(horizon)])
+    assert len(harmonic) == horizon + 1
+    assert harmonic[0] == 1.0 and harmonic[horizon] == 0.0
+    assert harmonic[7500] == 1.0 / 7501
+    squares = [1.0 if math.isqrt(i) ** 2 == i else 0.0 for i in range(horizon)]
+    assert limits._tail_sups(squares)[7500] == 1.0  # average-null, not a limit orbit
+    rng = random.Random(2)
+    values = [rng.random() for _ in range(200)]
+    assert limits._tail_sups(values) == tuple(max(values[n:], default=0.0) for n in range(201))
 
 
 def test_non_limit_pseudo_orbit_rejected():

@@ -62,8 +62,8 @@ def test_product_rates_and_branch_pairs():
         z = space.displace(w, rng.random() * 0.2, -1)
         mapobj = prod.map_at(0)
         branch = mapobj.branch_of(space.random_point(rng))
-        gy = prod.inverse_branch(0, w, branch, y)
-        gz = prod.inverse_branch(0, w, branch, z)
+        gy = mapobj.inverse_branch_point(branch, w, y)
+        gz = mapobj.inverse_branch_point(branch, w, z)
         assert space.distance(gy, gz) <= 0.5 * space.distance(y, z) + 1e-12
 
 

@@ -114,8 +114,16 @@ def test_points_enumeration_and_membership():
 
 
 def test_descriptor_round_trip():
-    for space in _spaces():
-        rebuilt = space_from_descriptor(space.descriptor())
+    distances = [list(row) for row in eight_state_family().space_at(0).distances]
+    finite = {"kind": "finite", "distances": distances}
+    descriptors = [
+        {"kind": "circle"},
+        {"kind": "interval"},
+        finite,
+        {"kind": "product", "factors": [{"kind": "circle"}, finite]},
+    ]
+    for space, descriptor in zip(_spaces(), descriptors):
+        rebuilt = space_from_descriptor(descriptor)
         assert rebuilt.kind == space.kind
         rng = random.Random(3)
         for _ in range(50):

@@ -1,10 +1,11 @@
 """Mutation check for the library's boundary gates (opt-in, stdlib only).
 
 Each mutant loosens one gate by a single textual edit. For every mutant the
-script copies ``src/`` and ``tests/`` into a fresh scratch directory, applies
-the edit there, and runs ``pytest -x`` on the named test files. A mutant is
-killed when the tests fail, and survives when they pass. The working tree is
-never edited.
+script copies ``src/``, ``tests/`` and ``bench/`` (which the benchmark hook
+tests load, and which no mutant edits) into a fresh scratch directory,
+applies the edit there, and runs ``pytest -x`` on the named test files. A
+mutant is killed when the tests fail, and survives when they pass. The
+working tree is never edited.
 
     python3 tools/mutants.py                      # the gate tests' files
     python3 tools/mutants.py tests/test_solver.py # other pytest arguments
@@ -84,7 +85,7 @@ DEFAULT_TESTS = [
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "bench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
 
 
