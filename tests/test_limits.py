@@ -1,6 +1,3 @@
-import math
-import random
-
 import pytest
 
 from oracles import head_is_exact
@@ -286,20 +283,6 @@ def test_rotation_composes_once_per_level_and_once_for_the_table(monkeypatch):
     result = limit_shadow_point(fam, po, levels=8)
     assert len({rec.cut for rec in result.levels}) == len(result.levels)
     assert len(calls) == len(result.levels) + 1
-
-
-def test_tail_sups_of_harmonic_and_squares_defects():
-    # tails[n] = sup of e_i over i >= n; the limit gate reads the final quarter.
-    horizon = 10_000
-    harmonic = limits._tail_sups([1.0 / (i + 1) for i in range(horizon)])
-    assert len(harmonic) == horizon + 1
-    assert harmonic[0] == 1.0 and harmonic[horizon] == 0.0
-    assert harmonic[7500] == 1.0 / 7501
-    squares = [1.0 if math.isqrt(i) ** 2 == i else 0.0 for i in range(horizon)]
-    assert limits._tail_sups(squares)[7500] == 1.0  # average-null, not a limit orbit
-    rng = random.Random(2)
-    values = [rng.random() for _ in range(200)]
-    assert limits._tail_sups(values) == tuple(max(values[n:], default=0.0) for n in range(201))
 
 
 def test_non_limit_pseudo_orbit_rejected():

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from shadowlab.errors import NoiseExceedsSpaceError
@@ -8,6 +11,7 @@ from shadowlab.families import (
     product_family,
     rotation_family,
 )
+from shadowlab.limits import _tail_sups
 from shadowlab.pseudo_orbits import (
     PseudoOrbit,
     displace_orbit,
@@ -85,6 +89,29 @@ def test_perturbation_is_bit_reproducible():
 def test_noise_exceeding_diameter_rejected():
     with pytest.raises(NoiseExceedsSpaceError):
         perturb_orbit(doubling_family(), 0.1, 5, 0.6, seed=0)
+
+
+def test_classify_harmonic_profile():
+    # The defect profile the limit gate reads: tails[n] = sup of e_i over i >= n.
+    horizon = 10_000
+    defects = [1.0 / (i + 1) for i in range(horizon)]
+    tails = _tail_sups(defects)
+    assert len(tails) == horizon + 1 and tails[horizon] == 0.0
+    assert tails[0] == 1.0  # a 1.5- but not a 0.5-pseudo-orbit: e_0 = 1
+    # Tail sup over the final quarter: sup_{i >= 7500} 1/(i+1) = 1/7501.
+    assert tails[int(0.75 * horizon)] == 1.0 / 7501
+    assert tails[int(0.75 * horizon)] < 1e-3  # a limit pseudo-orbit at this horizon
+    rng = random.Random(2)
+    values = [rng.random() for _ in range(200)]
+    assert _tail_sups(values) == tuple(max(values[n:], default=0.0) for n in range(201))
+
+
+def test_classify_squares_indicator_profile():
+    horizon = 10_000
+    defects = [1.0 if math.isqrt(i) ** 2 == i else 0.0 for i in range(horizon)]
+    assert sum(defects) / horizon == pytest.approx(0.01)  # average-null
+    # Defect 1 at i = 99^2 = 9801: not a limit pseudo-orbit at this horizon.
+    assert _tail_sups(defects)[int(0.75 * horizon)] == 1.0
 
 
 def test_inject_defects_realizes_prescription_exactly():

@@ -355,17 +355,36 @@ def test_periodicized_noise_is_shadowable():
 # Lipschitz shadowing
 
 
+def pullback_error_ratios(fam, deltas, horizon, seed, rate, margin=0.98):
+    """max error / delta of pullback_shadow per delta, at eps = delta / ((1 - rate) margin).
+
+    The start points and seeds are the ones the deleted Lipschitz report used.
+    """
+    ratios = []
+    for t, delta in enumerate(deltas):
+        po = perturb_orbit(fam, 0.1 + 0.7 * ((seed + t) % 7) / 7.0, horizon, delta, seed + t)
+        report, _ = pullback_shadow(fam, po, delta / ((1.0 - rate) * margin), margin=margin)
+        ratios.append(max(report.per_step_errors) / delta)
+    return ratios
+
+
+def test_lipschitz_certificate_doubling():
+    # L = 1 / (1 - sup rate) bounds every error/delta ratio.
+    fam = doubling_family()
+    rate = max(fam.rate_at(n) for n in range(48))
+    certificate = 1.0 / (1.0 - rate)
+    assert certificate == pytest.approx(2.0)
+    ratios = pullback_error_ratios(fam, [0.01, 0.005, 0.002], horizon=48, seed=1, rate=rate)
+    assert all(r <= certificate for r in ratios)
+
+
 def test_lipschitz_errors_scale_linearly():
     # With every rate at most 1/2, pullback errors stay within
     # delta / (1 - 1/2) = 2 delta while delta spans two decades.
-    fam = doubling_family()
-    margin = 0.98
-    ratios = []
-    for t, delta in enumerate([0.02, 0.002, 0.0002]):
-        po = perturb_orbit(fam, 0.1 + 0.7 * ((3 + t) % 7) / 7.0, 32, delta, 3 + t)
-        report, _ = pullback_shadow(fam, po, delta / ((1.0 - 0.5) * margin), margin=margin)
-        assert max(report.per_step_errors) <= 2.0 * delta
-        ratios.append(max(report.per_step_errors) / delta)
+    ratios = pullback_error_ratios(
+        doubling_family(), [0.02, 0.002, 0.0002], horizon=32, seed=3, rate=0.5
+    )
+    assert max(ratios) <= 2.0
     assert max(ratios) / min(ratios) < 10.0
 
 
