@@ -354,9 +354,10 @@ class MapFamily:
         return OrbitSegment(start_index=0, points=tuple(points))
 
     def sup_distance(self, xs: Sequence, ys: Sequence, lo: int, hi: int) -> float:
-        """max of d(xs[i], ys[i]) over lo <= i <= hi; 0.0 on an empty window."""
-        errors = (self.space.distance(xs[i], ys[i]) for i in range(lo, hi + 1))
-        return max(errors, default=0.0)
+        """max of d(xs[i], ys[i]) over 0 <= lo <= i <= hi; 0.0 on an empty window."""
+        if lo <= hi and hi >= min(len(xs), len(ys)):
+            raise IndexError(f"window [{lo}, {hi}] runs past the end of a sequence")
+        return max(map(self.space.distance, xs[lo : hi + 1], ys[lo : hi + 1]), default=0.0)
 
     def require_expanding(self):
         if not self.expanding:

@@ -8,7 +8,8 @@ convergence table; the limit point is accepted through a Cauchy criterion
 on consecutive y_n. Cuts never decrease with the level, so levels that
 share a cut are adjacent; they share one splice, and one shadow when the
 oracle's effective accuracy is also the same. Only the previous level's
-splice and shadow are kept alive.
+splice and shadow are kept alive. A splice computes head defects only for
+an oracle that reads them (the pullback solver checks its defect budget).
 
 Shadowing itself enters as a per-family oracle: exact transport for
 isometry families, exhaustive search for finite-state families, and the
@@ -124,13 +125,15 @@ class SplicedOrbit:
     orbit: PseudoOrbit
 
 
-def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
+def splice(family: MapFamily, po: PseudoOrbit, cut: int, *, reads_defects: bool = True) -> SplicedOrbit:
     """Replace the first `cut` points by an exact backward orbit of x_cut.
 
     Preimages are chosen closest to the original points (ties break toward
     the lower branch id), so the head stays near the data; any admissible
-    selection satisfies the construction. Map times are offset by
-    po.start_index. The cost is O(cut): the tail and its defects are reused.
+    selection satisfies the construction; a lone preimage is taken unscored.
+    Map times are offset by po.start_index. The cost is O(cut): the tail and
+    its defects are reused. With reads_defects=False the head defects are
+    skipped and the spliced orbit's defects are None.
     """
     if not 0 <= cut <= po.horizon:
         raise ValueError("cut must be within the horizon")
@@ -145,13 +148,13 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
         if not candidates:
             n = po.start_index + i
             raise PreimageSearchFailedError(f"no preimage of {z!r} under f_{n}", witness=n)
-        best = min(
+        best = 0 if len(candidates) == 1 else min(
             range(len(candidates)),
             key=lambda b: (space.distance(candidates[b], po.points[i]), b),
         )
         z = space.reduce(candidates[best])
         head[i] = z
-    return SplicedOrbit(cut_index=cut, head=tuple(head), orbit=po.with_head(head))
+    return SplicedOrbit(cut_index=cut, head=tuple(head), orbit=po.with_head(head, defects=reads_defects))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +163,8 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int) -> SplicedOrbit:
 
 class TransportOracle:
     """Isometry families: the spliced head start shadows by direct transport."""
+
+    reads_defects = False  # whether shadow() reads the orbit's defects
 
     def __init__(self, family: MapFamily):
         if not family.is_isometry:
@@ -182,6 +187,8 @@ class TransportOracle:
 
 class ExhaustiveOracle:
     """Finite-state families: scan every start point for the best sup error."""
+
+    reads_defects = False
 
     def __init__(self, family: MapFamily):
         if not family.space.is_enumerable:
@@ -206,6 +213,8 @@ class ExhaustiveOracle:
 
 class PullbackOracle:
     """Expanding families: shadow through the inverse-branch solver."""
+
+    reads_defects = True  # pullback_shadow checks the defect budget
 
     def __init__(self, family: MapFamily, margin: float = 0.98):
         family.require_expanding()
@@ -348,7 +357,7 @@ def limit_shadow_point(
         accuracy = oracle.accuracy(target)
         if spliced is None or spliced.cut_index != cut:
             spliced = shadowed = None  # release the previous level first
-            spliced = splice(family, po, cut)
+            spliced = splice(family, po, cut, reads_defects=oracle.reads_defects)
         if shadowed is None or shadowed[0] != accuracy:
             shadowed = (accuracy, *_shadow_level(family, po, oracle, spliced, target))
         _, y, sup_err, window_err = shadowed

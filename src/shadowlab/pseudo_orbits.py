@@ -20,12 +20,15 @@ from .families import MapFamily
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """A finite indexed point sequence with its cached defect sequence."""
+    """A finite indexed point sequence with its cached defect sequence.
+
+    `defects` is None only on a points-only splice, so no reader sees stale values.
+    """
 
     family: MapFamily
     start_index: int
     points: tuple
-    defects: tuple
+    defects: Optional[tuple]
 
     @classmethod
     def from_points(cls, family: MapFamily, points: Sequence, start_index: int = 0) -> "PseudoOrbit":
@@ -39,18 +42,19 @@ class PseudoOrbit:
 
     @property
     def max_defect(self) -> float:
-        return max(self.defects) if self.defects else 0.0
+        return max(self.defects, default=0.0)
 
-    def with_head(self, head: Sequence) -> "PseudoOrbit":
+    def with_head(self, head: Sequence, *, defects: bool = True) -> "PseudoOrbit":
         """The same pseudo-orbit with its first len(head) canonical points replaced.
 
         Only the head's defects are computed; the tail points and their
-        defects are reused, so the cost is O(len(head)).
+        defects are reused, so the cost is O(len(head)). With defects=False
+        none are computed and the result's defects are None.
         """
         cut = len(head)
         pts = tuple(head) + self.points[cut:]
-        defects = _defects(self.family, pts[: cut + 1], self.start_index) + self.defects[cut:]
-        return PseudoOrbit(family=self.family, start_index=self.start_index, points=pts, defects=defects)
+        new = _defects(self.family, pts[: cut + 1], self.start_index) + self.defects[cut:] if defects else None
+        return PseudoOrbit(family=self.family, start_index=self.start_index, points=pts, defects=new)
 
 
 def _defects(family: MapFamily, points: Sequence, start_index: int) -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -68,6 +69,14 @@ def test_visit_negative_control_identity():
     report = visit_condition(sub, 0.5, 10, [1])
     assert not report.verdict
     assert report.worst_fraction == 0.0
+
+
+def test_visit_at_exactly_epsilon_is_not_a_visit():
+    sub = InvariantSubsystem.finite(identity_pair_family(), [0])
+    epsilon = sub.distance_to(1)
+    report = visit_condition(sub, epsilon, 10, [1])
+    assert report.worst_fraction == 0.0
+    assert not report.verdict
 
 
 def test_visit_funnel_fraction_bound():
@@ -201,6 +210,15 @@ def test_eight_state_scenario_certificates():
     assert oracle_best == result.point
     shadow_vs_lift = float(result.term_shadow_vs_lift)
     assert shadow_vs_lift == pytest.approx(oracle_mean, abs=1e-12)
+
+
+def test_triangle_that_misses_by_a_billionth_does_not_hold():
+    fam, po = squares_displaced_orbit(2000)
+    result = average_shadow_point(InvariantSubsystem.finite(fam, [0, 1, 2]), po)
+    total = result.term_shadow_vs_lift + result.term_lift_vs_data
+    assert total > 0
+    assert dataclasses.replace(result, final_cesaro_exact=total).triangle_holds
+    assert not dataclasses.replace(result, final_cesaro_exact=total + Fraction(1, 10**9)).triangle_holds
 
 
 def test_visit_gate_failure_raises():

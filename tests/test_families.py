@@ -189,6 +189,14 @@ def test_sup_distance_windows():
     assert fam.sup_distance(xs, ys, 0, 4) == pytest.approx(0.04)
     assert fam.sup_distance(xs, ys, 1, 2) == pytest.approx(0.02)
     assert fam.sup_distance(xs, ys, 3, 2) == 0.0
+    assert fam.sup_distance(xs, ys, 5, 4) == 0.0
+    # A nonempty window past the end of either sequence raises.
+    with pytest.raises(IndexError):
+        fam.sup_distance(xs, ys, 0, 5)
+    with pytest.raises(IndexError):
+        fam.sup_distance(xs, ys[:3], 0, 3)
+    with pytest.raises(IndexError):
+        fam.sup_distance(xs[:3], ys, 2, 4)
 
 
 def test_product_family_structure():

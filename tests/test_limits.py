@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from oracles import head_is_exact
-from shadowlab import limits
+from shadowlab import limits, pseudo_orbits
 from shadowlab.errors import (
     HypothesisFailedError,
     NotEquicontinuousAtHorizonError,
@@ -106,6 +108,30 @@ def test_splice_head_stays_near_data():
     # Closest-lift rule: single-branch rotations transport the cut point back,
     # so head-to-data gaps stay bounded by the accumulated defect tail.
     assert max(gaps) <= sum(po.defects[:50]) + 1e-12
+
+
+@pytest.mark.parametrize("data,expected", [(0.7, 0.75), (0.5, 0.25), (0.0, 0.25)])
+def test_splice_scores_both_doubling_preimages(data, expected):
+    # Doubling's preimages of 0.5 are 0.25 (branch 0) and 0.75 (branch 1).
+    # Data at 0.7 is closer to branch 1; data at 0.5 or 0.0 lies exactly
+    # 1/4 from both, a tie that goes to branch 0.
+    fam = doubling_family()
+    po = PseudoOrbit.from_points(fam, [data, 0.5])
+    assert fam.map_at(0).preimages(0.5) == [0.25, 0.75]
+    assert splice(fam, po, 1).head == (expected,)
+
+
+def test_points_only_splice_has_no_defects_to_read():
+    fam, po = harmonic_rotation_orbit(200)
+    full = splice(fam, po, 50)
+    bare = splice(fam, po, 50, reads_defects=False)
+    assert bare.head == full.head
+    assert bare.orbit.points == full.orbit.points
+    assert bare.orbit.defects is None
+    with pytest.raises(TypeError):
+        bare.orbit.max_defect
+    with pytest.raises(TypeError):
+        bare.orbit.defects[0]
 
 
 def exact_orbit_from(fam, x, start_index, horizon):
@@ -397,3 +423,56 @@ def test_table_that_rises_by_a_millionth_is_not_nonincreasing():
 
     assert result((0.5, 0.5, 0.25)).table_nonincreasing
     assert not result((0.5, 0.5 + 1e-6, 0.25)).table_nonincreasing
+
+
+# ---------------------------------------------------------------------------
+# head defects are computed only for the oracle that reads them
+
+
+def _finite_limit_orbit():
+    fam = finite_cycle_family(4)
+    return fam, inject_defects(fam, 0, [1.0 if i in (2, 5) else 0.0 for i in range(60)])
+
+
+def _doubling_limit_orbit():
+    fam = doubling_family()
+    return fam, inject_defects(fam, 0.2, [1.0 / (i + 1) for i in range(400)])
+
+
+@pytest.mark.parametrize(
+    "make,reads",
+    [(lambda: harmonic_rotation_orbit(2000), False), (_finite_limit_orbit, False), (_doubling_limit_orbit, True)],
+    ids=["rotation", "finite", "doubling"],
+)
+def test_head_defects_only_for_the_pullback_oracle(monkeypatch, make, reads):
+    fam, po = make()
+    calls = counting(monkeypatch, pseudo_orbits, "_defects")
+    result = limit_shadow_point(fam, po, levels=8)
+    assert any(rec.cut > 0 for rec in result.levels)
+    assert shadowing_oracle(fam).reads_defects == reads
+    assert (len(calls) >= 1) == reads
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: sha256 of repr(limit_shadow_point(...)) on the benchmark's
+# shapes (harmonic defects from x0 = 0.2, 8 levels), which covers every
+# LevelRecord, the table and the point
+
+
+LIMIT_REPR_SHA256 = {
+    "rotation": "b1bca6d1ba839bb9c0c5b7f3d8d0eedeee75453747d2f6b2baf040f5590c675a",
+    "doubling": "bd18c5b1b346a408db15927182b43eaf261b7fe5073ac200e5adac3c3733c505",
+    "alternating": "4ab7f191c311cd77b2d56fcff6fb6e3c359a5d19a87ccdf85f8e1ee296983348",
+}
+
+
+@pytest.mark.parametrize(
+    "make,horizon",
+    [(rotation_family, 10_000), (doubling_family, 4000), (alternating_family, 4000)],
+    ids=["rotation", "doubling", "alternating"],
+)
+def test_limit_shadow_point_repr_is_pinned(make, horizon):
+    fam = make()
+    po = inject_defects(fam, 0.2, [1.0 / (i + 1) for i in range(horizon)])
+    result = limit_shadow_point(fam, po, levels=8)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == LIMIT_REPR_SHA256[fam.name]

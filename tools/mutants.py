@@ -58,6 +58,21 @@ MUTANTS = [
         "if defect_tails[k] <= oracle.modulus(target, horizon - k):",
     ),
     (
+        "src/shadowlab/limits.py",
+        "best = 0 if len(candidates) == 1 else min(",
+        "best = 0 if len(candidates) >= 1 else min(",
+    ),
+    (
+        "src/shadowlab/averaging.py",
+        "if sub.distance_to(p) < epsilon:",
+        "if sub.distance_to(p) <= epsilon:",
+    ),
+    (
+        "src/shadowlab/averaging.py",
+        "return self.final_cesaro_exact <= self.term_shadow_vs_lift + self.term_lift_vs_data",
+        "return self.final_cesaro_exact <= 1.001 * (self.term_shadow_vs_lift + self.term_lift_vs_data)",
+    ),
+    (
         "src/shadowlab/density.py",
         "if min(vals) < 0:",
         "if min(vals) < -1.0:",
@@ -80,6 +95,7 @@ DEFAULT_TESTS = [
     "tests/test_limits.py",
     "tests/test_density.py",
     "tests/test_products.py",
+    "tests/test_averaging.py",
 ]
 
 
