@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .density import (
     BlockDecomposition,
@@ -33,6 +33,8 @@ from .errors import (
 )
 from .families import MapFamily, best_orbit, orbit_table
 from .pseudo_orbits import PseudoOrbit
+
+_LADDER_DEPTH = 6  # dyadic epsilon levels 1/2, ..., 1/64
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,10 @@ class InvariantSubsystem:
             default=0.0,
         )
 
-    def verify_invariance(self, sample_indices: Optional[Sequence[int]] = None) -> None:
-        """f_n(A) inside A, exhaustively over one map-schedule period."""
-        if sample_indices is None:
-            period = self.ambient.maps.period
-            sample_indices = range(period) if period else range(16)
+    def verify_invariance(self) -> None:
+        """f_n(A) inside A, exhaustively over one map-schedule period (16 steps of a rule)."""
         members = set(self.points)
-        for n in sample_indices:
+        for n in range(self.ambient.maps.period or 16):
             for a in self.points:
                 if self.ambient.evaluate(n, a) not in members:
                     raise HypothesisFailedError(
@@ -229,22 +228,15 @@ class LiftResult:
     block_deviations: Tuple[Tuple[int, int, float], ...]
 
 
-def lift_to_A(
-    sub: InvariantSubsystem,
-    po: PseudoOrbit,
-    blocks: BlockDecomposition,
-    fill_point=None,
-) -> LiftResult:
-    """Fill J' with a fixed point of A, follow exact restricted orbits on blocks.
+def lift_to_A(sub: InvariantSubsystem, po: PseudoOrbit, blocks: BlockDecomposition) -> LiftResult:
+    """Fill J' with the first point of A, follow exact restricted orbits on blocks.
 
     Block starts snap to the nearest point of A; within a block the lift is
     the exact ambient orbit of that point (A is invariant, so it stays in A).
     """
     if not sub.points:
         raise EmptyAError("A must be nonempty")
-    fill = sub.points[0] if fill_point is None else sub.ambient.space.require(fill_point)
-    if fill not in set(sub.points):
-        raise EmptyAError(f"fill point {fill!r} is not in A")
+    fill = sub.points[0]
     n_points = blocks.horizon
     if n_points != len(po.points):
         raise ValueError("block decomposition horizon must equal the point count")
@@ -319,12 +311,7 @@ class AverageShadowResult:
         return self.final_cesaro_exact <= self.term_shadow_vs_lift + self.term_lift_vs_data
 
 
-def average_shadow_point(
-    sub: InvariantSubsystem,
-    po: PseudoOrbit,
-    ladder_depth: int = 6,
-    visit_windows: Optional[Sequence[int]] = None,
-) -> AverageShadowResult:
+def average_shadow_point(sub: InvariantSubsystem, po: PseudoOrbit) -> AverageShadowResult:
     """Lift, shadow inside A, and certify average shadowing for the ambient.
 
     Preconditions checked: the visit condition on the dyadic epsilon ladder
@@ -338,12 +325,11 @@ def average_shadow_point(
         )
     n_points = len(po.points)
     horizon = po.horizon
-    if visit_windows is None:
-        visit_windows = [2**j for j in range(2, 11) if 2**j <= max(horizon, 4)]
+    visit_windows = [2**j for j in range(2, 11) if 2**j <= max(horizon, 4)]
     sample_points = family.space.points
 
     reports = []
-    for k in range(1, ladder_depth + 1):
+    for k in range(1, _LADDER_DEPTH + 1):
         eps = 0.5**k
         passing = None
         for window in visit_windows:
@@ -364,7 +350,7 @@ def average_shadow_point(
 
     off_j = j_union.off_mask()
     ladder_cuts = []
-    for i in range(1, ladder_depth + 1):
+    for i in range(1, _LADDER_DEPTH + 1):
         level = 0.5**i
         cut = 0
         for k in range(n_points - 1, -1, -1):

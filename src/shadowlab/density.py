@@ -183,11 +183,10 @@ class ExtractionReport:
     complement_sups: Tuple[float, ...]
 
 
-def cesaro_to_density_zero(
-    values: Sequence[float],
-    horizon: int,
-    levels: Optional[Sequence[float]] = None,
-) -> ExtractionReport:
+_EXTRACTION_LEVELS = tuple(0.5**k for k in range(1, 15))  # strictly decreasing, all positive
+
+
+def cesaro_to_density_zero(values: Sequence[float], horizon: int) -> ExtractionReport:
     """Extract an exceptional index set off which the sequence decays.
 
     Window construction: level k is enforced from the greedily minimal cut
@@ -204,13 +203,7 @@ def cesaro_to_density_zero(
     if min(vals) < 0:
         n = next(i for i, v in enumerate(vals) if v < 0)
         raise BoundViolatedError(f"a_{n} = {vals[n]} is negative", witness=n)
-    if levels is None:
-        levels = tuple(0.5**k for k in range(1, 15))
-    levels = tuple(float(x) for x in levels)
-    if any(lv <= 0 for lv in levels) or any(
-        b >= a for a, b in zip(levels, levels[1:])
-    ):
-        raise ValueError("levels must be positive and strictly decreasing")
+    levels = _EXTRACTION_LEVELS
     final_mean = sum(vals) / horizon
     if final_mean >= levels[0]:
         raise NotCesaroNullError(

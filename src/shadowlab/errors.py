@@ -96,10 +96,6 @@ class OracleUnavailableError(ShadowlabError):
     code = "OracleUnavailable"
 
 
-class ScheduleMismatchError(ShadowlabError):
-    code = "ScheduleMismatch"
-
-
 class BudgetExceededError(ShadowlabError):
     code = "BudgetExceeded"
 

@@ -21,12 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    IndexOutOfScheduleError,
-    InvalidBranchIdError,
-    NotExpandingError,
-    ScheduleMismatchError,
-)
+from .errors import IndexOutOfScheduleError, InvalidBranchIdError, NotExpandingError
 from .spaces import (
     StateSpace,
     circle_reduce,
@@ -40,54 +35,32 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class Schedule:
-    """Eventually periodic (head + cycle) or rule-backed infinite sequence."""
+    """An infinite sequence: a nonempty repeating ``cycle``, or a ``rule`` n -> value."""
 
-    head: tuple = ()
     cycle: tuple = ()
     rule: Optional[Callable[[int], object]] = None
 
     def at(self, n: int):
         if n < 0:
             raise IndexOutOfScheduleError(f"negative time index {n}")
-        if n < len(self.head):
-            return self.head[n]
         if self.cycle:
-            return self.cycle[(n - len(self.head)) % len(self.cycle)]
-        if self.rule is not None:
-            return self.rule(n)
-        raise IndexOutOfScheduleError(
-            f"index {n} beyond finite schedule of length {len(self.head)}"
-        )
-
-    @property
-    def finite_length(self) -> Optional[int]:
-        if not self.cycle and self.rule is None:
-            return len(self.head)
-        return None
+            return self.cycle[n % len(self.cycle)]
+        return self.rule(n)
 
     @property
     def period(self) -> Optional[int]:
-        """The cycle length when the schedule is periodic from index 0, else None."""
-        return len(self.cycle) if self.cycle and not self.head else None
+        """The cycle length, or None for a rule."""
+        return len(self.cycle) or None
 
     def combine(self, other: "Schedule", fn: Callable) -> "Schedule":
         """The schedule n -> fn(self.at(n), other.at(n)), with stored values combined once.
 
-        Finite lengths must agree, and a finite schedule truncates an infinite
-        one. Head+cycle inputs give head max(h1, h2) and period lcm(p1, p2).
+        Two cycles give one cycle of the lcm length; a rule on either side gives a rule.
         """
-        a, b = self.finite_length, other.finite_length
-        if a is not None and b is not None and a != b:
-            raise ScheduleMismatchError(f"finite schedules of lengths {a} and {b}")
-        if a is not None or b is not None:
-            h, p = (b if a is None else a), 0
-        elif self.cycle and other.cycle:
-            h = max(len(self.head), len(other.head))
+        if self.cycle and other.cycle:
             p = math.lcm(len(self.cycle), len(other.cycle))
-        else:
-            return Schedule(rule=lambda n: fn(self.at(n), other.at(n)))
-        values = tuple(fn(self.at(n), other.at(n)) for n in range(h + p))
-        return Schedule(head=values[:h], cycle=values[h:])
+            return Schedule(cycle=tuple(fn(self.at(n), other.at(n)) for n in range(p)))
+        return Schedule(rule=lambda n: fn(self.at(n), other.at(n)))
 
 
 def constant_schedule(value) -> Schedule:
@@ -558,7 +531,8 @@ def product_family(left: MapFamily, right: MapFamily) -> MapFamily:
     """The product system on X x Y with the max metric.
 
     The space is the product of the factor spaces; the maps are the factor
-    schedules combined step by step (see Schedule.combine). Expanding
+    schedules combined step by step: two cycles give one cycle of the lcm
+    length, a rule on either side a rule (see Schedule.combine). Expanding
     structure survives when both factors carry it: a ProductMap's rate is
     the max of the factor rates, and the branch radius is the min of the
     factor radii.

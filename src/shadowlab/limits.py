@@ -31,7 +31,7 @@ from .errors import (
 )
 from .families import MapFamily, best_orbit, orbit_table
 from .pseudo_orbits import PseudoOrbit
-from .solver import pullback_shadow
+from .solver import MARGIN, pullback_shadow
 
 CAUCHY_TOL = 1e-9
 
@@ -216,10 +216,9 @@ class PullbackOracle:
 
     reads_defects = True  # pullback_shadow checks the defect budget
 
-    def __init__(self, family: MapFamily, margin: float = 0.98):
+    def __init__(self, family: MapFamily):
         family.require_expanding()
         self.family = family
-        self.margin = margin
         self.rate_maxima = []  # rate_maxima[n] = max(rate_at(m) for m <= n)
 
     def accuracy(self, target: float) -> float:
@@ -233,21 +232,21 @@ class PullbackOracle:
         while len(maxima) < count:
             rate = self.family.rate_at(len(maxima))
             maxima.append(max(maxima[-1], rate) if maxima else rate)
-        return self.margin * (1.0 - maxima[count - 1]) * eps
+        return MARGIN * (1.0 - maxima[count - 1]) * eps
 
     def shadow(self, po: PseudoOrbit, target: float):
         eps = self.accuracy(target)
-        report, _ = pullback_shadow(self.family, po, eps, margin=self.margin)
+        report, _ = pullback_shadow(self.family, po, eps)
         return report.shadow_point, max(report.per_step_errors), None
 
 
-def shadowing_oracle(family: MapFamily, margin: float = 0.98):
+def shadowing_oracle(family: MapFamily):
     if family.space.is_enumerable:
         return ExhaustiveOracle(family)
     if family.is_isometry:
         return TransportOracle(family)
     if family.expanding:
-        return PullbackOracle(family, margin=margin)
+        return PullbackOracle(family)
     raise OracleUnavailableError(
         f"no shadowing oracle for family {family.name!r}"
     )
@@ -312,12 +311,7 @@ def _shadow_level(family: MapFamily, po: PseudoOrbit, oracle, spliced: SplicedOr
     return y, sup_err, family.sup_distance(orbit, po.points, cut, _window_hi(cut, po.horizon))
 
 
-def limit_shadow_point(
-    family: MapFamily,
-    po: PseudoOrbit,
-    levels: int,
-    margin: float = 0.98,
-) -> LimitShadowResult:
+def limit_shadow_point(family: MapFamily, po: PseudoOrbit, levels: int) -> LimitShadowResult:
     """Per-level splice-and-shadow with a Cauchy acceptance on the y_n.
 
     The convergence table holds, per level n, the worst distance between the
@@ -330,7 +324,7 @@ def limit_shadow_point(
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    oracle = shadowing_oracle(family, margin=margin)
+    oracle = shadowing_oracle(family)
     horizon = po.horizon
     # Limit pseudo-orbit gate: the final-quarter tail must already sit below
     # the deepest level's target, else the per-level claims are vacuous

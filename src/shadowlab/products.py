@@ -28,6 +28,7 @@ from .solver import pull_back_chain, pullback_shadow
 PROVEN_VARIANTS = ("h", "s_limit")
 EMPIRICAL_VARIANTS = ("plain", "limit", "average", "asymptotic_average", "periodic", "lipschitz")
 ALL_VARIANTS = PROVEN_VARIANTS + EMPIRICAL_VARIANTS
+_LIMIT_LEVELS = 4  # accuracy levels of the continuous limit check
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class VariantBudget:
     horizon: int = 64
     trials: int = 16
     seed: int = 0
-    levels: int = 4
     enumeration_limit: int = 2_000_000
     lipschitz_bound: float = 2.0
 
@@ -226,7 +226,7 @@ def limit_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
     x0 = family.space.random_point(random.Random(budget.seed))
     po = inject_defects(family, x0, defects)
     try:
-        result = limit_shadow_point(family, po, levels=budget.levels)
+        result = limit_shadow_point(family, po, levels=_LIMIT_LEVELS)
     except ShadowlabError as exc:
         return CheckResult("limit", False, 1, witness=(exc.code,))
     last = result.levels[-1]

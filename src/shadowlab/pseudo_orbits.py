@@ -113,25 +113,19 @@ def inject_defects(
     return PseudoOrbit(family, 0, tuple(points), tuple(realized))
 
 
-def displace_orbit(
-    family: MapFamily,
-    x0,
-    displacements: Sequence[float],
-    signs: Optional[Callable[[int], int]] = None,
-) -> PseudoOrbit:
+def displace_orbit(family: MapFamily, x0, displacements: Sequence[float]) -> PseudoOrbit:
     """Displace individual points of the true orbit (tube-style injection).
 
     displacements[i] moves the point x_{i+1}; untouched points stay on the
     exact orbit, so each nonzero displacement contributes defects at the two
-    adjacent steps. Complements inject_defects, which displaces steps
-    cumulatively and realizes the prescribed per-step defect exactly.
+    adjacent steps. Signs alternate as in inject_defects, which displaces
+    steps cumulatively and realizes the prescribed per-step defect exactly.
     """
-    sign_at = signs or (lambda i: 1 if i % 2 == 0 else -1)
     points = list(family.compose(x0, len(displacements)).points)
     space = family.space
     for i, t in enumerate(displacements):
         if t:
-            points[i + 1] = space.reduce(space.displace(points[i + 1], float(t), sign_at(i)))
+            points[i + 1] = space.reduce(space.displace(points[i + 1], float(t), 1 if i % 2 == 0 else -1))
     return PseudoOrbit(family, 0, tuple(points), _defects(family, points, 0))
 
 

@@ -33,6 +33,9 @@ from .pseudo_orbits import PseudoOrbit
 from .spaces import StateSpace
 
 _SLACK = 1e-12
+MARGIN = 0.98  # delta budgets sit at this fraction of the admissible interval
+_FIXED_POINT_TOL = 1e-9
+_MAX_ITERATIONS = 100_000
 
 
 def cell_pull(space: StateSpace, mapobj, branch, w, cell):
@@ -52,12 +55,6 @@ class DeltaSchedule:
     margin: float
     values: Tuple[float, ...]
 
-    def at(self, n: int) -> float:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
     def check(self, defects: Sequence[float]) -> None:
         """The hypothesis gate: every defect strictly below its step's budget."""
         for n, defect in enumerate(defects):
@@ -68,7 +65,7 @@ class DeltaSchedule:
 
 
 def delta_budget(
-    family: MapFamily, epsilon: float, margin: float = 0.98, horizon: int = 64
+    family: MapFamily, epsilon: float, margin: float = MARGIN, horizon: int = 64
 ) -> DeltaSchedule:
     """Per-step defect budget strictly inside the admissible interval.
 
@@ -197,7 +194,7 @@ def pullback_shadow(
     family: MapFamily,
     po: PseudoOrbit,
     epsilon: float,
-    margin: float = 0.98,
+    margin: float = MARGIN,
     check_budget: bool = True,
 ) -> Tuple[ShadowReport, PullbackChain]:
     """Shadow a budget-compliant pseudo-orbit by backward pullback.
@@ -263,7 +260,7 @@ def uniqueness_certificate(
     po: PseudoOrbit,
     epsilon: float,
     k: int,
-    margin: float = 0.98,
+    margin: float = MARGIN,
 ) -> float:
     """Certified diameter of the horizon-k shadow cell.
 
@@ -287,35 +284,25 @@ def uniqueness_certificate(
     return bound
 
 
-def periodic_shadow(
-    family: MapFamily,
-    po: PseudoOrbit,
-    epsilon: float,
-    margin: float = 0.98,
-    period: Optional[int] = None,
-    fixed_point_tol: float = 1e-9,
-    max_iterations: int = 100_000,
-):
+def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):
     """Shadow a periodic pseudo-orbit by a periodic point of the family.
 
-    Iterates the period-long backward branch chain, a contraction with
-    factor prod(rates over one period); the returned point x satisfies
-    d(F_p(x), x) < fixed_point_tol and eps-shadows over the stored horizon.
-    The map schedule itself must be p-periodic for F_p(x) = x to be the
-    right fixed-point equation.
+    The period p is the least one of the points, and the map schedule must
+    be a cycle whose length divides p, so F_p(x) = x is the right
+    fixed-point equation. Iterates the period-long backward branch chain, a
+    contraction with factor prod(rates over one period); the returned point
+    x satisfies d(F_p(x), x) < 1e-9 (else NonPeriodicInput is raised) and
+    eps-shadows over the stored horizon.
     """
     family.require_expanding()
+    period = _detect_period(po)
     if period is None:
-        period = _detect_period(po)
-    if period is None or any(
-        po.points[i] != po.points[i % period] for i in range(len(po.points))
-    ):
-        raise NonPeriodicInputError(f"points are not {period}-periodic", witness=period)
+        raise NonPeriodicInputError("points have no period shorter than their count")
     map_period = family.maps.period
     if map_period is None or period % map_period != 0:
         raise NonPeriodicInputError(f"period {period} incompatible with map period {map_period}")
 
-    budget = delta_budget(family, epsilon, margin=margin, horizon=max(po.horizon, period, 1))
+    budget = delta_budget(family, epsilon, horizon=max(po.horizon, period, 1))
     budget.check(po.defects)
 
     space = family.space
@@ -324,15 +311,15 @@ def periodic_shadow(
     branches = [m.branch_of(po.points[j]) for j, m in enumerate(maps)]
 
     z = po.points[0]
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         z_next = pull_back_chain(family, maps, images, branches, z)[0]
-        if space.distance(z_next, z) < fixed_point_tol / 2.0:
+        if space.distance(z_next, z) < _FIXED_POINT_TOL / 2.0:
             z = z_next
             break
         z = z_next
     orbit = family.compose(z, period)
     residual = space.distance(orbit.points[period], z)
-    if residual >= fixed_point_tol:
+    if residual >= _FIXED_POINT_TOL:
         raise NonPeriodicInputError(
             f"fixed-point iteration stalled at residual {residual}"
         )

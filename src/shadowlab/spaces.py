@@ -19,6 +19,8 @@ from typing import Sequence, Tuple
 
 from .errors import BranchDomainViolatedError, PointOutsideSpaceError
 
+_INTERVAL_SLACK = 1e-9  # interval membership admits points this far outside [0, 1]
+
 
 def circle_reduce(x: float) -> float:
     """Canonical representative of x in [0, 1)."""
@@ -45,8 +47,8 @@ class StateSpace:
 
     is_enumerable = False
 
-    def require(self, p, tol: float = 1e-9):
-        if not self.contains(p, tol):
+    def require(self, p):
+        if not self.contains(p):
             raise PointOutsideSpaceError(f"point {p!r} outside {self.kind} space", witness=p)
         return self.reduce(p)
 
@@ -103,13 +105,13 @@ class StateSpace:
 class CircleSpace(StateSpace):
     """R/Z with the arc metric; cells are arcs (center, radius)."""
 
-    description: str = "circle R/Z with arc metric"
+    description = "circle R/Z with arc metric"
     kind = "circle"
     diameter = 0.5
     distance = staticmethod(circle_distance)
     reduce = staticmethod(circle_reduce)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         return isinstance(p, (float, int)) and isfinite(p)
 
     def _displace(self, p, amount: float, sign: int):
@@ -154,15 +156,15 @@ class CircleSpace(StateSpace):
 class IntervalSpace(StateSpace):
     """[0, 1] with |a - b|; no expanding built-in map reaches it, so no cells."""
 
-    description: str = "unit interval [0,1]"
+    description = "unit interval [0,1]"
     kind = "interval"
     diameter = 1.0
 
     def distance(self, a, b) -> float:
         return abs(a - b)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        return -tol <= p <= 1.0 + tol
+    def contains(self, p) -> bool:
+        return -_INTERVAL_SLACK <= p <= 1.0 + _INTERVAL_SLACK
 
     def _displace(self, p, amount: float, sign: int):
         cand = p + sign * amount
@@ -189,7 +191,7 @@ class FiniteSpace(StateSpace):
     def diameter(self) -> float:
         return max(max(row) for row in self.distances)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         return isinstance(p, int) and 0 <= p < len(self.distances)
 
     def _displace(self, p, amount: float, sign: int):
@@ -229,12 +231,12 @@ class ProductSpace(StateSpace):
     def diameter(self) -> float:
         return max(f.diameter for f in self.factors)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         return (
             isinstance(p, tuple)
             and len(p) == 2
-            and self.factors[0].contains(p[0], tol)
-            and self.factors[1].contains(p[1], tol)
+            and self.factors[0].contains(p[0])
+            and self.factors[1].contains(p[1])
         )
 
     def reduce(self, p):

@@ -170,14 +170,6 @@ def test_lift_supports_only_prime_and_markers():
     assert result.lift.cesaro_certificate.holds
 
 
-def test_lift_rejects_fill_point_outside_A():
-    fam, po = squares_displaced_orbit(512)
-    sub = InvariantSubsystem.finite(fam, [0, 1, 2])
-    blocks = block_decompose(IndexSet.from_iterable([], len(po.points)), len(po.points))
-    with pytest.raises(EmptyAError):
-        lift_to_A(sub, po, blocks, fill_point=5)
-
-
 # ---------------------------------------------------------------------------
 # the full composition
 

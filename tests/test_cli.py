@@ -1,5 +1,6 @@
 import json
 
+from shadowlab import cli
 from shadowlab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -140,3 +141,11 @@ def test_non_finite_start_point_fails_cleanly(tmp_path):
     payload = {**SMALL_SHADOW, "parameters": {**SMALL_SHADOW["parameters"], "x0": float("nan")}}
     path = write_scenario(tmp_path, "small-shadow", payload)
     assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_FAIL
+
+
+def test_periodic_error_equal_to_epsilon_fails(tmp_path, monkeypatch):
+    # Errors whose maximum is exactly epsilon are not epsilon-shadowing.
+    monkeypatch.setattr(cli, "periodic_shadow", lambda family, po, eps: (0.0, 0.0, (0.0, eps)))
+    scenario = bundled_scenarios_dir() / "doubling-periodic.json"
+    assert run_scenario(scenario, tmp_path, quiet=True) == EXIT_FAIL
+    assert load_report(tmp_path / "doubling-periodic.report.json")["report"]["verdict"] is False

@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from shadowlab.errors import (
-    IndexOutOfScheduleError,
-    InvalidBranchIdError,
-    NotExpandingError,
-    ScheduleMismatchError,
-)
+from shadowlab.errors import IndexOutOfScheduleError, InvalidBranchIdError, NotExpandingError
 from shadowlab.families import (
     BUILTIN_FAMILIES,
     Schedule,
@@ -154,22 +149,11 @@ def test_preimages_sorted_by_representative():
 
 def test_schedule_out_of_range():
     fam = doubling_family()
-    finite = Schedule(head=(fam.map_at(0),))
     with pytest.raises(IndexOutOfScheduleError):
-        finite.at(1)
-    assert finite.at(0) is fam.map_at(0)
-
-
-def test_evaluate_beyond_finite_schedule():
-    from dataclasses import replace
-
-    fam = doubling_family()
-    truncated = replace(fam, maps=Schedule(head=(fam.map_at(0), fam.map_at(0))))
-    assert truncated.evaluate(1, 0.3) == pytest.approx(0.6)
+        fam.maps.at(-1)
     with pytest.raises(IndexOutOfScheduleError):
-        truncated.evaluate(2, 0.3)
-    with pytest.raises(IndexOutOfScheduleError):
-        truncated.compose(0.3, 5)
+        Schedule(rule=lambda n: n).at(-1)
+    assert fam.maps.at(0) is fam.map_at(0)
 
 
 def test_rate_index_convention():
@@ -208,19 +192,6 @@ def test_product_family_structure():
     assert prod.evaluate(0, x) == pytest.approx((0.4, 0.1), abs=1e-12)
 
 
-def test_product_schedule_mismatch():
-    fam = doubling_family()
-    short = Schedule(head=(fam.map_at(0),))
-    longer = Schedule(head=(fam.map_at(0), fam.map_at(0)))
-    left = doubling_family()
-    from dataclasses import replace
-
-    la = replace(left, maps=short)
-    lb = replace(left, maps=longer)
-    with pytest.raises(ScheduleMismatchError):
-        product_family(la, lb)
-
-
 def test_family_descriptors_build_all_builtins():
     for kind in BUILTIN_FAMILIES:
         fam = family_from_descriptor({"kind": kind})
@@ -256,31 +227,18 @@ def test_families_are_immutable():
 
 def test_schedule_period():
     assert Schedule(cycle=(1, 2, 3)).period == 3
-    assert Schedule(head=(0,), cycle=(1,)).period is None
-    assert Schedule(head=(0, 1)).period is None
+    assert Schedule(cycle=(1,)).period == 1
     assert Schedule(rule=lambda n: n).period is None
 
 
 def test_combine_head_cycle_takes_lcm_period():
     left = Schedule(cycle=(0, 1))
-    right = Schedule(head=(10,), cycle=(20, 30, 40))
+    right = Schedule(cycle=(20, 30, 40))
     combined = left.combine(right, lambda a, b: (a, b))
     assert combined.rule is None
-    assert len(combined.head) == 1
-    assert len(combined.cycle) == 6
+    assert combined.period == 6
     for n in range(40):
         assert combined.at(n) == (left.at(n), right.at(n))
-
-
-def test_combine_finite_schedules():
-    short = Schedule(head=(1, 2))
-    assert short.combine(Schedule(head=(3, 4)), lambda a, b: a + b) == Schedule(head=(4, 6))
-    with pytest.raises(ScheduleMismatchError):
-        short.combine(Schedule(head=(3,)), lambda a, b: a + b)
-    truncated = Schedule(cycle=(10, 20, 30)).combine(short, lambda a, b: a + b)
-    assert truncated == Schedule(head=(11, 22))
-    with pytest.raises(IndexOutOfScheduleError):
-        truncated.at(2)
 
 
 def test_combine_with_rule_stays_a_rule():

@@ -30,6 +30,7 @@ from shadowlab.limits import (
     splice,
 )
 from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, perturb_orbit
+from shadowlab.solver import MARGIN
 
 
 def harmonic_rotation_orbit(horizon=10_000):
@@ -191,7 +192,7 @@ def test_pullback_modulus_equals_the_brute_force_prefix_maximum():
     eps = oracle.accuracy(0.125)
 
     def brute(t):
-        return oracle.margin * (1.0 - max(fam.rate_at(n) for n in range(max(t, 1)))) * eps
+        return MARGIN * (1.0 - max(fam.rate_at(n) for n in range(max(t, 1)))) * eps
 
     for t in (50, 7, 2, 1, 0, 0, 1, 2, 7, 50):
         assert oracle.modulus(0.125, t) == brute(t)

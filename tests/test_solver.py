@@ -43,7 +43,7 @@ def scheduled_noise_orbit(family, x0, horizon, epsilon, seed, fraction=0.9):
     """Pseudo-orbit whose defects stay inside the per-step budget."""
     budget = delta_budget(family, epsilon, horizon=horizon)
     rng = random.Random(seed)
-    defects = [rng.random() * budget.at(j) * fraction for j in range(horizon)]
+    defects = [rng.random() * budget.values[j] * fraction for j in range(horizon)]
     return inject_defects(family, x0, defects, signs=lambda i: 1 if rng.random() < 0.5 else -1)
 
 
@@ -53,8 +53,8 @@ def scheduled_noise_orbit(family, x0, horizon, epsilon, seed, fraction=0.9):
 
 def test_budget_doubling_value():
     sched = delta_budget(doubling_family(), 0.1, margin=0.98, horizon=4)
-    assert sched.at(0) == pytest.approx(0.049, abs=1e-15)
-    assert all(v == sched.at(0) for v in sched.values)
+    assert sched.values[0] == pytest.approx(0.049, abs=1e-15)
+    assert all(v == sched.values[0] for v in sched.values)
 
 
 def test_budget_stays_inside_admissible_interval():
@@ -62,8 +62,8 @@ def test_budget_stays_inside_admissible_interval():
     sched = delta_budget(fam, 0.1, margin=0.98, horizon=8)
     for n in range(8):
         lam = fam.rate_at(n)
-        assert 0.0 < sched.at(n) < (1.0 - lam) * 0.1
-        assert sched.at(n) + lam * 0.1 < 0.1
+        assert 0.0 < sched.values[n] < (1.0 - lam) * 0.1
+        assert sched.values[n] + lam * 0.1 < 0.1
 
 
 def test_budget_shrinks_for_slow_family():
@@ -71,7 +71,7 @@ def test_budget_shrinks_for_slow_family():
     # One-based rates n/(n+1): the map at time j carries rate (j+1)/(j+2),
     # so the budget at time j is 0.05 / (j+2).
     for j in range(10):
-        assert sched.at(j) == pytest.approx(0.05 / (j + 2), abs=1e-15)
+        assert sched.values[j] == pytest.approx(0.05 / (j + 2), abs=1e-15)
 
 
 def test_budget_limit_as_rate_vanishes():
@@ -81,7 +81,7 @@ def test_budget_limit_as_rate_vanishes():
 
     fam = replace(doubling_family(), maps=constant_schedule(CircleLinearMap(10**9)))
     sched = delta_budget(fam, 0.1, margin=0.5, horizon=3)
-    assert sched.at(0) == pytest.approx(0.05, rel=1e-6)
+    assert sched.values[0] == pytest.approx(0.05, rel=1e-6)
 
 
 def test_budget_epsilon_gate():
@@ -147,6 +147,16 @@ def test_empty_cell_with_budget_check_disabled():
     po = PseudoOrbit.from_points(fam, points)
     with pytest.raises(EmptyCellError):
         pullback_shadow(fam, po, 0.1, check_budget=False)
+
+
+def test_verdict_rejects_an_error_equal_to_epsilon():
+    # The defect 2 eps leaves a one-point top cell exactly eps from the last
+    # point, so the last per-step error equals eps and a strict verdict fails.
+    fam = doubling_family()
+    po = PseudoOrbit.from_points(fam, [0.1875, 0.25])
+    report, _ = pullback_shadow(fam, po, 0.0625, check_budget=False)
+    assert report.per_step_errors == (0.03125, 0.0625)
+    assert report.verdict is False
 
 
 def test_monotone_nesting_of_final_cells():
@@ -299,7 +309,7 @@ def test_solver_agrees_with_grid_oracle_alternating():
 def test_periodic_fixed_point_of_constant_orbit():
     fam = doubling_family()
     po = PseudoOrbit.from_points(fam, [0.0] * 7)
-    x, residual, errors = periodic_shadow(fam, po, 0.05, period=1)
+    x, residual, errors = periodic_shadow(fam, po, 0.05)
     assert x == 0.0
     assert residual == 0.0
     assert max(errors) == 0.0
@@ -330,14 +340,14 @@ def test_periodic_rejects_nonperiodic_points():
     fam = doubling_family()
     po = perturb_orbit(fam, 0.3, 6, 0.01, seed=2)
     with pytest.raises(NonPeriodicInputError):
-        periodic_shadow(fam, po, 0.05, period=2)
+        periodic_shadow(fam, po, 0.05)
 
 
 def test_periodic_rejects_rule_backed_schedule():
     fam = slow_expanding_family()
     po = PseudoOrbit.from_points(fam, [0.3, 0.3, 0.3])
     with pytest.raises(NonPeriodicInputError):
-        periodic_shadow(fam, po, 0.05, period=1)
+        periodic_shadow(fam, po, 0.05)
 
 
 def test_periodicized_noise_is_shadowable():

@@ -87,6 +87,16 @@ MUTANTS = [
         "if report.measured_diameter > bound + _SLACK:",
         "if report.measured_diameter > 2 * bound + _SLACK:",
     ),
+    (
+        "src/shadowlab/solver.py",
+        "verdict=all(e < epsilon for e in errors),",
+        "verdict=all(e <= epsilon for e in errors),",
+    ),
+    (
+        "src/shadowlab/cli.py",
+        "verdict = max(errors) < epsilon",
+        "verdict = max(errors) <= epsilon",
+    ),
 ]
 
 DEFAULT_TESTS = [
@@ -96,6 +106,7 @@ DEFAULT_TESTS = [
     "tests/test_density.py",
     "tests/test_products.py",
     "tests/test_averaging.py",
+    "tests/test_cli.py",
 ]
 
 
