@@ -36,7 +36,7 @@ from .pseudo_orbits import (
     pseudo_orbit_rows,
 )
 from .reporting import write_report, write_series
-from .solver import MARGIN, periodic_shadow, pullback_shadow
+from .solver import MARGIN, certificate_log2, periodic_shadow, pullback_shadow
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,6 +106,7 @@ def _run_shadow(scenario: dict, params: dict):
                 "max_error": max(report.per_step_errors),
                 "max_defect": report.max_defect,
                 "measured_diameter": report.measured_diameter,
+                "resolution_floor_step": report.resolution_floor_step,
                 "verdict": report.verdict,
             }
         )
@@ -130,7 +131,7 @@ def _run_shadow(scenario: dict, params: dict):
         "errors": (["seed", "step", "error"], rows),
         "orbit": (orbit_header, orbit_rows),
     }
-    return verdict, report, series, f"diam<={bound:.3g}"
+    return verdict, report, series, f"diam<=2^{certificate_log2(family, epsilon, horizon):.1f}"
 
 
 def _run_periodic(scenario: dict, params: dict):

@@ -43,10 +43,6 @@ class IndexSet:
     def count_below(self, at: int) -> int:
         return bisect.bisect_left(self.members, at)
 
-    def __contains__(self, n: int) -> bool:
-        i = bisect.bisect_left(self.members, n)
-        return i < len(self.members) and self.members[i] == n
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -4,7 +4,8 @@ A family is a sequence of onto maps f_n: X -> X on one state space X (the
 paper's X_n = X case) with the composition F_n = f_{n-1} o ... o f_0 and
 F_0 = identity. Expanding families additionally expose inverse branches:
 local right inverses defined on balls of radius `branch_radius` whose
-Lipschitz constants are the per-step contraction rates.
+Lipschitz constants are the per-step contraction rates. Each branch is
+affine there, and `branch_slope` gives its own slope, rounded up.
 
 Built-ins bracket the hypothesis boundary of the pullback shadowing
 guarantee: constant doubling (rate 1/2), alternating doubling/tripling, a
@@ -79,6 +80,9 @@ class CircleLinearMap:
             raise ValueError("degree must be >= 1")
         self.degree = degree
         self.rate = 1.0 / degree
+        num, den = self.rate.as_integer_ratio()
+        # Every branch has slope exactly 1/degree; the float above it when 1.0/degree rounds down.
+        self.slope = self.rate if num * degree >= den else math.nextafter(self.rate, math.inf)
 
     def apply(self, x: float) -> float:
         return circle_reduce(self.degree * circle_reduce(x))
@@ -89,6 +93,9 @@ class CircleLinearMap:
 
     def branch_of(self, x: float) -> int:
         return min(int(circle_reduce(x) * self.degree), self.degree - 1)
+
+    def branch_slope(self, branch: int) -> float:
+        return self.slope
 
     def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
         if not 0 <= branch < self.degree:
@@ -111,6 +118,9 @@ class TwoSlopeCircleMap:
             raise ValueError("lam must be in (0,1)")
         self.lam = lam
         self.rate = max(lam, 1.0 - lam)
+        # 1.0 - upper is exact for upper in [1/2, 1], so it shows when 1.0 - lam rounded down.
+        upper = 1.0 - lam
+        self.slopes = (lam, upper if 1.0 - upper <= lam else math.nextafter(upper, math.inf))
 
     def apply(self, x: float) -> float:
         x = circle_reduce(x)
@@ -124,6 +134,9 @@ class TwoSlopeCircleMap:
 
     def branch_of(self, x: float) -> int:
         return 0 if circle_reduce(x) < self.lam else 1
+
+    def branch_slope(self, branch: int) -> float:
+        return self.slopes[branch]
 
     def _lift_inverse(self, t: float) -> float:
         # Inverse of the lifted covering; G(t + 2) = G(t) + 1.
@@ -143,7 +156,7 @@ class TwoSlopeCircleMap:
 
 
 class CircleRotation:
-    """Isometry x -> x + alpha mod 1. Single inverse branch, contraction 1."""
+    """Isometry x -> x + alpha mod 1."""
 
     def __init__(self, alpha: float):
         self.alpha = circle_reduce(alpha)
@@ -153,14 +166,6 @@ class CircleRotation:
 
     def preimages(self, w: float) -> list:
         return [circle_reduce(w - self.alpha)]
-
-    def branch_of(self, x: float) -> int:
-        return 0
-
-    def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
-        if branch != 0:
-            raise InvalidBranchIdError("rotation has a single branch")
-        return circle_reduce(self.preimages(w)[0] + circle_signed_gap(w, y))
 
 
 class IdentityMap:
@@ -174,14 +179,6 @@ class IdentityMap:
 
     def preimages(self, w) -> list:
         return [self.space.reduce(w)]
-
-    def branch_of(self, x) -> int:
-        return 0
-
-    def inverse_branch_point(self, branch: int, w, y):
-        if branch != 0:
-            raise InvalidBranchIdError("identity has a single branch")
-        return self.space.reduce(y)
 
 
 class FiniteMap:
@@ -201,20 +198,6 @@ class FiniteMap:
 
     def preimages(self, w: int) -> list:
         return [i for i, v in enumerate(self.table) if v == w]
-
-    def branch_of(self, x: int) -> int:
-        return self.preimages(self.table[x]).index(x)
-
-    def inverse_branch_point(self, branch: int, w: int, y: int) -> int:
-        pre = self.preimages(w)
-        if not 0 <= branch < len(pre):
-            raise InvalidBranchIdError(f"branch {branch} not in 0..{len(pre) - 1}")
-        if y != w:
-            pre_y = self.preimages(y)
-            if len(pre_y) <= branch:
-                raise InvalidBranchIdError(f"branch {branch} undefined over {y}")
-            return pre_y[branch]
-        return pre[branch]
 
 
 class ProductMap:
@@ -241,6 +224,9 @@ class ProductMap:
     def branch_of(self, x):
         return (self.left.branch_of(x[0]), self.right.branch_of(x[1]))
 
+    def branch_slope(self, branch) -> float:
+        return max(self.left.branch_slope(branch[0]), self.right.branch_slope(branch[1]))
+
     def inverse_branch_point(self, branch, w, y):
         return (
             self.left.inverse_branch_point(branch[0], w[0], y[0]),
@@ -258,9 +244,6 @@ class OrbitSegment:
 
     start_index: int
     points: tuple
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)

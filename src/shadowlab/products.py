@@ -165,10 +165,10 @@ def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
         branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
         checked += 1
         try:
-            z = pull_back_chain(family, maps, images, branches, po.points[n])[0]
+            centres, _, _ = pull_back_chain(family, maps, images, branches, po.points[n])
         except BranchDomainViolatedError:
             return CheckResult("h", False, checked, witness=po.points)
-        orbit = family.compose(z, n).points
+        orbit = family.compose(centres[0], n).points
         landing = family.space.distance(orbit[n], po.points[n])
         if landing > 1e-10 or family.sup_distance(orbit, po.points, 0, n - 1) >= eps:
             return CheckResult("h", False, checked, witness=po.points)

@@ -1,25 +1,27 @@
 """Backward inverse-branch pullback: the core shadowing solver.
 
 Given a budget-compliant pseudo-orbit of an expanding family, the solver
-pulls the closed epsilon-ball at the final point backward through the
-inverse branches selected along the pseudo-orbit, intersecting with the
-epsilon-ball around each image point on the way. Cells are circle arcs and
-componentwise pairs of them on products, computed by the spaces' own cell
-calculus in floats; inclusions and the branch-domain check allow a 1e-12
-slack (rigorous outward rounding is still open).
-The final cell's center is the returned shadow point; its certified diameter
-bound is 2 * epsilon * prod(rates of the k inverted maps).
+pulls the top cell, B(x_k, eps) & B(f(x_{k-1}), eps), backward through the
+inverse branches selected along the pseudo-orbit. Branches are affine, so
+one backward pass carries the centres z_j and a radius bound r_j scaled by
+each branch's slope, rounded up and kept as (mantissa, exponent) so it never
+underflows; the branch-domain and tube inclusions are checked with outward
+rounding and no slack (Hammel, Yorke & Grebogi 1987; Coomes, Kocak & Palmer
+1995). The shadow point is z_0, with the certified diameter bound
+2 * epsilon * prod(rates of the k inverted maps).
 
 Pseudo-orbit points are canonical (validated where they entered), so each
 solver resolves its maps once as a `MapFamily.window` and calls `apply`,
-`branch_of`, `inverse_branch_point` and `rate` on it with no re-validation.
+`branch_of`, `inverse_branch_point`, `branch_slope` and `rate` on it with no
+re-validation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from math import frexp, inf, ldexp, nextafter
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     BranchDomainViolatedError,
@@ -32,10 +34,13 @@ from .families import MapFamily
 from .pseudo_orbits import PseudoOrbit
 from .spaces import StateSpace
 
-_SLACK = 1e-12
 MARGIN = 0.98  # delta budgets sit at this fraction of the admissible interval
 _FIXED_POINT_TOL = 1e-9
 _MAX_ITERATIONS = 100_000
+# Rounding allowance per backward step, in absolute terms. One inverse-branch
+# evaluation on points of [0, 1), one distance and the sums of one check each
+# miss their exact values by a few units of 2^-53; 2^-48 is 32 such units.
+_ROUNDING = 2.0**-48
 
 
 def cell_pull(space: StateSpace, mapobj, branch, w, cell):
@@ -97,51 +102,47 @@ def delta_budget(
 # Pullback solver
 
 
-@dataclass(frozen=True)
-class PullbackCell:
-    time_index: int
-    center: object
-    radius: float
-    raw: object = None
+def _reach(distance: float, radius: Tuple[float, int], steps: int) -> float:
+    """Bound on a point's distance to the far side of a cell: the distance to its float centre,
+    rounded up, plus the cell's radius and one allowance per rounded step behind that centre."""
+    return nextafter(distance, inf) + ldexp(*radius) + steps * _ROUNDING
 
 
-class _LazyCells(Sequence):
-    """PullbackCells over raw cells by time index, each built when read."""
-
-    def __init__(self, space: StateSpace, raw: list):
-        self.space, self.raw = space, raw
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __getitem__(self, index):
-        j = range(len(self.raw))[index]
-        if isinstance(j, range):
-            return tuple(map(self.__getitem__, j))
-        raw = self.raw[j]
-        return PullbackCell(j, self.space.cell_center(raw), self.space.cell_diameter(raw) / 2.0, raw)
+def _rounded_product(scale: float, factors: Iterable[float]) -> Tuple[float, int]:
+    """scale * prod(factors) as (mantissa, exponent), each product rounded up."""
+    m, e = frexp(scale)
+    for factor in factors:
+        m, de = frexp(nextafter(factor * m, inf))
+        e += de
+    return m, e
 
 
 @dataclass(frozen=True)
 class PullbackChain:
-    """Cells by time index; `pullback_shadow` passes a view that builds them on read."""
+    """Centres z_0..z_k of the pulled-back cells and (mantissa, exponent) bounds on their radii.
 
-    cells: Sequence[PullbackCell]
+    The exact cell at level j lies within ldexp(*radii[j]) + (k - j + 1) * _ROUNDING
+    of z_j: one allowance for the top cell and one per backward step.
+    """
+
+    centres: list
+    radii: list
+
+    def resolution_floor(self, space: StateSpace) -> Optional[int]:
+        """The first level, counting down from the top, narrower than the float spacing at its centre."""
+        for j in range(len(self.centres) - 1, -1, -1):
+            if ldexp(self.radii[j][0], self.radii[j][1] + 1) < space.spacing(self.centres[j]):
+                return j
+        return None
 
     def validate_tube(self, po: PseudoOrbit, epsilon: float) -> None:
-        """Every cell sits inside the eps-tube around the pseudo-orbit.
-
-        Uses the exact cell geometry: on products, center distance plus the
-        max-radius summary would mix components and overstate the extent.
-        """
-        space = po.family.space
-        for cell in self.cells:
-            x = po.points[cell.time_index]
-            extent = space.cell_max_distance(cell.raw, x)
-            if extent > epsilon + _SLACK:
-                raise ValueError(
-                    f"cell at {cell.time_index} leaves the tube: {extent} > {epsilon}"
-                )
+        """Every level below the top lies inside the closed eps-ball around its point."""
+        k = len(self.centres) - 1
+        distance = po.family.space.distance
+        for j in range(k):
+            extent = _reach(distance(self.centres[j], po.points[j]), self.radii[j], k - j + 1)
+            if extent > epsilon:
+                raise ValueError(f"cell at {j} leaves the tube: {extent} > {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,7 @@ class ShadowReport:
     per_step_errors: Tuple[float, ...]
     diameter_bound: float
     measured_diameter: float
+    resolution_floor_step: Optional[int]  # first level, from the top, narrower than a float step
     delta_schedule: Tuple[float, ...]
     max_defect: float
     verdict: bool
@@ -169,25 +171,44 @@ def _diameter_bound(epsilon: float, maps: Sequence) -> float:
     return 2.0 * epsilon * math.prod(m.rate for m in maps)
 
 
-def pull_back_chain(family: MapFamily, maps: Sequence, images: Sequence, branches: Sequence, z) -> list:
-    """[z_0, ..., z_k] with z_k = z and z_j the branch preimage of z_{j+1}.
+def pull_back_chain(
+    family: MapFamily, maps: Sequence, images: Sequence, branches: Sequence, z,
+    radius: float = 0.0, points: Optional[Sequence] = None, epsilon: float = 0.0,
+) -> Tuple[list, list, list]:
+    """(centres, radii, errors) of the backward branch chain from z_k = z with r_k = `radius`.
 
-    Step j applies the inverse branch `branches[j]` of `maps[j]` = f_j
-    anchored at `images[j]`; it raises BranchDomainViolated when z_{j+1}
-    lies outside that branch's domain B(images[j], delta_0).
+    Step j applies the inverse branch `branches[j]` of `maps[j]` = f_j anchored
+    at `images[j]` to z_{j+1}, and sets r_j = up(s_j * r_{j+1}) with s_j that
+    branch's slope. It raises BranchDomainViolated unless the cell around
+    z_{j+1} lies in the open branch domain B(images[j], delta_0). Given
+    `points`, each level j < k must lie in the closed ball B(points[j],
+    epsilon), else EmptyCell, and errors[j] = d(z_j, points[j]).
+
+    Branches are right inverses, so {z_j} is the exact orbit of z_0; the
+    backward computation is contractive, hence float-stable, whereas naive
+    forward iteration would amplify rounding by the full expansion factor.
     """
     k = len(images)
-    chain = [None] * (k + 1)
-    chain[k] = z
-    distance, radius = family.space.distance, family.branch_radius
+    centres, radii = [None] * (k + 1), [None] * (k + 1)
+    m, e = frexp(radius)
+    centres[k], radii[k] = z, (m, e)
+    distance, delta0 = family.space.distance, family.branch_radius
+    errors = [] if points is None else [distance(z, points[k])] * (k + 1)
     for j in range(k - 1, -1, -1):
-        if distance(images[j], z) >= radius:
+        if _reach(distance(images[j], z), radii[j + 1], k - j) >= delta0:
             raise BranchDomainViolatedError(
-                f"backward iterate leaves branch domain at step {j}", witness=j
+                f"cell at step {j + 1} leaves the branch domain", witness=j + 1
             )
-        z = maps[j].inverse_branch_point(branches[j], images[j], z)
-        chain[j] = z
-    return chain
+        mapobj, branch = maps[j], branches[j]
+        z = mapobj.inverse_branch_point(branch, images[j], z)
+        m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))
+        e += de
+        centres[j], radii[j] = z, (m, e)
+        if points is not None:
+            errors[j] = d = distance(z, points[j])
+            if _reach(d, radii[j], k - j + 1) > epsilon:
+                raise EmptyCellError(f"cell at step {j} leaves the eps-tube", witness=j)
+    return centres, radii, errors
 
 
 def pullback_shadow(
@@ -200,8 +221,9 @@ def pullback_shadow(
     """Shadow a budget-compliant pseudo-orbit by backward pullback.
 
     Raises DeltaBudgetViolated when a defect exceeds its budget (the
-    hypothesis gate), EmptyCell when an intersection vanishes, and
-    BranchDomainViolated when a cell escapes the branch domain.
+    hypothesis gate), EmptyCell when the top cell is empty or a pulled-back
+    cell leaves the eps-tube, and BranchDomainViolated when a cell escapes
+    the branch domain.
     """
     family.require_expanding()
     k = po.horizon
@@ -214,45 +236,31 @@ def pullback_shadow(
     images = [m.apply(x) for m, x in zip(maps, po.points)]
     branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
 
-    # Backward cell pass. chain[j] is the intersected cell at level j for
-    # j >= 1 and the fully pulled-back cell at level 0; under the defect
-    # budget the intersections below the top are no-ops, so the diameter
-    # contracts by the branch rate at every pullback.
-    chain = [None] * (k + 1)
-    cell = space.make_ball(po.points[k], epsilon)
-    if k == 0:
-        chain[0] = cell
-    for j in range(k - 1, -1, -1):
-        inter = space.cell_intersect(cell, space.make_ball(images[j], epsilon))
-        if inter is None:
-            raise EmptyCellError(f"pullback cell at step {j + 1} is empty", witness=j + 1)
-        if space.cell_max_distance(inter, images[j]) >= family.branch_radius + _SLACK:
-            raise BranchDomainViolatedError(
-                f"cell at step {j + 1} leaves the branch domain", witness=j + 1
-            )
-        chain[j + 1] = inter
-        cell = space.cell_pull(maps[j], branches[j], images[j], inter)
-        chain[j] = cell
-
-    # Point pass: pull the top cell's center backward through the branches.
-    # Branches are right inverses, so {z_j} is the exact orbit of z_0; the
-    # backward computation is contractive, hence float-stable, whereas naive
-    # forward iteration would amplify rounding by the full expansion factor.
-    orbit_points = pull_back_chain(family, maps, images, branches, space.cell_center(chain[k]))
-    errors = tuple(map(space.distance, orbit_points, po.points))
+    # The top cell B(x_k, eps) & B(f(x_{k-1}), eps) lies in the eps-ball at
+    # level k by construction, touching its sphere whenever f(x_{k-1}) != x_k,
+    # so only the levels below it are checked against the tube.
+    top = space.make_ball(po.points[k], epsilon)
+    if k:
+        top = space.cell_intersect(top, space.make_ball(images[k - 1], epsilon))
+        if top is None:
+            raise EmptyCellError(f"pullback cell at step {k} is empty", witness=k)
+    centre, radius = space.cell_center(top), space.cell_diameter(top) / 2.0
+    centres, radii, errors = pull_back_chain(family, maps, images, branches, centre, radius, po.points, epsilon)
+    chain = PullbackChain(centres, radii)
     report = ShadowReport(
         family_name=family.name,
-        shadow_point=orbit_points[0],
+        shadow_point=centres[0],
         horizon=k,
         epsilon=epsilon,
-        per_step_errors=errors,
+        per_step_errors=tuple(errors),
         diameter_bound=_diameter_bound(epsilon, maps),
-        measured_diameter=space.cell_diameter(chain[0]),
+        measured_diameter=ldexp(radii[0][0], radii[0][1] + 1),
+        resolution_floor_step=chain.resolution_floor(space),
         delta_schedule=tuple(budget.values[:k]),
         max_defect=po.max_defect,
         verdict=all(e < epsilon for e in errors),
     )
-    return report, PullbackChain(cells=_LazyCells(space, chain))
+    return report, chain
 
 
 def uniqueness_certificate(
@@ -265,7 +273,9 @@ def uniqueness_certificate(
     """Certified diameter of the horizon-k shadow cell.
 
     Any two eps-shadowing points of the same pseudo-orbit lie within this
-    value of each other. The measured cell is checked against it.
+    value of each other. The pulled-back radius bound is checked against it
+    in exponent form, so a claimed rate below a branch's slope raises
+    EmptyCell even where both products underflow as floats.
     """
     if k > po.horizon:
         raise ValueError("k exceeds the pseudo-orbit horizon")
@@ -275,13 +285,23 @@ def uniqueness_certificate(
         points=po.points[: k + 1],
         defects=po.defects[:k],
     )
-    report, _ = pullback_shadow(family, truncated, epsilon, margin=margin)
-    bound = report.diameter_bound
-    if report.measured_diameter > bound + _SLACK:
-        raise EmptyCellError(
-            f"measured diameter {report.measured_diameter} exceeds certificate {bound}"
-        )
-    return bound
+    report, chain = pullback_shadow(family, truncated, epsilon, margin=margin)
+    # prod(s_j) * r_k against eps * prod(rate_j), both in exponent form and
+    # rounded up alike, so neither underflows. A float rate stands for the
+    # contraction it rounds, which may lie one float above it.
+    m, e = chain.radii[0]
+    bound_m, bound_e = _rounded_product(
+        epsilon, (nextafter(mapobj.rate, inf) for mapobj in family.window(0, k))
+    )
+    if ldexp(m, e - bound_e) > bound_m:
+        raise EmptyCellError(f"radius 2^{math.log2(m) + e:.1f} exceeds 2^{math.log2(bound_m) + bound_e:.1f}")
+    return report.diameter_bound
+
+
+def certificate_log2(family: MapFamily, epsilon: float, k: int) -> float:
+    """log2 of the certificate 2 eps * prod(rates), finite where the float one underflows."""
+    m, e = _rounded_product(2.0 * epsilon, (mapobj.rate for mapobj in family.window(0, k)))
+    return math.log2(m) + e
 
 
 def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):
@@ -312,7 +332,8 @@ def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):
 
     z = po.points[0]
     for _ in range(_MAX_ITERATIONS):
-        z_next = pull_back_chain(family, maps, images, branches, z)[0]
+        centres = pull_back_chain(family, maps, images, branches, z)[0]
+        z_next = centres[0]
         if space.distance(z_next, z) < _FIXED_POINT_TOL / 2.0:
             z = z_next
             break

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, ulp
 from typing import Sequence, Tuple
 
 from .errors import BranchDomainViolatedError, PointOutsideSpaceError
@@ -147,9 +147,9 @@ class CircleSpace(StateSpace):
     def cell_center(self, cell):
         return cell[0]
 
-    def cell_max_distance(self, cell, point) -> float:
-        """Largest distance from `point` to the cell (exact for small cells)."""
-        return circle_distance(cell[0], point) + cell[1]
+    def spacing(self, p) -> float:
+        """Gap from p to the next float: the narrowest arc a centre at p resolves."""
+        return ulp(p)
 
 
 @dataclass(frozen=True)
@@ -290,11 +290,8 @@ class ProductSpace(StateSpace):
     def cell_center(self, cell):
         return (self.factors[0].cell_center(cell[0]), self.factors[1].cell_center(cell[1]))
 
-    def cell_max_distance(self, cell, point) -> float:
-        return max(
-            self.factors[0].cell_max_distance(cell[0], point[0]),
-            self.factors[1].cell_max_distance(cell[1], point[1]),
-        )
+    def spacing(self, p) -> float:
+        return max(self.factors[0].spacing(p[0]), self.factors[1].spacing(p[1]))
 
 
 circle_space = CircleSpace

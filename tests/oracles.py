@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Nothing here may call into the solver or checker code paths it verifies:
-the grid minimizer hard-codes the doubling map, and the h-shadowing oracle
-re-enumerates pseudo-orbits with its own breadth-first machinery.
+the grid minimizer hard-codes the doubling map, the h-shadowing oracle
+re-enumerates pseudo-orbits with its own breadth-first machinery, and the
+two-pass pullback keeps the solver's previous algorithm, built from the maps
+and the spaces' arc calculus, which the solver now uses for its top cell only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -243,3 +246,49 @@ def head_is_exact(spliced, tol=1e-10):
         fam.space.distance(fam.evaluate(start + i, po.points[i]), po.points[i + 1]) > tol
         for i in range(spliced.cut_index)
     )
+
+
+def _cell_max_distance(space, cell, point):
+    """Largest distance from `point` to an arc, or to a pair of arcs on a product."""
+    if space.kind == "product":
+        return max(_cell_max_distance(f, c, p) for f, c, p in zip(space.factors, cell, point))
+    return space.distance(cell[0], point) + cell[1]
+
+
+def two_pass_pullback(family, po, epsilon, slack=1e-12):
+    """The solver as it was before its one-pass rewrite, without the budget gate.
+
+    A float cell pass pulls the eps-ball at the last point back through the
+    branches, intersecting with the eps-ball around each image and checking
+    the branch domain within `slack`; a point pass then pulls the top cell's
+    centre back. Returns (shadow_point, per_step_errors, verdict,
+    diameter_bound, measured_diameter), and raises EmptyCellError and
+    BranchDomainViolatedError where that solver did.
+    """
+    from shadowlab.errors import BranchDomainViolatedError, EmptyCellError
+
+    space, k, radius = family.space, po.horizon, family.branch_radius
+    maps = family.window(0, k)
+    images = [m.apply(x) for m, x in zip(maps, po.points)]
+    branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
+    cell = space.make_ball(po.points[k], epsilon)
+    top = bottom = cell
+    for j in range(k - 1, -1, -1):
+        inter = space.cell_intersect(cell, space.make_ball(images[j], epsilon))
+        if inter is None:
+            raise EmptyCellError(f"pullback cell at step {j + 1} is empty")
+        if _cell_max_distance(space, inter, images[j]) >= radius + slack:
+            raise BranchDomainViolatedError(f"cell at step {j + 1} leaves the branch domain")
+        if j == k - 1:
+            top = inter
+        cell = bottom = space.cell_pull(maps[j], branches[j], images[j], inter)
+    z = space.cell_center(top)
+    points = [None] * (k + 1)
+    points[k] = z
+    for j in range(k - 1, -1, -1):
+        if space.distance(images[j], z) >= radius:
+            raise BranchDomainViolatedError(f"backward iterate leaves branch domain at step {j}")
+        z = points[j] = maps[j].inverse_branch_point(branches[j], images[j], z)
+    errors = tuple(map(space.distance, points, po.points))
+    bound = 2.0 * epsilon * math.prod(m.rate for m in maps)
+    return points[0], errors, all(e < epsilon for e in errors), bound, space.cell_diameter(bottom)

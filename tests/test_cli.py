@@ -149,3 +149,12 @@ def test_periodic_error_equal_to_epsilon_fails(tmp_path, monkeypatch):
     scenario = bundled_scenarios_dir() / "doubling-periodic.json"
     assert run_scenario(scenario, tmp_path, quiet=True) == EXIT_FAIL
     assert load_report(tmp_path / "doubling-periodic.report.json")["report"]["verdict"] is False
+
+
+def test_shadow_summary_prints_the_bound_in_exponent_form(tmp_path, capsys):
+    # At k = 1100 the float bound 2 eps 2^-k underflows to 0.0; the summary
+    # prints log2(0.2) - 1100 = -1102.32 instead.
+    payload = {**SMALL_SHADOW, "parameters": {**SMALL_SHADOW["parameters"], "horizon": 1100, "seeds": 1}}
+    assert run_scenario(write_scenario(tmp_path, "long", payload), tmp_path) == EXIT_OK
+    assert load_report(tmp_path / "small-shadow.report.json")["report"]["diameter_bound"] == 0.0
+    assert "[diam<=2^-1102.3]" in capsys.readouterr().out

@@ -1,11 +1,15 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from shadowlab.errors import IndexOutOfScheduleError, InvalidBranchIdError, NotExpandingError
 from shadowlab.families import (
     BUILTIN_FAMILIES,
+    CircleLinearMap,
     Schedule,
+    TwoSlopeCircleMap,
     alternating_family,
     barely_expanding_family,
     doubling_family,
@@ -69,6 +73,18 @@ def test_inverse_branch_examples():
 def test_inverse_branch_errors():
     with pytest.raises(InvalidBranchIdError):
         doubling_family().map_at(0).inverse_branch_point(5, 0.5, 0.51)
+
+
+def test_branch_slopes_are_the_exact_slopes_rounded_up():
+    # The slope is the exact one when it is a float, else the float just above it.
+    for degree in range(1, 13):
+        slope = CircleLinearMap(degree).branch_slope(0)
+        assert Fraction(math.nextafter(slope, 0.0)) < Fraction(1, degree) <= Fraction(slope)
+    for lam in (0.1, 0.3, 1 / 3, 0.5, 2 / 3, 0.9):
+        mapobj = TwoSlopeCircleMap(lam)
+        assert mapobj.branch_slope(0) == lam
+        slope = mapobj.branch_slope(1)
+        assert Fraction(math.nextafter(slope, 0.0)) < 1 - Fraction(lam) <= Fraction(slope)
 
 
 EXPANDING = [doubling_family, alternating_family, slow_expanding_family, barely_expanding_family]

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import doubling_grid_minimizer
 from shadowlab.errors import (
+    BranchDomainViolatedError,
     DeltaBudgetViolatedError,
     EmptyCellError,
     EpsilonTooLargeError,
@@ -28,7 +29,6 @@ from shadowlab.families import (
 from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, perturb_orbit
 from shadowlab.solver import (
     DeltaSchedule,
-    PullbackCell,
     PullbackChain,
     delta_budget,
     diameter_certificate,
@@ -159,6 +159,45 @@ def test_verdict_rejects_an_error_equal_to_epsilon():
     assert report.verdict is False
 
 
+def test_top_cell_touching_the_eps_sphere_passes():
+    # The same orbit: a one-point top cell exactly eps from the last point.
+    # The top level lies in its ball by construction and is not checked
+    # numerically; up(eps) plus the rounding allowance would exceed eps.
+    fam = doubling_family()
+    po = PseudoOrbit.from_points(fam, [0.1875, 0.25])
+    _, chain = pullback_shadow(fam, po, 0.0625, check_budget=False)
+    assert chain.centres[1] == 0.3125 and math.ldexp(*chain.radii[1]) == 0.0
+    chain.validate_tube(po, 0.0625)
+
+
+def test_a_level_below_the_top_at_exactly_epsilon_fails_the_tube():
+    # Top cell {0.3125}; z_1 = 0.15625 sits eps/2 from x_1, and f(x_0) is 2 eps
+    # from z_1, so z_0 = 0.078125 is exactly eps = 1/16 from x_0. Every value
+    # is dyadic, so the distance is exact and only the rounding allowance
+    # pushes the level past eps.
+    fam = doubling_family()
+    po = PseudoOrbit.from_points(fam, [0.140625, 0.1875, 0.25])
+    with pytest.raises(EmptyCellError) as caught:
+        pullback_shadow(fam, po, 0.0625, check_budget=False)
+    assert caught.value.witness == 0
+    chain = PullbackChain([0.078125, 0.15625, 0.3125], [(0.0, 0), (0.0, 0), (0.0, 0)])
+    with pytest.raises(ValueError):
+        chain.validate_tube(po, 0.0625)
+
+
+def test_branch_domain_check_counts_the_cell_radius():
+    # x_2 = f(x_1), so the top cell is B(0.75, eps) and z_1 = x_1 = 0.375 with
+    # r_1 = eps/2 = 0.03125. f(x_0) = 0.59375 is 0.21875 from z_1, and
+    # 0.21875 + 0.03125 = delta_0 = 0.25 exactly: the cell touches the edge
+    # of the branch domain, which is open.
+    fam = doubling_family()
+    po = PseudoOrbit.from_points(fam, [0.296875, 0.375, 0.75])
+    assert fam.space.distance(fam.map_at(0).apply(0.296875), 0.375) + 0.03125 == fam.branch_radius
+    with pytest.raises(BranchDomainViolatedError) as caught:
+        pullback_shadow(fam, po, 0.0625, check_budget=False)
+    assert caught.value.witness == 1
+
+
 def test_monotone_nesting_of_final_cells():
     fam = doubling_family()
     po = perturb_orbit(fam, 0.61, 21, 0.049, seed=11)
@@ -166,7 +205,7 @@ def test_monotone_nesting_of_final_cells():
     for k in range(1, 22):
         trunc = PseudoOrbit(fam, 0, po.points[: k + 1], po.defects[:k])
         _, chain = pullback_shadow(fam, trunc, 0.1)
-        cell = (chain.cells[0].center, chain.cells[0].radius)
+        cell = (chain.centres[0], math.ldexp(*chain.radii[0]))
         if previous is not None:
             assert circle_distance(previous[0], cell[0]) + cell[1] <= previous[1] + 1e-12
         previous = cell
@@ -217,9 +256,7 @@ def test_product_cells_are_pairs_of_circle_cells():
         assert space.cell_intersect(ball, other) == pair
         assert space.cell_center(ball) == (circle.cell_center(ball[0]), circle.cell_center(ball[1]))
         assert space.cell_diameter(other) == max(circle.cell_diameter(c) for c in other)
-        assert space.cell_max_distance(other, p) == max(
-            circle.cell_max_distance(c, x) for c, x in zip(other, p)
-        )
+        assert space.spacing(p) == max(circle.spacing(x) for x in p)
         w, branch = mapobj.apply(p), mapobj.branch_of(p)
         image = space.make_ball(w, 0.05)
         assert space.cell_pull(mapobj, branch, w, image) == (
@@ -419,12 +456,11 @@ def test_delta_schedule_rejects_a_defect_equal_to_its_budget():
 def test_validate_tube_rejects_a_cell_half_again_outside_the_tube():
     fam = doubling_family()
     po = PseudoOrbit.from_points(fam, [0.1, 0.2])
-    inside = PullbackCell(time_index=1, center=0.2, radius=0.1, raw=(0.2, 0.1))
-    PullbackChain(cells=(inside,)).validate_tube(po, 0.1)
-    # Extent 0.05 + 0.1 = 1.5 eps: far past any rounding slack.
-    outside = PullbackCell(time_index=0, center=0.15, radius=0.1, raw=(0.15, 0.1))
+    # Level 0 at the centre 0.1 with radius 0.05 is inside; the top level is not checked.
+    PullbackChain([0.1, 0.2], [math.frexp(0.05), math.frexp(0.1)]).validate_tube(po, 0.1)
+    # Extent 0.05 + 0.1 = 1.5 eps: far past any rounding allowance.
     with pytest.raises(ValueError):
-        PullbackChain(cells=(inside, outside)).validate_tube(po, 0.1)
+        PullbackChain([0.15, 0.2], [math.frexp(0.1), math.frexp(0.1)]).validate_tube(po, 0.1)
 
 
 def test_delta_budget_rejects_equality_in_the_budget_inequality():
@@ -438,13 +474,17 @@ def test_delta_budget_rejects_equality_in_the_budget_inequality():
 
 def test_uniqueness_certificate_rejects_an_understated_rate():
     # A doubling map that claims rate 0.4: the measured cell (2 eps * 0.5)
-    # is 1.25 times the certified bound (2 eps * 0.4).
+    # is 1.25 times the certified bound (2 eps * 0.4). At k = 2000 both
+    # products underflow to 0.0 as plain floats; the exponent form still
+    # tells them apart.
     liar = CircleLinearMap(2)
     liar.rate = 0.4
     fam = MapFamily("liar", doubling_family().space, constant_schedule(liar), branch_radius=0.25)
-    po = perturb_orbit(fam, 0.3, 1, 0.0, 0)
-    with pytest.raises(EmptyCellError):
-        uniqueness_certificate(fam, po, 0.1, 1)
+    assert 0.1 * 0.5**2000 == 0.1 * 0.4**2000 == 0.0
+    for k in (1, 2000):
+        po = perturb_orbit(fam, 0.3, k, 0.0, 0)
+        with pytest.raises(EmptyCellError):
+            uniqueness_certificate(fam, po, 0.1, k)
 
 
 def _sha256(value) -> str:
@@ -455,8 +495,8 @@ def _sha256(value) -> str:
 # measured_diameter, delta_schedule, verdict)): floats the bundled report
 # hashes do not reach (long horizons, products, rule-backed rates).
 PULLBACK_SHA256 = {
-    "doubling*doubling": "bfcd76bc7299b7270e525a44239ee72f6aadc54176deffcdd5b05a2507673bad",
-    "slow_expanding": "7e5163d2a3ff05ed520c2f24b54f4572f366482d82291cf750f45f818a3f2d5d",
+    "doubling*doubling": "e5fafc9c373a5bdb00337ff3d89fc1d9395fa1d27b7688f52df446169bb52b1a",
+    "slow_expanding": "e08490ccf4ee1892d152793d6a6596980675fd97b777bfdb0da205dbdabdd1d4",
     "alternating": "8fe36bb81339818acccb5bbff3c593047eff7a9465d78dc838a2d9e2adfa2ad3",
 }
 
@@ -486,16 +526,15 @@ def test_long_pullback_reports_are_pinned():
 def test_chain_cells_are_pinned():
     pair = product_family(doubling_family(), doubling_family())
     expected = {
-        pair: "1c6df04a21d53eea95a8b30a2531ca2145bd930a89de096aac8e9b732462839d",
-        doubling_family(): "c6ecaa95e4ec215e1ac95bc4640aae0cec61380b7b0c554f3e40047c5be7b933",
+        pair: "7c325a52482c1cf8ddce361bf6ad0f2f094df2312f470781d43ee7d1cf6e2c26",
+        doubling_family(): "cbc53f1e9b9c27ab031c145311712120102f62e775b7357d9b8f32990eb91695",
     }
     for fam, digest in expected.items():
         po = perturb_orbit(fam, (0.3, 0.7) if fam is pair else 0.3, 8, 0.04, 5)
         _, chain = pullback_shadow(fam, po, 0.1)
-        assert len(chain.cells) == 9
-        cells = [(c.time_index, c.center, c.radius) for c in chain.cells]
+        assert len(chain.centres) == len(chain.radii) == 9
+        cells = list(zip(range(9), chain.centres, chain.radii))
         assert _sha256(cells) == digest, fam.name
-        assert chain.cells[-1] == chain.cells[8]
         chain.validate_tube(po, 0.1)
 
 

@@ -34,8 +34,23 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/solver.py",
-        "if extent > epsilon + _SLACK:",
-        "if extent > 2 * epsilon + _SLACK:",
+        "if extent > epsilon:",
+        "if extent > 2 * epsilon:",
+    ),
+    (
+        "src/shadowlab/solver.py",
+        "if _reach(d, radii[j], k - j + 1) > epsilon:",
+        "if _reach(d, radii[j], k - j + 1) > epsilon + 1e-12:",
+    ),
+    (
+        "src/shadowlab/solver.py",
+        "if _reach(distance(images[j], z), radii[j + 1], k - j) >= delta0:",
+        "if _reach(distance(images[j], z), radii[j + 1], k - j) >= delta0 + 1e-12:",
+    ),
+    (
+        "src/shadowlab/solver.py",
+        "m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))",
+        "m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, -inf))",
     ),
     (
         "src/shadowlab/products.py",
@@ -84,8 +99,8 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/solver.py",
-        "if report.measured_diameter > bound + _SLACK:",
-        "if report.measured_diameter > 2 * bound + _SLACK:",
+        "if ldexp(m, e - bound_e) > bound_m:",
+        "if ldexp(m, e - bound_e) > 2 * bound_m:",
     ),
     (
         "src/shadowlab/solver.py",
@@ -101,6 +116,7 @@ MUTANTS = [
 
 DEFAULT_TESTS = [
     "tests/test_solver.py",
+    "tests/test_one_pass_solver.py",
     "tests/test_families.py",
     "tests/test_limits.py",
     "tests/test_density.py",
