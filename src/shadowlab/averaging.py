@@ -7,6 +7,13 @@ decomposition; inside blocks the lift follows exact restricted orbits from
 the nearest point of A, off blocks it parks at a fill point. The restricted
 system's averaged-shadowing oracle (exhaustive for finite A) then produces
 the shadowing point, certified by an exact triangle decomposition.
+
+The oracle needs a finite state space, so the composition works on per-state
+tables built once per call (each state's distance to A, its nearest point of
+A, and its row of distances) and walks the horizon a fixed number of times:
+every horizon-long column is read from the tables, and the dyadic epsilon
+ladder is one backward pass. Only the oracle's scan over the |A| candidate
+orbits (``best_orbit``) still calls the metric per index.
 """
 
 from __future__ import annotations
@@ -129,12 +136,19 @@ def visit_condition(
 
 
 def dyadic_cover(index_set: IndexSet, scale: int, horizon: int) -> IndexSet:
-    """Union of the aligned `scale`-blocks meeting the set."""
-    blocks = sorted(set(n // scale for n in index_set.members))
+    """Union of the aligned `scale`-blocks meeting the set.
+
+    The members are sorted, so the blocks come in increasing order, each
+    once: the union is built already sorted and duplicate-free.
+    """
     members = []
-    for l in blocks:
-        members.extend(range(l * scale, min((l + 1) * scale, horizon)))
-    return IndexSet.from_iterable(members, horizon)
+    last = -1
+    for n in index_set.members:
+        l = n // scale
+        if l != last:
+            members.extend(range(l * scale, min((l + 1) * scale, horizon)))
+            last = l
+    return IndexSet(horizon=horizon, members=tuple(members))
 
 
 def block_decompose(
@@ -228,11 +242,28 @@ class LiftResult:
     block_deviations: Tuple[Tuple[int, int, float], ...]
 
 
+def _state_tables(sub: InvariantSubsystem):
+    """(rows, to_a, nearest) over the finite ambient space, each built once.
+
+    rows[a][b] is d(a, b) from the space's distance table, to_a[p] the
+    distance from p to A and nearest[p] its nearest point of A (first in A's
+    order on ties): the floats and points the per-index calls return.
+    """
+    space = sub.ambient.space
+    points = space.points
+    rows = {a: dict(zip(points, row)) for a, row in zip(points, space.distance_table())}
+    to_a = {p: sub.distance_to(p) for p in points}
+    nearest = {p: sub.nearest(p) for p in points}
+    return rows, to_a, nearest
+
+
 def lift_to_A(sub: InvariantSubsystem, po: PseudoOrbit, blocks: BlockDecomposition) -> LiftResult:
     """Fill J' with the first point of A, follow exact restricted orbits on blocks.
 
     Block starts snap to the nearest point of A; within a block the lift is
     the exact ambient orbit of that point (A is invariant, so it stays in A).
+    One pass applies the maps; deviations and defects are then read from the
+    distance rows, reusing each in-block image as the next lifted point.
     """
     if not sub.points:
         raise EmptyAError("A must be nonempty")
@@ -240,16 +271,15 @@ def lift_to_A(sub: InvariantSubsystem, po: PseudoOrbit, blocks: BlockDecompositi
     n_points = blocks.horizon
     if n_points != len(po.points):
         raise ValueError("block decomposition horizon must equal the point count")
-    prime = set(blocks.prime_set.members)
+    rows, _, nearest = _state_tables(sub)
     members_a = set(sub.points)
-    space = sub.ambient.space
     maps = sub.ambient.window(0, n_points - 1)
+    data = po.points
 
     lifted = [None] * n_points
-    deviations = []
+    images = [None] * (n_points - 1)  # images[i] = f_i(lifted[i])
     for a, b in blocks.blocks:
-        y = sub.nearest(po.points[a])
-        worst = space.distance(y, po.points[a])
+        y = nearest[data[a]]
         lifted[a] = y
         for i in range(a, b):
             y = maps[i].apply(y)
@@ -257,16 +287,19 @@ def lift_to_A(sub: InvariantSubsystem, po: PseudoOrbit, blocks: BlockDecompositi
                 raise HypothesisFailedError(
                     f"restricted orbit leaves A at index {i + 1}", witness=(a, i + 1)
                 )
-            lifted[i + 1] = y
-            worst = max(worst, space.distance(y, po.points[i + 1]))
-        deviations.append((a, b, worst))
-    for i in range(n_points):
-        if lifted[i] is None:
-            if i not in prime:
-                raise ValueError(f"index {i} neither in J' nor covered by a block")
-            lifted[i] = fill
+            images[i] = lifted[i + 1] = y
+    for m in blocks.prime_set.members:
+        if m < n_points and lifted[m] is None:
+            lifted[m] = fill
+    if None in lifted:
+        raise ValueError(f"index {lifted.index(None)} neither in J' nor covered by a block")
+    for i in range(n_points - 1):
+        if images[i] is None:
+            images[i] = maps[i].apply(lifted[i])
 
-    defects = tuple(map(space.distance, (m.apply(y) for m, y in zip(maps, lifted)), lifted[1:]))
+    gaps = [rows[y][x] for y, x in zip(lifted, data)]
+    deviations = tuple((a, b, max(gaps[a : b + 1])) for a, b in blocks.blocks)
+    defects = tuple([rows[f][z] for f, z in zip(images, lifted[1:])])
     support = IndexSet.from_iterable(
         [i for i, d in enumerate(defects) if d > 0.0], n_points - 1
     )
@@ -283,7 +316,7 @@ def lift_to_A(sub: InvariantSubsystem, po: PseudoOrbit, blocks: BlockDecompositi
         allowed=allowed,
         support_contained=contained,
         cesaro_certificate=certificate,
-        block_deviations=tuple(deviations),
+        block_deviations=deviations,
     )
 
 
@@ -309,6 +342,31 @@ class AverageShadowResult:
     @property
     def triangle_holds(self) -> bool:
         return self.final_cesaro_exact <= self.term_shadow_vs_lift + self.term_lift_vs_data
+
+
+def _ladder_cuts(off_j: bytearray, defects: Sequence[float], distances: Sequence[float]) -> list:
+    """Per level 2^-i (i = 1 .. depth): one past the last index off J whose
+    defect or distance to A reaches the level, else 0.
+
+    The levels decrease, so each cut is at or past the cut of the level above:
+    one backward pass settles the lowest open level first and stops once the
+    highest is settled. An index that reaches the lowest open level may
+    settle several; both sequences are finite here (the extractions reject
+    NaN), so their max() reaches a level exactly when one of them does.
+    """
+    levels = [0.5**i for i in range(1, _LADDER_DEPTH + 1)]
+    cuts = [0] * len(levels)
+    unsettled = len(levels)
+    for k in range(len(off_j) - 1, -1, -1):
+        if not unsettled:
+            break
+        low = levels[unsettled - 1]
+        if off_j[k] and (defects[k] >= low or distances[k] >= low):
+            reach = max(defects[k], distances[k])
+            while unsettled and reach >= levels[unsettled - 1]:
+                unsettled -= 1
+                cuts[unsettled] = k + 1
+    return cuts
 
 
 def average_shadow_point(sub: InvariantSubsystem, po: PseudoOrbit) -> AverageShadowResult:
@@ -343,41 +401,24 @@ def average_shadow_point(sub: InvariantSubsystem, po: PseudoOrbit) -> AverageSha
             )
         reports.append(passing)
 
-    distances = [sub.distance_to(x) for x in po.points]
+    rows, to_a, _ = _state_tables(sub)
+    distances = [to_a[x] for x in po.points]
+    defects = list(po.defects) + [0.0]
     q1 = cesaro_to_density_zero(distances, n_points)
-    q2 = cesaro_to_density_zero(list(po.defects) + [0.0], n_points)
+    q2 = cesaro_to_density_zero(defects, n_points)
     j_union = q1.index_set.union(q2.index_set)
-
-    off_j = j_union.off_mask()
-    ladder_cuts = []
-    for i in range(1, _LADDER_DEPTH + 1):
-        level = 0.5**i
-        cut = 0
-        for k in range(n_points - 1, -1, -1):
-            if not off_j[k]:
-                continue
-            defect = po.defects[k] if k < horizon else 0.0
-            if defect >= level or distances[k] >= level:
-                cut = k + 1
-                break
-        ladder_cuts.append(cut)
+    ladder_cuts = _ladder_cuts(j_union.off_mask(), defects, distances)
 
     blocks = block_decompose(j_union, n_points, ladder_cuts=ladder_cuts)
     lift = lift_to_A(sub, po, blocks)
 
-    space = family.space
     orbits = orbit_table(family, horizon, starts=sub.points)
-    y, _, orbit = best_orbit(space, orbits, lift.points, mean=True)
+    y, _, orbit = best_orbit(family.space, orbits, lift.points, mean=True)
 
-    shadow_vs_lift = [
-        space.distance(orbit[i], lift.points[i]) for i in range(n_points)
-    ]
+    shadow_vs_lift = [rows[z][w] for z, w in zip(orbit, lift.points)]
     oracle_exc = cesaro_to_density_zero(shadow_vs_lift, n_points)
-
-    lift_vs_data = [
-        space.distance(lift.points[i], po.points[i]) for i in range(n_points)
-    ]
-    total = [space.distance(orbit[i], po.points[i]) for i in range(n_points)]
+    lift_vs_data = [rows[w][x] for w, x in zip(lift.points, po.points)]
+    total = [rows[z][x] for z, x in zip(orbit, po.points)]
 
     final_exact = exact_mean(total)
     term1 = exact_mean(shadow_vs_lift)

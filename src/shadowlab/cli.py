@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
@@ -62,13 +61,26 @@ def _param(params: dict, name: str, default=None, required: bool = False):
     return default
 
 
+def _on_squares(value: float, horizon: int, shift: int) -> list:
+    """value at each n in [0, horizon) where n + shift (0 or 1) is a perfect square, else 0.0.
+
+    Fills zeros and then writes the squares, so no index takes a root.
+    """
+    values = [0.0] * horizon
+    k = shift  # the least k with k * k >= shift
+    while k * k - shift < horizon:
+        values[k * k - shift] = value
+        k += 1
+    return values
+
+
 def _profile_values(profile: dict, horizon: int) -> list:
     kind = profile.get("kind")
     scale = float(profile.get("scale", 1.0))
     if kind == "harmonic":
         return [scale / (i + 1) for i in range(horizon)]
     if kind == "squares_indicator":
-        return [scale if math.isqrt(i) ** 2 == i else 0.0 for i in range(horizon)]
+        return _on_squares(scale, horizon, 0)
     if kind == "zeros":
         return [0.0] * horizon
     raise ConfigInvalidError(f"parameters.profile.kind: unknown kind {kind!r}")
@@ -211,10 +223,7 @@ def _run_average(scenario: dict, params: dict):
     tol = float(_param(params, "tolerance", 0.05))
     x0 = int(_param(params, "x0", subset[0]))
     sub = InvariantSubsystem.finite(family, subset)
-    displacements = [
-        magnitude if math.isqrt(i + 1) ** 2 == i + 1 else 0.0 for i in range(horizon)
-    ]
-    po = displace_orbit(family, x0, displacements)
+    po = displace_orbit(family, x0, _on_squares(magnitude, horizon, 1))
     result = average_shadow_point(sub, po)
     verdict = (
         result.lift.support_contained

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -75,7 +76,7 @@ def upper_density(index_set: IndexSet, at: int) -> Fraction:
 
 def _finite_floats(values: Sequence[float], horizon: int) -> List[float]:
     """The first `horizon` values as floats; a NaN or infinity raises at its index."""
-    vals = [float(v) for v in values[:horizon]]
+    vals = list(map(float, values[:horizon]))
     if not all(map(math.isfinite, vals)):
         n = next(i for i, v in enumerate(vals) if not math.isfinite(v))
         raise BoundViolatedError(f"a_{n} = {vals[n]} is not finite", witness=n)
@@ -87,12 +88,17 @@ def exact_mean(values: Sequence[float]) -> Fraction:
 
     Every finite float is m / 2^e, so the sum is one integer numerator over
     the largest denominator: the result is sum(map(Fraction, values)) / len.
+    The values are counted first and each distinct float joins once, times
+    its count; a finite metric has at most |X|^2 distances, so the integer
+    work no longer grows with the length. 0.0 and -0.0 count as one value,
+    which is harmless: both have numerator 0.
     """
     if len(values) == 0:
         raise ZeroHorizonError("the mean of no values is undefined")
     vals = _finite_floats(values, len(values))
-    den = max(d for _, d in map(float.as_integer_ratio, vals))
-    total = sum(n * (den // d) for n, d in map(float.as_integer_ratio, vals))
+    ratios = [(v.as_integer_ratio(), c) for v, c in Counter(vals).items()]
+    den = max(d for (_, d), _ in ratios)
+    total = sum(n * (den // d) * c for (n, d), c in ratios)
     return Fraction(total, den * len(vals))
 
 
@@ -267,11 +273,12 @@ def density_zero_to_cesaro(
     if not math.isfinite(bound):
         raise BoundViolatedError(f"bound {bound} is not finite", witness=bound)
     vals = _finite_floats(values, horizon)
-    for n, v in enumerate(vals):
+    if max(vals) > bound or min(vals) < 0.0:
+        # the first index out of [0, bound], with its reason
+        n, v = next((n, v) for n, v in enumerate(vals) if v > bound or v < 0)
         if v > bound:
             raise BoundViolatedError(f"a_{n} = {v} exceeds bound {bound}", witness=n)
-        if v < 0:
-            raise BoundViolatedError(f"a_{n} = {v} is negative", witness=n)
+        raise BoundViolatedError(f"a_{n} = {v} is negative", witness=n)
 
     actual = exact_mean(vals)
 
@@ -403,32 +410,41 @@ class BlockDecomposition:
     fill_markers: Tuple[int, ...]
 
     def validate(self) -> None:
+        """Raise ValueError unless the blocks are ordered runs that exactly
+        tile [0, horizon) minus J'.
+
+        One walk: ordered runs are disjoint, so they tile the complement
+        exactly when each ends below the horizon, none holds a member of J',
+        and their lengths add up to horizon - #(J' below horizon).
+        """
         prev_end = -1
         for a, b in self.blocks:
             if not (prev_end < a <= b):
                 raise ValueError(f"blocks out of order at [{a}, {b}]")
             prev_end = b
-        covered = set()
+        members = self.prime_set.members
+        covered = 0
         for a, b in self.blocks:
-            covered.update(range(a, b + 1))
-        complement = set(range(self.horizon)) - set(self.prime_set.members)
-        if covered != complement:
+            if b >= self.horizon or bisect.bisect_right(members, b) > bisect.bisect_left(members, a):
+                raise ValueError("blocks do not exhaust the complement of J'")
+            covered += b - a + 1
+        if covered != self.horizon - bisect.bisect_left(members, self.horizon):
             raise ValueError("blocks do not exhaust the complement of J'")
 
 
 def complement_blocks(index_set: IndexSet, horizon: int) -> Tuple[Tuple[int, int], ...]:
-    """Maximal runs of consecutive integers in [0, horizon) \\ members."""
+    """Maximal runs of consecutive integers in [0, horizon) \\ members.
+
+    One walk over the sorted members: the gap before each member is a run.
+    """
     blocks = []
-    run_start = None
-    members = set(index_set.members)
-    for n in range(horizon):
-        if n in members:
-            if run_start is not None:
-                blocks.append((run_start, n - 1))
-                run_start = None
-        else:
-            if run_start is None:
-                run_start = n
-    if run_start is not None:
-        blocks.append((run_start, horizon - 1))
+    start = 0
+    for m in index_set.members:
+        if m >= horizon:
+            break
+        if m > start:
+            blocks.append((start, m - 1))
+        start = m + 1
+    if start < horizon:
+        blocks.append((start, horizon - 1))
     return tuple(blocks)

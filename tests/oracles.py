@@ -292,3 +292,165 @@ def two_pass_pullback(family, po, epsilon, slack=1e-12):
     errors = tuple(map(space.distance, points, po.points))
     bound = 2.0 * epsilon * math.prod(m.rate for m in maps)
     return points[0], errors, all(e < epsilon for e in errors), bound, space.cell_diameter(bottom)
+
+
+# ---------------------------------------------------------------------------
+# Average shadowing as it was before it ran on per-state tables: one metric
+# call per index, six backward ladder scans, set-based block checks. The
+# density kernels it calls (extraction, patching, certificates) have property
+# tests of their own; its means use exact_mean_reference.
+
+
+def dyadic_cover_reference(index_set, scale, horizon):
+    from shadowlab.density import IndexSet
+
+    members = []
+    for l in sorted(set(n // scale for n in index_set.members)):
+        members.extend(range(l * scale, min((l + 1) * scale, horizon)))
+    return IndexSet.from_iterable(members, horizon)
+
+
+def complement_blocks_reference(members, horizon):
+    """Maximal runs of [0, horizon) outside `members`, one membership test per index."""
+    blocks, run_start, member_set = [], None, set(members)
+    for n in range(horizon):
+        if n in member_set:
+            if run_start is not None:
+                blocks.append((run_start, n - 1))
+                run_start = None
+        elif run_start is None:
+            run_start = n
+    if run_start is not None:
+        blocks.append((run_start, horizon - 1))
+    return tuple(blocks)
+
+
+def validate_reference(decomposition):
+    """BlockDecomposition.validate on Python sets over range(horizon)."""
+    prev_end = -1
+    for a, b in decomposition.blocks:
+        if not (prev_end < a <= b):
+            raise ValueError(f"blocks out of order at [{a}, {b}]")
+        prev_end = b
+    covered = set()
+    for a, b in decomposition.blocks:
+        covered.update(range(a, b + 1))
+    if covered != set(range(decomposition.horizon)) - set(decomposition.prime_set.members):
+        raise ValueError("blocks do not exhaust the complement of J'")
+
+
+def ladder_cuts_reference(off_j, defects, distances, depth=6):
+    """Per level 2^-i, one backward scan for the last off-J index reaching it."""
+    cuts = []
+    for i in range(1, depth + 1):
+        level = 0.5**i
+        cut = 0
+        for k in range(len(off_j) - 1, -1, -1):
+            if off_j[k] and (defects[k] >= level or distances[k] >= level):
+                cut = k + 1
+                break
+        cuts.append(cut)
+    return cuts
+
+
+def lift_to_A_reference(sub, po, blocks):
+    from shadowlab.averaging import LiftResult
+    from shadowlab.density import IndexSet, density_zero_to_cesaro
+    from shadowlab.errors import HypothesisFailedError
+
+    fill = sub.points[0]
+    n_points = blocks.horizon
+    prime = set(blocks.prime_set.members)
+    members_a = set(sub.points)
+    space = sub.ambient.space
+    maps = sub.ambient.window(0, n_points - 1)
+    lifted = [None] * n_points
+    deviations = []
+    for a, b in blocks.blocks:
+        y = sub.nearest(po.points[a])
+        worst = space.distance(y, po.points[a])
+        lifted[a] = y
+        for i in range(a, b):
+            y = maps[i].apply(y)
+            if y not in members_a:
+                raise HypothesisFailedError(
+                    f"restricted orbit leaves A at index {i + 1}", witness=(a, i + 1)
+                )
+            lifted[i + 1] = y
+            worst = max(worst, space.distance(y, po.points[i + 1]))
+        deviations.append((a, b, worst))
+    for i in range(n_points):
+        if lifted[i] is None:
+            if i not in prime:
+                raise ValueError(f"index {i} neither in J' nor covered by a block")
+            lifted[i] = fill
+    defects = tuple(map(space.distance, (m.apply(y) for m, y in zip(maps, lifted)), lifted[1:]))
+    support = IndexSet.from_iterable([i for i, d in enumerate(defects) if d > 0.0], n_points - 1)
+    allowed = IndexSet.from_iterable(
+        [m for m in blocks.prime_set.members if m < n_points - 1]
+        + [m for m in blocks.fill_markers if m < n_points - 1],
+        n_points - 1,
+    )
+    return LiftResult(
+        points=tuple(lifted),
+        defects=defects,
+        support=support,
+        allowed=allowed,
+        support_contained=set(support.members) <= set(allowed.members),
+        cesaro_certificate=density_zero_to_cesaro(defects, allowed, bound=max(sub.diameter, 1e-30)),
+        block_deviations=tuple(deviations),
+    )
+
+
+def average_shadow_point_reference(sub, po):
+    from shadowlab.averaging import AverageShadowResult, block_decompose, visit_condition
+    from shadowlab.density import IndexSet, cesaro_to_density_zero, upper_density
+    from shadowlab.errors import HypothesisFailedError
+    from shadowlab.families import best_orbit, orbit_table
+
+    family, space = sub.ambient, sub.ambient.space
+    n_points, horizon = len(po.points), po.horizon
+    visit_windows = [2**j for j in range(2, 11) if 2**j <= max(horizon, 4)]
+    reports = []
+    for k in range(1, 7):
+        eps = 0.5**k
+        passing = next(
+            (rep for rep in (visit_condition(sub, eps, w, space.points) for w in visit_windows) if rep.verdict),
+            None,
+        )
+        if passing is None:
+            raise HypothesisFailedError(f"visit condition fails at epsilon {eps}", witness=eps)
+        reports.append(passing)
+    distances = [sub.distance_to(x) for x in po.points]
+    defects = list(po.defects) + [0.0]
+    q1 = cesaro_to_density_zero(distances, n_points)
+    q2 = cesaro_to_density_zero(defects, n_points)
+    j_union = q1.index_set.union(q2.index_set)
+    ladder_cuts = ladder_cuts_reference(j_union.off_mask(), defects, distances)
+    blocks = block_decompose(j_union, n_points, ladder_cuts=ladder_cuts)
+    lift = lift_to_A_reference(sub, po, blocks)
+    y, _, orbit = best_orbit(space, orbit_table(family, horizon, starts=sub.points), lift.points, mean=True)
+    shadow_vs_lift = [space.distance(orbit[i], lift.points[i]) for i in range(n_points)]
+    oracle_exc = cesaro_to_density_zero(shadow_vs_lift, n_points)
+    lift_vs_data = [space.distance(lift.points[i], po.points[i]) for i in range(n_points)]
+    total = [space.distance(orbit[i], po.points[i]) for i in range(n_points)]
+    final_exact = exact_mean_reference(total)
+    slack_set = blocks.prime_set.union(oracle_exc.index_set)
+    result = AverageShadowResult(
+        point=y,
+        lift=lift,
+        blocks=blocks,
+        exceptional_distance=q1.index_set,
+        exceptional_defect=q2.index_set,
+        oracle_exceptional=oracle_exc.index_set,
+        final_cesaro_error=float(final_exact),
+        final_cesaro_exact=final_exact,
+        term_shadow_vs_lift=exact_mean_reference(shadow_vs_lift),
+        term_lift_vs_data=exact_mean_reference(lift_vs_data),
+        triangle_slack_density=Fraction(sub.diameter)
+        * upper_density(IndexSet.from_iterable(slack_set.members, n_points), n_points),
+        visit_reports=tuple(reports),
+    )
+    if not result.triangle_holds:
+        raise HypothesisFailedError("triangle decomposition violated (exact arithmetic)")
+    return result

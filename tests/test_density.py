@@ -287,6 +287,19 @@ def test_certificate_rejects_a_non_finite_value_at_its_index(bad):
     assert caught.value.witness == 7
 
 
+@pytest.mark.parametrize(
+    "bad, witness, reason",
+    [({5: -1e-300, 9: 2.0}, 5, "negative"), ({3: 1.5, 8: -1.0}, 3, "exceeds"), ({4: -0.5}, 4, "negative")],
+)
+def test_certificate_rejects_the_first_value_outside_zero_to_bound(bad, witness, reason):
+    values = [0.0] * 20
+    for n, v in bad.items():
+        values[n] = v
+    with pytest.raises(BoundViolatedError, match=reason) as caught:
+        density_zero_to_cesaro(values, IndexSet.from_iterable([], 20), 1.0)
+    assert caught.value.witness == witness
+
+
 @pytest.mark.parametrize("bound", [math.inf, math.nan])
 def test_certificate_rejects_a_non_finite_bound(bound):
     with pytest.raises(BoundViolatedError):

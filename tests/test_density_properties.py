@@ -72,6 +72,24 @@ def test_exact_mean_is_the_fraction_mean(values):
     assert exact_mean(values) == exact_mean_reference(values)
 
 
+# Distances of a finite metric repeat: a few distinct floats, many times each.
+repeated = st.lists(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 2.225073858507201e-308, 0.01, 1.01, 0.5**60, 1.0]
+    ),
+    min_size=1,
+    max_size=3000,
+)
+
+
+@given(values=repeated)
+@example(values=[0.0, -0.0] * 500 + [5e-324])
+@example(values=[-0.0] * 1000)
+@example(values=[5e-324] * 2999 + [1.0])
+def test_exact_mean_of_heavily_repeated_values_is_the_fraction_mean(values):
+    assert exact_mean(values) == exact_mean_reference(values)
+
+
 # A small pool makes ties, 0.0 against -0.0 among them, common.
 tie_prone = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0])
 

@@ -88,9 +88,49 @@ MUTANTS = [
         "return self.final_cesaro_exact <= 1.001 * (self.term_shadow_vs_lift + self.term_lift_vs_data)",
     ),
     (
+        "src/shadowlab/averaging.py",
+        "while unsettled and reach >= levels[unsettled - 1]:",
+        "while unsettled and reach > levels[unsettled - 1]:",
+    ),
+    (
+        "src/shadowlab/averaging.py",
+        "if off_j[k] and (defects[k] >= low or distances[k] >= low):",
+        "if off_j[k] and (defects[k] > low or distances[k] >= low):",
+    ),
+    (
+        "src/shadowlab/averaging.py",
+        "if off_j[k] and (defects[k] >= low or distances[k] >= low):",
+        "if off_j[k] and (defects[k] >= low or distances[k] > low):",
+    ),
+    (
+        "src/shadowlab/density.py",
+        "if not (prev_end < a <= b):",
+        "if not (prev_end <= a <= b):",
+    ),
+    (
+        "src/shadowlab/density.py",
+        "if b >= self.horizon or",
+        "if b > self.horizon or",
+    ),
+    (
+        "src/shadowlab/density.py",
+        "bisect.bisect_right(members, b) > bisect.bisect_left(members, a)",
+        "bisect.bisect_left(members, b) > bisect.bisect_left(members, a)",
+    ),
+    (
+        "src/shadowlab/density.py",
+        "if covered != self.horizon - bisect.bisect_left(members, self.horizon):",
+        "if covered > self.horizon - bisect.bisect_left(members, self.horizon):",
+    ),
+    (
         "src/shadowlab/density.py",
         "if min(vals) < 0:",
         "if min(vals) < -1.0:",
+    ),
+    (
+        "src/shadowlab/density.py",
+        "if max(vals) > bound or min(vals) < 0.0:",
+        "if max(vals) > bound or min(vals) < -1.0:",
     ),
     (
         "src/shadowlab/solver.py",
@@ -122,6 +162,7 @@ DEFAULT_TESTS = [
     "tests/test_density.py",
     "tests/test_products.py",
     "tests/test_averaging.py",
+    "tests/test_average_tables.py",
     "tests/test_cli.py",
 ]
 
