@@ -255,6 +255,19 @@ BUNDLED_REPORT_SHA256 = {
     "squares-density.report.json": "409b8c5aad3c213f0f2206481cf88fd147875f9d71494ea2bf195b322aed941a",
 }
 
+# sha256 of the bytes of each bundled CSV series. The series back the
+# reports' verdicts, so a change that moves one of these must say so too.
+BUNDLED_CSV_SHA256 = {
+    "doubling-periodic.errors.csv": "a0b57a1f38b7662f9e94fd82b9e35d8e7bb09365d2196d789d64ace502a9cb4f",
+    "doubling-shadow.errors.csv": "62379f4543dbc3854914748aa8aa47725685b07e4c01a087d2b41b77e192adc6",
+    "doubling-shadow.orbit.csv": "99e98c2cf611c45e24c66890a7395fc21feb73c12158dac11cb80b31a7282cf5",
+    "eight-state-average.certificates.csv": "9c7874ebbb64866af3f14f7d038f1aac559bd245217bb806c127b16fba1dd734",
+    "eight-state-average.lift_defects.csv": "b0a8b70b43a6ce95644126d8f5b669b52cafde96a032293803a67ba68ec3bc56",
+    "finite-products.cases.csv": "f1bdaec85804a5824f155a2d3f7c4c687d94cf38d9e09e09b33a911a1fcfc4bb",
+    "rotation-limit.table.csv": "df7c6391b6260538e36696624453544516cf05a2f32e2317b494ad68446c62f3",
+    "squares-density.cesaro.csv": "40edc86697fde188e0bcf479c377d3adef89ca3b41b03d5502464a08e6daed3f",
+}
+
 
 def test_criterion_10_determinism(tmp_path):
     """The bundled acceptance suite is byte-identical across reruns and pinned."""
@@ -270,6 +283,10 @@ def test_criterion_10_determinism(tmp_path):
         body2 = report_body_bytes(load_report(out2 / name))
         assert body1 == body2, name
         assert hashlib.sha256(body1).hexdigest() == BUNDLED_REPORT_SHA256[name], name
-    for name in sorted(p.name for p in out1.glob("*.csv")):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    print(f"PASS criterion 10: {len(reports)} reports byte-identical modulo metadata")
+    series = sorted(p.name for p in out1.glob("*.csv"))
+    assert series == sorted(BUNDLED_CSV_SHA256)
+    for name in series:
+        data = (out1 / name).read_bytes()
+        assert data == (out2 / name).read_bytes(), name
+        assert hashlib.sha256(data).hexdigest() == BUNDLED_CSV_SHA256[name], name
+    print(f"PASS criterion 10: {len(reports)} reports and {len(series)} series byte-identical")
