@@ -12,6 +12,7 @@ expect_fail invert their verdict in the summary.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -34,7 +35,7 @@ from .pseudo_orbits import (
     perturb_orbit,
     pseudo_orbit_rows,
 )
-from .reporting import write_report, write_series
+from .reporting import csv_lines, write_report, write_series
 from .solver import MARGIN, certificate_log2, periodic_shadow, pullback_shadow
 
 EXIT_OK = 0
@@ -87,6 +88,41 @@ def _profile_values(profile: dict, horizon: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# CSV lines of the numeric series, as csv.writer writes the same rows: floats
+# through repr, ints and names through str, rows ending "\r\n". No field of
+# these series needs quotes.
+
+
+def _pair_lines(pairs, prefix: str = "") -> list:
+    """A line "<prefix><key>,<value>" per (key, value) pair."""
+    return [f"{prefix}{key},{value!r}\r\n" for key, value in pairs]
+
+
+def _orbit_lines(po: PseudoOrbit) -> list:
+    """The rows of `pseudo_orbit_rows` ("" is the last defect), each replaced
+    by its line in place, so the rows and the lines are never both held whole."""
+    lines = pseudo_orbit_rows(po)
+    for i, row in enumerate(lines):
+        lines[i] = ",".join(map(str, row)) + "\r\n"
+    return lines
+
+
+def _cesaro_lines(values) -> list:
+    """A line "<n>,<mean of the first n values>" per n, summed left to right from 0.0."""
+    sums = itertools.accumulate(values, initial=0.0)
+    next(sums)
+    return [f"{n},{acc / n!r}\r\n" for n, acc in enumerate(sums, start=1)]
+
+
+def _table_lines(records, table) -> list:
+    """A line per limit level: level, cut, target, window error, final table entry."""
+    return [
+        f"{rec.level},{rec.cut},{rec.target!r},{rec.window_error!r},{final!r}\r\n"
+        for rec, final in zip(records, table)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Experiment implementations: each returns (verdict, report, series, key_certificate)
 
 
@@ -101,8 +137,8 @@ def _run_shadow(scenario: dict, params: dict):
     x_base = float(_param(params, "x0", 0.123))
 
     runs = []
-    rows = []
-    orbit_rows = []
+    lines = []
+    orbit_lines = []
     verdict = True
     bound = None
     for s in range(n_seeds):
@@ -122,10 +158,9 @@ def _run_shadow(scenario: dict, params: dict):
                 "verdict": report.verdict,
             }
         )
-        for i, err in enumerate(report.per_step_errors):
-            rows.append([seed, i, err])
+        lines += _pair_lines(enumerate(report.per_step_errors), f"{seed},")
         if s == 0:
-            orbit_rows = pseudo_orbit_rows(po)
+            orbit_lines = _orbit_lines(po)
     report = {
         "family": family.name,
         "epsilon": epsilon,
@@ -137,11 +172,11 @@ def _run_shadow(scenario: dict, params: dict):
         "max_error_overall": max(r["max_error"] for r in runs),
         "verdict": verdict,
     }
-    coords = len(orbit_rows[0]) - 2 if orbit_rows else 1
+    coords = orbit_lines[0].count(",") - 1 if orbit_lines else 1  # fields less index and defect
     orbit_header = ["index"] + [f"x{i}" for i in range(coords)] + ["defect"]
     series = {
-        "errors": (["seed", "step", "error"], rows),
-        "orbit": (orbit_header, orbit_rows),
+        "errors": (["seed", "step", "error"], lines),
+        "orbit": (orbit_header, orbit_lines),
     }
     return verdict, report, series, f"diam<=2^{certificate_log2(family, epsilon, horizon):.1f}"
 
@@ -172,7 +207,7 @@ def _run_periodic(scenario: dict, params: dict):
         "distance_to_base": family.space.distance(point, base[0]),
         "verdict": verdict,
     }
-    series = {"errors": (["step", "error"], [[i, e] for i, e in enumerate(errors)])}
+    series = {"errors": (["step", "error"], _pair_lines(enumerate(errors)))}
     return verdict, report, series, f"residual={residual:.2e}"
 
 
@@ -207,11 +242,8 @@ def _run_limit(scenario: dict, params: dict):
         "point": result.point,
         "verdict": verdict,
     }
-    rows = [
-        [rec.level, rec.cut, rec.target, rec.window_error, result.table[i]]
-        for i, rec in enumerate(result.levels)
-    ]
-    series = {"table": (["level", "cut", "target", "window_error", "final_table"], rows)}
+    header = ["level", "cut", "target", "window_error", "final_table"]
+    series = {"table": (header, _table_lines(result.levels, result.table))}
     return verdict, report, series, f"final={result.table[-1]:.3g}"
 
 
@@ -247,18 +279,16 @@ def _run_average(scenario: dict, params: dict):
         "triangle_holds": result.triangle_holds,
         "verdict": verdict,
     }
-    rows = [
-        ["final_cesaro", result.final_cesaro_error],
-        ["term_shadow_vs_lift", float(result.term_shadow_vs_lift)],
-        ["term_lift_vs_data", float(result.term_lift_vs_data)],
-        ["slack_density", float(result.triangle_slack_density)],
+    terms = [
+        ("final_cesaro", result.final_cesaro_error),
+        ("term_shadow_vs_lift", float(result.term_shadow_vs_lift)),
+        ("term_lift_vs_data", float(result.term_lift_vs_data)),
+        ("slack_density", float(result.triangle_slack_density)),
     ]
+    positive = ((i, d) for i, d in enumerate(result.lift.defects) if d > 0.0)
     series = {
-        "certificates": (["term", "value"], rows),
-        "lift_defects": (
-            ["index", "defect"],
-            [[i, d] for i, d in enumerate(result.lift.defects) if d > 0.0],
-        ),
+        "certificates": (["term", "value"], _pair_lines(terms)),
+        "lift_defects": (["index", "defect"], _pair_lines(positive)),
     }
     return verdict, report, series, f"cesaro={result.final_cesaro_error:.3g}"
 
@@ -295,12 +325,7 @@ def _run_density(scenario: dict, params: dict):
         "fixed_set_halving": halving,
         "verdict": verdict,
     }
-    means = []
-    acc = 0.0
-    for n, v in enumerate(values[:horizon], start=1):
-        acc += v
-        means.append([n, acc / n])
-    series = {"cesaro": (["n", "mean"], means)}
+    series = {"cesaro": (["n", "mean"], _cesaro_lines(values[:horizon]))}
     return verdict, report, series, f"density={float(density_h):.3g}"
 
 
@@ -371,7 +396,7 @@ def _run_product(scenario: dict, params: dict):
                 "consistent",
                 "witness",
             ],
-            rows,
+            csv_lines(rows),
         )
     }
     return verdict, report, series, f"{len(cases)} cases"
@@ -451,8 +476,8 @@ def run_scenario(
         **report,
     }
     write_report(out_dir / f"{name}.report.json", report_payload, runtime)
-    for label, (header, rows) in series.items():
-        write_series(out_dir / f"{name}.{label}.csv", header, rows)
+    for label, (header, lines) in series.items():
+        write_series(out_dir / f"{name}.{label}.csv", header, lines)
     if not quiet:
         status = "PASS" if verdict else "FAIL"
         print(f"{status} {name} [{key}] ({runtime:.2f}s)")

@@ -151,16 +151,17 @@ def off_set_sups(
 def exceedances(values: Sequence[float], levels: Sequence[float]) -> List[List[int]]:
     """exceed[k] = [n : values[n] > levels[k]] for strictly decreasing levels.
 
-    One sweep: a value above level k is above every later level, so each
-    index joins a suffix of the lists and exceed[k] is inside exceed[k + 1].
+    A value above level k is above every later level, so each index joins a
+    suffix of the lists and exceed[k] is inside exceed[k + 1]. One scan picks
+    the indices above the lowest level; only those are bisected.
     """
     ascending = sorted(levels)
     count = len(levels)
+    low = ascending[0]
     exceed: List[List[int]] = [[] for _ in levels]
-    for n, v in enumerate(values):
-        if v > ascending[0]:
-            for k in range(count - bisect.bisect_left(ascending, v), count):
-                exceed[k].append(n)
+    for n in [n for n, v in enumerate(values) if v > low]:
+        for k in range(count - bisect.bisect_left(ascending, values[n]), count):
+            exceed[k].append(n)
     return exceed
 
 

@@ -285,11 +285,24 @@ class MapFamily:
         return [maps.at(n) for n in range(start, start + k)]
 
     def rate_at(self, n: int) -> float:
+        """The rate of f_n; a map without one raises NotExpanding with n as witness."""
         mapobj = self.maps.at(n)
         try:
             return mapobj.rate
         except AttributeError:
-            raise NotExpandingError(f"family {self.name!r} has no contraction rates") from None
+            raise NotExpandingError(
+                f"family {self.name!r} has no contraction rate at step {n}", witness=n
+            ) from None
+
+    def rates(self, k: int) -> list:
+        """The rates of f_0 ... f_{k-1}, each as `rate_at` reads it."""
+        maps = self.window(0, k)
+        try:
+            return [mapobj.rate for mapobj in maps]
+        except AttributeError:
+            for n in range(k):
+                self.rate_at(n)  # raises at the first map without a rate
+            raise
 
     @property
     def expanding(self) -> bool:

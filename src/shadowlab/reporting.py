@@ -4,6 +4,11 @@ Reports are JSON envelopes {"meta": ..., "report": ...}: everything under
 "report" is byte-reproducible for a fixed scenario and seed (sorted keys,
 canonical float repr), while "meta" holds the timestamp and runtime that
 legitimately vary between runs. CSV series go to sibling files.
+
+A series is its header row plus lines that its runner formatted where it
+made the data, one finished CSV row per line with csv.writer's bytes: the
+numeric runners format floats with repr and ints with str, and a runner
+whose fields may need quotes takes its lines from `csv_lines`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import json
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 
 def _canonical(value):
@@ -48,14 +54,26 @@ def write_report(path: Path, report: dict, runtime_seconds: float) -> None:
     tmp.replace(path)
 
 
-def write_series(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+# Lines joined per write: the joined text and its encoded copy stay small
+# beside the lines of a large series, instead of doubling what it holds.
+_SERIES_CHUNK = 1024
+
+
+def write_series(path: Path, header: Sequence[str], lines: Sequence[str]) -> None:
+    """The header row, then the finished lines, one per data row."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with tmp.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(lines), _SERIES_CHUNK):
+            handle.write("".join(lines[start : start + _SERIES_CHUNK]))
     tmp.replace(path)
+
+
+def csv_lines(rows: Iterable[Sequence]) -> list:
+    """Each row as csv.writer writes it, quotes and line end included."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(rows)
+    return lines
 
 
 def load_report(path: Path) -> dict:

@@ -88,7 +88,7 @@ def delta_budget(
             f"epsilon {epsilon} >= delta_0/2 = {family.branch_radius / 2.0}"
         )
     values = []
-    for n, lam in enumerate(m.rate for m in family.window(0, horizon)):
+    for n, lam in enumerate(family.rates(horizon)):
         delta = margin * (1.0 - lam) * epsilon
         if not delta + lam * epsilon < epsilon:
             raise EpsilonTooLargeError(
@@ -164,11 +164,11 @@ class ShadowReport:
 
 def diameter_certificate(family: MapFamily, epsilon: float, k: int) -> float:
     """2 eps * product of the k inverted maps' contraction rates."""
-    return _diameter_bound(epsilon, family.window(0, k))
+    return _diameter_bound(epsilon, family.rates(k))
 
 
-def _diameter_bound(epsilon: float, maps: Sequence) -> float:
-    return 2.0 * epsilon * math.prod(m.rate for m in maps)
+def _diameter_bound(epsilon: float, rates: Iterable[float]) -> float:
+    return 2.0 * epsilon * math.prod(rates)
 
 
 def pull_back_chain(
@@ -253,7 +253,7 @@ def pullback_shadow(
         horizon=k,
         epsilon=epsilon,
         per_step_errors=tuple(errors),
-        diameter_bound=_diameter_bound(epsilon, maps),
+        diameter_bound=_diameter_bound(epsilon, (m.rate for m in maps)),  # delta_budget read these
         measured_diameter=ldexp(radii[0][0], radii[0][1] + 1),
         resolution_floor_step=chain.resolution_floor(space),
         delta_schedule=tuple(budget.values[:k]),
@@ -291,7 +291,7 @@ def uniqueness_certificate(
     # contraction it rounds, which may lie one float above it.
     m, e = chain.radii[0]
     bound_m, bound_e = _rounded_product(
-        epsilon, (nextafter(mapobj.rate, inf) for mapobj in family.window(0, k))
+        epsilon, (nextafter(rate, inf) for rate in family.rates(k))
     )
     if ldexp(m, e - bound_e) > bound_m:
         raise EmptyCellError(f"radius 2^{math.log2(m) + e:.1f} exceeds 2^{math.log2(bound_m) + bound_e:.1f}")
@@ -300,7 +300,7 @@ def uniqueness_certificate(
 
 def certificate_log2(family: MapFamily, epsilon: float, k: int) -> float:
     """log2 of the certificate 2 eps * prod(rates), finite where the float one underflows."""
-    m, e = _rounded_product(2.0 * epsilon, (mapobj.rate for mapobj in family.window(0, k)))
+    m, e = _rounded_product(2.0 * epsilon, family.rates(k))
     return math.log2(m) + e
 
 

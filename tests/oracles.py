@@ -5,10 +5,13 @@ the grid minimizer hard-codes the doubling map, the h-shadowing oracle
 re-enumerates pseudo-orbits with its own breadth-first machinery, and the
 two-pass pullback keeps the solver's previous algorithm, built from the maps
 and the spaces' arc calculus, which the solver now uses for its top cell only.
+The series writer keeps csv.writer, whose bytes the runners' own CSV lines
+must reproduce.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from fractions import Fraction
@@ -454,3 +457,13 @@ def average_shadow_point_reference(sub, po):
     if not result.triangle_holds:
         raise HypothesisFailedError("triangle decomposition violated (exact arithmetic)")
     return result
+
+
+def write_series_reference(path, header, rows):
+    """The CSV series writer from before the runners formatted their own lines:
+    csv.writer, one writerow per row."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)

@@ -16,7 +16,9 @@ from shadowlab.errors import (
 from shadowlab import families
 from shadowlab.families import (
     CircleLinearMap,
+    CircleRotation,
     MapFamily,
+    Schedule,
     alternating_family,
     barely_expanding_family,
     constant_schedule,
@@ -30,6 +32,7 @@ from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, perturb_orbit
 from shadowlab.solver import (
     DeltaSchedule,
     PullbackChain,
+    certificate_log2,
     delta_budget,
     diameter_certificate,
     periodic_shadow,
@@ -276,6 +279,30 @@ def test_interval_family_stops_before_any_cell():
     po = PseudoOrbit.from_points(fam, [0.2, 0.2, 0.2])
     with pytest.raises(NotExpandingError):
         pullback_shadow(fam, po, 0.1)
+
+
+def test_a_rateless_map_in_an_expanding_family_raises_at_its_step():
+    # A branch radius marks the family expanding, but f_1 is a rotation,
+    # which has no contraction rate: every reader of the rates names step 1.
+    fam = MapFamily(
+        name="doubling-rotation",
+        space=doubling_family().space,
+        maps=Schedule(cycle=(CircleLinearMap(2), CircleRotation(0.25))),
+        branch_radius=0.25,
+    )
+    assert fam.rate_at(0) == 0.5
+    po = PseudoOrbit.from_points(fam, [0.1, 0.2, 0.45])
+    readers = [
+        lambda: fam.rate_at(1),
+        lambda: delta_budget(fam, 0.1, horizon=4),
+        lambda: certificate_log2(fam, 0.1, 4),
+        lambda: diameter_certificate(fam, 0.1, 4),
+        lambda: pullback_shadow(fam, po, 0.1),
+    ]
+    for read in readers:
+        with pytest.raises(NotExpandingError) as caught:
+            read()
+        assert caught.value.witness == 1
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,26 @@ MUTANTS = [
         "verdict = max(errors) < epsilon",
         "verdict = max(errors) <= epsilon",
     ),
+    (
+        "src/shadowlab/cli.py",
+        "{acc / n!r}",
+        "{acc / n:.16g}",
+    ),
+    (
+        "src/shadowlab/cli.py",
+        r'{value!r}\r\n" for key, value in pairs]',
+        r'{value!r}\n" for key, value in pairs]',
+    ),
+    (
+        "src/shadowlab/reporting.py",
+        "csv.writer(SimpleNamespace(write=lines.append))",
+        'csv.writer(SimpleNamespace(write=lines.append), quoting=csv.QUOTE_NONE, escapechar="\\\\")',
+    ),
+    (
+        "src/shadowlab/reporting.py",
+        "lines[start : start + _SERIES_CHUNK]",
+        "lines[start : start + _SERIES_CHUNK - 1]",
+    ),
 ]
 
 DEFAULT_TESTS = [
@@ -164,6 +184,8 @@ DEFAULT_TESTS = [
     "tests/test_averaging.py",
     "tests/test_average_tables.py",
     "tests/test_cli.py",
+    "tests/test_series_lines.py",
+    "tests/test_acceptance.py::test_criterion_10_determinism",
 ]
 
 
