@@ -8,12 +8,12 @@ the nearest point of A, off blocks it parks at a fill point. The restricted
 system's averaged-shadowing oracle (exhaustive for finite A) then produces
 the shadowing point, certified by an exact triangle decomposition.
 
-The oracle needs a finite state space, so the composition works on per-state
-tables built once per call (each state's distance to A, its nearest point of
-A, and its row of distances) and walks the horizon a fixed number of times:
-every horizon-long column is read from the tables, and the dyadic epsilon
-ladder is one backward pass. Only the oracle's scan over the |A| candidate
-orbits (``best_orbit``) still calls the metric per index.
+The oracle needs a finite state space, so the composition works on the
+library's one finite-state table, ``families.FiniteKernel``: coded states,
+their rows of distances, step tables, each state's distance to A and its
+nearest point of A. Every horizon-long column, the oracle's scan over the
+|A| candidate orbits included, is read from those tables, and the dyadic
+epsilon ladder is one backward pass; no step calls the metric.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     HypothesisFailedError,
     OracleUnavailableError,
 )
-from .families import MapFamily, best_orbit, orbit_table
+from .families import FiniteKernel, MapFamily
 from .pseudo_orbits import PseudoOrbit
 
 _LADDER_DEPTH = 6  # dyadic epsilon levels 1/2, ..., 1/64
@@ -78,14 +78,6 @@ class InvariantSubsystem:
                         f"f_{n}({a!r}) leaves A", witness=(n, a)
                     )
 
-    def distance_to(self, x) -> float:
-        space = self.ambient.space
-        return min(space.distance(x, a) for a in self.points)
-
-    def nearest(self, x):
-        space = self.ambient.space
-        return min(self.points, key=lambda a: (space.distance(x, a), self.points.index(a)))
-
 
 @dataclass(frozen=True)
 class VisitStatistics:
@@ -111,15 +103,11 @@ def visit_condition(
         raise ValueError("window must be >= 1")
     stats = []
     worst = 1.0
-    maps = sub.ambient.window(0, window)
+    kernel = FiniteKernel(sub.ambient, window - 1)
+    to_a, _ = kernel.nearest(sub.points)
     for x in sample_points:
-        p = sub.ambient.space.require(x)
-        hits = 0
-        for mapobj in maps:
-            if sub.distance_to(p) < epsilon:
-                hits += 1
-            p = mapobj.apply(p)
-        frac = hits / window
+        orbit = kernel.follow(0, kernel.code[sub.ambient.space.require(x)], window - 1)
+        frac = sum(to_a[c] < epsilon for c in orbit) / window
         worst = min(worst, frac)
         stats.append(VisitStatistics(epsilon=epsilon, window=window, fraction=frac))
     return VisitReport(
@@ -242,63 +230,46 @@ class LiftResult:
     block_deviations: Tuple[Tuple[int, int, float], ...]
 
 
-def _state_tables(sub: InvariantSubsystem):
-    """(rows, to_a, nearest) over the finite ambient space, each built once.
-
-    rows[a][b] is d(a, b) from the space's distance table, to_a[p] the
-    distance from p to A and nearest[p] its nearest point of A (first in A's
-    order on ties): the floats and points the per-index calls return.
-    """
-    space = sub.ambient.space
-    points = space.points
-    rows = {a: dict(zip(points, row)) for a, row in zip(points, space.distance_table())}
-    to_a = {p: sub.distance_to(p) for p in points}
-    nearest = {p: sub.nearest(p) for p in points}
-    return rows, to_a, nearest
-
-
 def lift_to_A(sub: InvariantSubsystem, po: PseudoOrbit, blocks: BlockDecomposition) -> LiftResult:
     """Fill J' with the first point of A, follow exact restricted orbits on blocks.
 
     Block starts snap to the nearest point of A; within a block the lift is
     the exact ambient orbit of that point (A is invariant, so it stays in A).
-    One pass applies the maps; deviations and defects are then read from the
-    distance rows, reusing each in-block image as the next lifted point.
+    One pass follows the step tables on state codes; deviations and defects
+    are then read from the distance rows.
     """
     if not sub.points:
         raise EmptyAError("A must be nonempty")
-    fill = sub.points[0]
     n_points = blocks.horizon
     if n_points != len(po.points):
         raise ValueError("block decomposition horizon must equal the point count")
-    rows, _, nearest = _state_tables(sub)
-    members_a = set(sub.points)
-    maps = sub.ambient.window(0, n_points - 1)
-    data = po.points
+    kernel = FiniteKernel(sub.ambient, n_points - 1)
+    rows, step = kernel.dist, kernel.step
+    _, nearest = kernel.nearest(sub.points)
+    fill = kernel.code[sub.points[0]]
+    members_a = set(map(kernel.code.__getitem__, sub.points))
+    data = list(map(kernel.code.__getitem__, po.points))
 
     lifted = [None] * n_points
-    images = [None] * (n_points - 1)  # images[i] = f_i(lifted[i])
     for a, b in blocks.blocks:
         y = nearest[data[a]]
         lifted[a] = y
         for i in range(a, b):
-            y = maps[i].apply(y)
+            y = step[i][y]
             if y not in members_a:
                 raise HypothesisFailedError(
                     f"restricted orbit leaves A at index {i + 1}", witness=(a, i + 1)
                 )
-            images[i] = lifted[i + 1] = y
+            lifted[i + 1] = y
     for m in blocks.prime_set.members:
         if m < n_points and lifted[m] is None:
             lifted[m] = fill
     if None in lifted:
         raise ValueError(f"index {lifted.index(None)} neither in J' nor covered by a block")
-    for i in range(n_points - 1):
-        if images[i] is None:
-            images[i] = maps[i].apply(lifted[i])
 
     gaps = [rows[y][x] for y, x in zip(lifted, data)]
     deviations = tuple((a, b, max(gaps[a : b + 1])) for a, b in blocks.blocks)
+    images = map(list.__getitem__, step, lifted)  # f_i(lifted[i]), coded
     defects = tuple([rows[f][z] for f, z in zip(images, lifted[1:])])
     support = IndexSet.from_iterable(
         [i for i, d in enumerate(defects) if d > 0.0], n_points - 1
@@ -310,7 +281,7 @@ def lift_to_A(sub: InvariantSubsystem, po: PseudoOrbit, blocks: BlockDecompositi
     contained = set(support.members) <= set(allowed.members)
     certificate = density_zero_to_cesaro(defects, allowed, bound=max(sub.diameter, 1e-30))
     return LiftResult(
-        points=tuple(lifted),
+        points=kernel.witness(lifted),
         defects=defects,
         support=support,
         allowed=allowed,
@@ -401,8 +372,11 @@ def average_shadow_point(sub: InvariantSubsystem, po: PseudoOrbit) -> AverageSha
             )
         reports.append(passing)
 
-    rows, to_a, _ = _state_tables(sub)
-    distances = [to_a[x] for x in po.points]
+    kernel = FiniteKernel(family, horizon)
+    rows, code = kernel.dist, kernel.code.__getitem__
+    to_a, _ = kernel.nearest(sub.points)
+    data = list(map(code, po.points))
+    distances = [to_a[x] for x in data]
     defects = list(po.defects) + [0.0]
     q1 = cesaro_to_density_zero(distances, n_points)
     q2 = cesaro_to_density_zero(defects, n_points)
@@ -412,13 +386,13 @@ def average_shadow_point(sub: InvariantSubsystem, po: PseudoOrbit) -> AverageSha
     blocks = block_decompose(j_union, n_points, ladder_cuts=ladder_cuts)
     lift = lift_to_A(sub, po, blocks)
 
-    orbits = orbit_table(family, horizon, starts=sub.points)
-    y, _, orbit = best_orbit(family.space, orbits, lift.points, mean=True)
+    lifted = list(map(code, lift.points))
+    y, _, orbit = kernel.best(lifted, map(code, sub.points), True)
 
-    shadow_vs_lift = [rows[z][w] for z, w in zip(orbit, lift.points)]
+    shadow_vs_lift = [rows[z][w] for z, w in zip(orbit, lifted)]
     oracle_exc = cesaro_to_density_zero(shadow_vs_lift, n_points)
-    lift_vs_data = [rows[w][x] for w, x in zip(lift.points, po.points)]
-    total = [rows[z][x] for z, x in zip(orbit, po.points)]
+    lift_vs_data = [rows[w][x] for w, x in zip(lifted, data)]
+    total = [rows[z][x] for z, x in zip(orbit, data)]
 
     final_exact = exact_mean(total)
     term1 = exact_mean(shadow_vs_lift)
@@ -428,7 +402,7 @@ def average_shadow_point(sub: InvariantSubsystem, po: PseudoOrbit) -> AverageSha
         IndexSet.from_iterable(slack_set.members, n_points), n_points
     )
     result = AverageShadowResult(
-        point=y,
+        point=kernel.points[y],
         lift=lift,
         blocks=blocks,
         exceptional_distance=q1.index_set,

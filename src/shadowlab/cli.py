@@ -133,6 +133,8 @@ def _run_shadow(scenario: dict, params: dict):
     horizon = int(_param(params, "horizon", 64))
     margin = float(_param(params, "margin", MARGIN))
     n_seeds = int(_param(params, "seeds", 1))
+    if n_seeds < 1:
+        raise ConfigInvalidError(f"parameters.seeds must be >= 1, got {n_seeds}")
     seed0 = int(_param(params, "seed", 0))
     x_base = float(_param(params, "x0", 0.123))
 
@@ -186,6 +188,8 @@ def _run_periodic(scenario: dict, params: dict):
     epsilon = float(_param(params, "epsilon", required=True))
     delta = float(_param(params, "delta", required=True))
     base = [float(v) for v in _param(params, "base_points", required=True)]
+    if not base:
+        raise ConfigInvalidError("parameters.base_points must be a nonempty list")
     horizon = int(_param(params, "horizon", 4 * len(base)))
     seed = int(_param(params, "seed", 0))
     rng = random.Random(seed)

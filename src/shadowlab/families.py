@@ -20,9 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import IndexOutOfScheduleError, InvalidBranchIdError, NotExpandingError
+from .errors import (
+    BudgetExceededError,
+    IndexOutOfScheduleError,
+    InvalidBranchIdError,
+    NotExpandingError,
+)
 from .spaces import (
     StateSpace,
     circle_reduce,
@@ -337,30 +343,115 @@ class MapFamily:
 # Exhaustive orbit searches (finite-state families)
 
 
-def orbit_table(family: MapFamily, length: int, starts: Optional[Sequence] = None) -> dict:
-    """Orbits out to `length` steps, keyed by start point (default: all of X)."""
-    if starts is None:
-        starts = family.space.points
-    return {y: family.compose(y, length).points for y in starts}
+class FiniteKernel:
+    """Integer tables of a finite family over its first `steps` maps.
 
-
-def best_orbit(space: StateSpace, orbits: dict, target: Sequence, mean: bool = False):
-    """(start, error, orbit) of the first orbit closest to `target`.
-
-    The error is the sup distance over the target's indices, or the mean
-    distance when `mean` is set; a later orbit replaces the best one only
-    when strictly closer.
+    States are coded by their index in ``space.points`` (``code[p]``):
+    ``dist`` holds the same floats as ``space.distance`` and ``step[i][a]``
+    codes f_i(a), one table per distinct map object. ``orbits[y]`` (the
+    orbit of y), ``ends[i][y] = orbits[y][i]`` and ``cols[i][b][y] =
+    dist[orbits[y][i]][b]`` are built on first use.
     """
-    n = len(target)
-    best = None
-    for y, orbit in orbits.items():
-        if mean:
-            err = sum(space.distance(orbit[i], target[i]) for i in range(n)) / n
-        else:
-            err = max(space.distance(orbit[i], target[i]) for i in range(n))
-        if best is None or err < best[1]:
-            best = (y, err, orbit)
-    return best
+
+    def __init__(self, family: MapFamily, steps: int):
+        if steps < 0:
+            raise ValueError("horizon must be >= 0")
+        space = family.space
+        self.points = points = space.points
+        self.code = code = {p: k for k, p in enumerate(points)}
+        self.dist = space.distance_table()
+        maps = family.window(0, steps)
+        tables = {m: [code[m.apply(p)] for p in points] for m in dict.fromkeys(maps)}
+        self.step = list(map(tables.__getitem__, maps))
+
+    @cached_property
+    def orbits(self) -> list:
+        return [self.follow(0, y, len(self.step)) for y in range(len(self.points))]
+
+    @cached_property
+    def ends(self) -> list:
+        # Lists: freed tuples of these sizes linger in CPython's free lists.
+        return [list(at) for at in zip(*self.orbits)]
+
+    @cached_property
+    def cols(self) -> list:
+        columns = [list(col) for col in zip(*self.dist)]
+        return [[list(map(col.__getitem__, at)) for col in columns] for at in self.ends]
+
+    def witness(self, codes) -> tuple:
+        return tuple(self.points[c] for c in codes)
+
+    def follow(self, time: int, x: int, stop: int) -> list:
+        """Codes of the orbit of x from `time` to `stop`."""
+        codes = [x]
+        for table in self.step[time:stop]:
+            x = table[x]
+            codes.append(x)
+        return codes
+
+    def nearest(self, subset: Sequence) -> tuple:
+        """(gap, near) by state code: the distance to the points of `subset`
+        and the code of the first of them at that distance."""
+        members = [self.code[p] for p in subset]
+        near = [min(members, key=row.__getitem__) for row in self.dist]
+        return [row[m] for row, m in zip(self.dist, near)], near
+
+    def best(self, target: Sequence[int], starts: Iterable[int], mean: bool):
+        """(start, error, orbit) in codes: the first start closest to `target`.
+
+        The error is the sup of the distances over the target's indices or,
+        with `mean`, their sum in index order over n; a later start replaces
+        the best one only when strictly closer. Only the starts' orbits are
+        followed.
+        """
+        n, rows = len(target), self.dist.__getitem__
+        best = None
+        for y in starts:
+            orbit = self.follow(0, y, n - 1)
+            gaps = map(list.__getitem__, map(rows, orbit), target)
+            err = sum(gaps) / n if mean else max(gaps)
+            if best is None or err < best[1]:
+                best = (y, err, orbit)
+        return best
+
+    def walk(self, delta: float, max_len: int, limit: int, visit):
+        """Depth-first over the delta-pseudo-orbits of 1..max_len points.
+
+        Nodes come in point order, prefixes first, and each one counts against
+        `limit`. A node of 2+ points calls visit(path, errors, defect) with its
+        codes, every orbit's running sup error and the running max defect; it
+        returns None (not checked), True or False. Returns (checked, the first
+        failing path or None).
+        """
+        near = [[(q, d) for q, d in enumerate(row) if d < delta] for row in self.dist]
+        successors = [[near[fa] for fa in table] for table in self.step[: max_len - 1]]
+        cols, n = self.cols, len(self.points)
+        # A frame per node with unvisited children, under a virtual root at 0.
+        frames = [(iter([(s, 0.0) for s in range(n)]), [0.0] * n, 0.0)]
+        path, count, checked = [], 0, 0
+        while frames:
+            children, errors, defect = frames[-1]
+            for q, d in children:
+                count += 1
+                if count > limit:
+                    raise BudgetExceededError(f"enumeration exceeded {limit} nodes")
+                path.append(q)
+                t = len(path) - 1
+                grown = [e if e > c else c for e, c in zip(errors, cols[t][q])]
+                worst = d if d > defect else defect
+                verdict = visit(path, grown, worst) if t else None
+                if verdict is not None:
+                    checked += 1
+                    if not verdict:
+                        return checked, path
+                if t + 1 < max_len:
+                    frames.append((iter(successors[t][q]), grown, worst))
+                    break
+                path.pop()
+            else:
+                frames.pop()
+                del path[-1:]  # empty once the virtual root is done
+        return checked, None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     OracleUnavailableError,
     PreimageSearchFailedError,
 )
-from .families import MapFamily, best_orbit, orbit_table
+from .families import FiniteKernel, MapFamily
 from .pseudo_orbits import PseudoOrbit
 from .solver import MARGIN, pullback_shadow
 
@@ -194,7 +194,7 @@ class ExhaustiveOracle:
         if not family.space.is_enumerable:
             raise OracleUnavailableError("exhaustive oracle needs a finite state family")
         self.family = family
-        self.tables = {}  # horizon -> orbit table, shared by every level
+        self.kernels = {}  # horizon -> FiniteKernel, shared by every level
         self.min_distance = family.space.min_positive_distance()
 
     def modulus(self, target: float, tail_length: int) -> float:
@@ -205,10 +205,12 @@ class ExhaustiveOracle:
         return None
 
     def shadow(self, po: PseudoOrbit, target: float):
-        orbits = self.tables.get(po.horizon)
-        if orbits is None:
-            orbits = self.tables[po.horizon] = orbit_table(self.family, po.horizon)
-        return best_orbit(self.family.space, orbits, po.points)
+        kernel = self.kernels.get(po.horizon)
+        if kernel is None:
+            kernel = self.kernels[po.horizon] = FiniteKernel(self.family, po.horizon)
+        target = list(map(kernel.code.__getitem__, po.points))
+        y, err, orbit = kernel.best(target, range(len(kernel.points)), False)
+        return kernel.points[y], err, kernel.witness(orbit)
 
 
 class PullbackOracle:

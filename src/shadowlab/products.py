@@ -2,13 +2,14 @@
 
 Each shadowing variant binds to one decidable finite-horizon checker.
 Expanding circle families route through the pullback solver and the splice
-machinery. Finite families, products of two included, run on `FiniteKernel`:
-states coded by their index in ``space.points``, one distance matrix, step
-and orbit tables, and one depth-first walk over the delta-pseudo-orbits that
-carries every orbit's running sup error and the running max defect. The
-product equivalence record runs one variant on both factors and on their
-product at the shared modulus delta_0 = min(delta_F, delta_G) and reports
-whether the results agree with the factorwise conjunction ("consistent").
+machinery. Finite families, products of two included, run on the library's
+one finite-state table, `families.FiniteKernel`: states coded by their index
+in ``space.points``, one distance matrix, step and orbit tables, and one
+depth-first walk over the delta-pseudo-orbits that carries every orbit's
+running sup error and the running max defect. The product equivalence
+record runs one variant on both factors and on their product at the shared
+modulus delta_0 = min(delta_F, delta_G) and reports whether the results
+agree with the factorwise conjunction ("consistent").
 The h and s-limit equivalences are provable from the max metric; the
 remaining tags are checked empirically.
 """
@@ -19,8 +20,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import BranchDomainViolatedError, BudgetExceededError, ShadowlabError
-from .families import MapFamily, product_family
+from .errors import BranchDomainViolatedError, ShadowlabError
+from .families import FiniteKernel, MapFamily, product_family
 from .limits import limit_shadow_point
 from .pseudo_orbits import inject_defects, perturb_orbit
 from .solver import pull_back_chain, pullback_shadow
@@ -52,82 +53,6 @@ class CheckResult:
     checked: int
     witness: Optional[tuple] = None
     detail: str = ""
-
-
-# ---------------------------------------------------------------------------
-# Finite-state kernel
-
-
-class FiniteKernel:
-    """Integer tables of a finite family over its first `steps` maps.
-
-    States are coded by their index in ``space.points``: ``dist`` holds the
-    same floats as ``space.distance``, ``step[i][a]`` codes f_i(a),
-    ``orbits[y]`` the orbit of y, and ``cols[i][b][y] = dist[orbits[y][i]][b]``.
-    """
-
-    def __init__(self, family: MapFamily, steps: int):
-        space = family.space
-        self.points = points = space.points
-        code = {p: k for k, p in enumerate(points)}
-        if steps < 0:
-            raise ValueError("horizon must be >= 0")
-        self.dist = space.distance_table()
-        self.step = [[code[m.apply(p)] for p in points] for m in family.window(0, steps)]
-        self.orbits = [self.follow(0, y, steps) for y in range(len(points))]
-        # Lists: freed tuples of these sizes linger in CPython's free lists.
-        self.ends = [list(at) for at in zip(*self.orbits)]  # ends[i][y] = orbits[y][i]
-        columns = [list(col) for col in zip(*self.dist)]
-        self.cols = [[list(map(col.__getitem__, at)) for col in columns] for at in self.ends]
-
-    def witness(self, codes) -> tuple:
-        return tuple(self.points[c] for c in codes)
-
-    def follow(self, time: int, x: int, stop: int) -> list:
-        """Codes of the orbit of x from `time` to `stop`."""
-        codes = [x]
-        for table in self.step[time:stop]:
-            codes.append(table[codes[-1]])
-        return codes
-
-    def walk(self, delta: float, max_len: int, limit: int, visit):
-        """Depth-first over the delta-pseudo-orbits of 1..max_len points.
-
-        Nodes come in point order, prefixes first, and each one counts against
-        `limit`. A node of 2+ points calls visit(path, errors, defect) with its
-        codes, every orbit's running sup error and the running max defect; it
-        returns None (not checked), True or False. Returns (checked, the first
-        failing path or None).
-        """
-        near = [[(q, d) for q, d in enumerate(row) if d < delta] for row in self.dist]
-        successors = [[near[fa] for fa in table] for table in self.step[: max_len - 1]]
-        cols, n = self.cols, len(self.points)
-        # A frame per node with unvisited children, under a virtual root at 0.
-        frames = [(iter([(s, 0.0) for s in range(n)]), [0.0] * n, 0.0)]
-        path, count, checked = [], 0, 0
-        while frames:
-            children, errors, defect = frames[-1]
-            for q, d in children:
-                count += 1
-                if count > limit:
-                    raise BudgetExceededError(f"enumeration exceeded {limit} nodes")
-                path.append(q)
-                t = len(path) - 1
-                grown = [e if e > c else c for e, c in zip(errors, cols[t][q])]
-                worst = d if d > defect else defect
-                verdict = visit(path, grown, worst) if t else None
-                if verdict is not None:
-                    checked += 1
-                    if not verdict:
-                        return checked, path
-                if t + 1 < max_len:
-                    frames.append((iter(successors[t][q]), grown, worst))
-                    break
-                path.pop()
-            else:
-                frames.pop()
-                del path[-1:]  # empty once the virtual root is done
-        return checked, None
 
 
 def _walk_check(variant: str, kernel: FiniteKernel, budget: VariantBudget, visit) -> CheckResult:

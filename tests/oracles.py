@@ -6,7 +6,9 @@ re-enumerates pseudo-orbits with its own breadth-first machinery, and the
 two-pass pullback keeps the solver's previous algorithm, built from the maps
 and the spaces' arc calculus, which the solver now uses for its top cell only.
 The series writer keeps csv.writer, whose bytes the runners' own CSV lines
-must reproduce.
+must reproduce. ``orbit_table`` and ``best_orbit`` keep the per-index
+best-orbit search (orbits by ``compose``, errors by ``space.distance``) that
+``FiniteKernel.best`` replaced.
 """
 
 from __future__ import annotations
@@ -356,6 +358,43 @@ def ladder_cuts_reference(off_j, defects, distances, depth=6):
     return cuts
 
 
+def orbit_table(family, length, starts=None):
+    """Orbits out to `length` steps, keyed by start point (default: all of X)."""
+    if starts is None:
+        starts = family.space.points
+    return {y: family.compose(y, length).points for y in starts}
+
+
+def best_orbit(space, orbits, target, mean=False):
+    """(start, error, orbit) of the first orbit closest to `target`.
+
+    The error is the sup distance over the target's indices, or the mean
+    distance when `mean` is set; a later orbit replaces the best one only
+    when strictly closer.
+    """
+    n = len(target)
+    best = None
+    for y, orbit in orbits.items():
+        if mean:
+            err = sum(space.distance(orbit[i], target[i]) for i in range(n)) / n
+        else:
+            err = max(space.distance(orbit[i], target[i]) for i in range(n))
+        if best is None or err < best[1]:
+            best = (y, err, orbit)
+    return best
+
+
+def distance_to_reference(sub, x):
+    space = sub.ambient.space
+    return min(space.distance(x, a) for a in sub.points)
+
+
+def nearest_reference(sub, x):
+    """The first point of A at the least distance from x."""
+    space = sub.ambient.space
+    return min(sub.points, key=lambda a: (space.distance(x, a), sub.points.index(a)))
+
+
 def lift_to_A_reference(sub, po, blocks):
     from shadowlab.averaging import LiftResult
     from shadowlab.density import IndexSet, density_zero_to_cesaro
@@ -370,7 +409,7 @@ def lift_to_A_reference(sub, po, blocks):
     lifted = [None] * n_points
     deviations = []
     for a, b in blocks.blocks:
-        y = sub.nearest(po.points[a])
+        y = nearest_reference(sub, po.points[a])
         worst = space.distance(y, po.points[a])
         lifted[a] = y
         for i in range(a, b):
@@ -409,7 +448,6 @@ def average_shadow_point_reference(sub, po):
     from shadowlab.averaging import AverageShadowResult, block_decompose, visit_condition
     from shadowlab.density import IndexSet, cesaro_to_density_zero, upper_density
     from shadowlab.errors import HypothesisFailedError
-    from shadowlab.families import best_orbit, orbit_table
 
     family, space = sub.ambient, sub.ambient.space
     n_points, horizon = len(po.points), po.horizon
@@ -424,7 +462,7 @@ def average_shadow_point_reference(sub, po):
         if passing is None:
             raise HypothesisFailedError(f"visit condition fails at epsilon {eps}", witness=eps)
         reports.append(passing)
-    distances = [sub.distance_to(x) for x in po.points]
+    distances = [distance_to_reference(sub, x) for x in po.points]
     defects = list(po.defects) + [0.0]
     q1 = cesaro_to_density_zero(distances, n_points)
     q2 = cesaro_to_density_zero(defects, n_points)

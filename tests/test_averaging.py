@@ -16,6 +16,7 @@ from shadowlab.averaging import (
 from shadowlab.density import IndexSet, upper_density
 from shadowlab.errors import EmptyAError, HypothesisFailedError, OracleUnavailableError
 from shadowlab.families import (
+    FiniteKernel,
     doubling_family,
     eight_state_family,
     identity_pair_family,
@@ -36,10 +37,12 @@ def squares_displaced_orbit(horizon=10_000, magnitude=1.01):
 
 
 def test_invariant_subsystem_accepts_cycle():
-    sub = InvariantSubsystem.finite(eight_state_family(), [0, 1, 2])
+    fam = eight_state_family()
+    sub = InvariantSubsystem.finite(fam, [0, 1, 2])
     assert sub.diameter == 1.0
-    assert sub.nearest(3) == 0
-    assert sub.distance_to(4) == pytest.approx(0.01)
+    to_a, nearest = FiniteKernel(fam, 0).nearest(sub.points)
+    assert nearest[3] == 0
+    assert to_a[4] == pytest.approx(0.01)
 
 
 def test_invariant_subsystem_rejects_leaky_subset():
@@ -73,7 +76,7 @@ def test_visit_negative_control_identity():
 
 def test_visit_at_exactly_epsilon_is_not_a_visit():
     sub = InvariantSubsystem.finite(identity_pair_family(), [0])
-    epsilon = sub.distance_to(1)
+    epsilon = sub.ambient.space.distance(1, 0)
     report = visit_condition(sub, epsilon, 10, [1])
     assert report.worst_fraction == 0.0
     assert not report.verdict

@@ -59,6 +59,19 @@ def test_missing_parameter_exits_2(tmp_path):
     assert run_scenario(path, tmp_path, quiet=True) == EXIT_CONFIG
 
 
+def test_zero_seeds_exits_2(tmp_path):
+    payload = {**SMALL_SHADOW, "parameters": {**SMALL_SHADOW["parameters"], "seeds": 0}}
+    path = write_scenario(tmp_path, "small-shadow", payload)
+    assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
+
+
+def test_empty_base_points_exits_2(tmp_path):
+    scenario = json.loads((bundled_scenarios_dir() / "doubling-periodic.json").read_text())
+    scenario["parameters"]["base_points"] = []
+    path = write_scenario(tmp_path, "empty-cycle", scenario)
+    assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
+
+
 def test_epsilon_too_large_exits_1(tmp_path):
     payload = {
         "name": "big-eps",

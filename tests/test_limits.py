@@ -10,6 +10,7 @@ from shadowlab.errors import (
     OracleUnavailableError,
 )
 from shadowlab.families import (
+    FiniteKernel,
     MapFamily,
     alternating_family,
     doubling_family,
@@ -369,29 +370,37 @@ def test_exhaustive_oracle_returns_first_sup_minimiser(seed, noise):
     assert ExhaustiveOracle(fam).shadow(po, 0.5) == first_sup_minimiser(fam, po.points)
 
 
-def test_exhaustive_oracle_builds_one_orbit_table_per_horizon(monkeypatch):
+def test_exhaustive_oracle_builds_one_kernel_per_horizon(monkeypatch):
     fam = eight_state_family()
-    calls = []
+    built, composed = [], []
     compose = MapFamily.compose
 
+    class CountedKernel(FiniteKernel):
+        def __init__(self, family, steps):
+            built.append(steps)
+            super().__init__(family, steps)
+
     def counted(self, x, length):
-        calls.append(length)
+        composed.append(length)
         return compose(self, x, length)
 
+    monkeypatch.setattr(limits, "FiniteKernel", CountedKernel)
     monkeypatch.setattr(MapFamily, "compose", counted)
     oracle = ExhaustiveOracle(fam)
     for seed in range(6):
         oracle.shadow(perturb_orbit(fam, seed % 8, 200, 0.015, seed), 0.5)
-    assert calls == [200] * 8
+    assert built == [200]
     oracle.shadow(perturb_orbit(fam, 0, 50, 0.015, 0), 0.5)
-    assert calls == [200] * 8 + [50] * 8
-    # Six levels at h=200 share one cut: one table of 8 orbits plus one
-    # compose to the widest window for the final table.
-    calls.clear()
+    assert built == [200, 50]
+    assert composed == []  # the kernel follows step tables, not compose
+    # Six levels at h=200 share one cut and one kernel; the one compose is
+    # the final table's, out to the widest window.
+    built.clear()
     po = inject_defects(fam, 0, [1.0 if i in (2, 5) else 0.0 for i in range(200)])
     result = limit_shadow_point(fam, po, levels=6)
     assert len(result.levels) == 6
-    assert len(calls) == 8 + 1
+    assert built == [200]
+    assert len(composed) == 1
 
 
 def test_exhaustive_oracle_measures_the_minimum_distance_once(monkeypatch):

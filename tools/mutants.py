@@ -53,6 +53,11 @@ MUTANTS = [
         "m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, -inf))",
     ),
     (
+        "src/shadowlab/families.py",
+        "if best is None or err < best[1]:",
+        "if best is None or err <= best[1]:",
+    ),
+    (
         "src/shadowlab/products.py",
         "lambda path, errors, defect: min(errors) < eps)",
         "lambda path, errors, defect: min(errors) <= eps)",
@@ -79,8 +84,8 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/averaging.py",
-        "if sub.distance_to(p) < epsilon:",
-        "if sub.distance_to(p) <= epsilon:",
+        "frac = sum(to_a[c] < epsilon for c in orbit) / window",
+        "frac = sum(to_a[c] <= epsilon for c in orbit) / window",
     ),
     (
         "src/shadowlab/averaging.py",
@@ -178,6 +183,7 @@ DEFAULT_TESTS = [
     "tests/test_solver.py",
     "tests/test_one_pass_solver.py",
     "tests/test_families.py",
+    "tests/test_finite_kernel.py",
     "tests/test_limits.py",
     "tests/test_density.py",
     "tests/test_products.py",
