@@ -47,7 +47,6 @@ from .solver import (
     delta_budget,
     periodic_shadow,
     pullback_shadow,
-    uniqueness_certificate,
 )
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "pullback_shadow",
     "s_limit_check",
     "splice",
-    "uniqueness_certificate",
     "upper_density",
     "visit_condition",
 ]

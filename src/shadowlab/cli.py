@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -25,7 +26,7 @@ from . import __version__
 from .averaging import InvariantSubsystem, average_shadow_point
 from .density import cesaro_to_density_zero, density_zero_to_cesaro, upper_density
 from .errors import ConfigInvalidError, ShadowlabError
-from .families import family_from_descriptor
+from .families import MapFamily, family_from_descriptor
 from .limits import limit_shadow_point
 from .products import VariantBudget, product_equivalence_check
 from .pseudo_orbits import (
@@ -36,7 +37,7 @@ from .pseudo_orbits import (
     pseudo_orbit_rows,
 )
 from .reporting import csv_lines, write_report, write_series
-from .solver import MARGIN, certificate_log2, periodic_shadow, pullback_shadow
+from .solver import MARGIN, periodic_shadow, pullback_shadow
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,12 +55,44 @@ def _require(scenario: dict, field: str, kind=None):
     return value
 
 
-def _param(params: dict, name: str, default=None, required: bool = False):
-    if name in params:
-        return params[name]
-    if required:
-        raise ConfigInvalidError(f"missing parameter: parameters.{name}")
-    return default
+def _param(params: dict, name: str, convert, default=None, required: bool = False):
+    """parameters.<name> passed through `convert`, or `default` when absent."""
+    if name not in params:
+        if required:
+            raise ConfigInvalidError(f"missing parameter: parameters.{name}")
+        return default
+    try:
+        return convert(params[name])
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"parameters.{name}: {exc}") from exc
+
+
+def _at_least(low: int):
+    """A converter to int that rejects values below `low`."""
+    def convert(value) -> int:
+        n = int(value)
+        if n < low:
+            raise ValueError(f"must be >= {low}, got {n}")
+        return n
+    return convert
+
+
+def _nonempty(convert):
+    """A converter of a nonempty list, item by item."""
+    def convert_list(values) -> list:
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"must be a nonempty list, got {values!r}")
+        return [convert(v) for v in values]
+    return convert_list
+
+
+def _family(holder: dict, field: str) -> MapFamily:
+    """The family described at holder[field]; a descriptor the library rejects is a config error."""
+    desc = _require(holder, field, dict)
+    try:
+        return family_from_descriptor(desc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"{field}: invalid family descriptor {desc!r}: {exc!r}") from exc
 
 
 def _on_squares(value: float, horizon: int, shift: int) -> list:
@@ -127,28 +160,24 @@ def _table_lines(records, table) -> list:
 
 
 def _run_shadow(scenario: dict, params: dict):
-    family = family_from_descriptor(_require(scenario, "family", dict))
-    epsilon = float(_param(params, "epsilon", required=True))
-    noise = float(_param(params, "noise", required=True))
-    horizon = int(_param(params, "horizon", 64))
-    margin = float(_param(params, "margin", MARGIN))
-    n_seeds = int(_param(params, "seeds", 1))
-    if n_seeds < 1:
-        raise ConfigInvalidError(f"parameters.seeds must be >= 1, got {n_seeds}")
-    seed0 = int(_param(params, "seed", 0))
-    x_base = float(_param(params, "x0", 0.123))
+    family = _family(scenario, "family")
+    epsilon = _param(params, "epsilon", float, required=True)
+    noise = _param(params, "noise", float, required=True)
+    horizon = _param(params, "horizon", _at_least(0), 64)
+    margin = _param(params, "margin", float, MARGIN)
+    n_seeds = _param(params, "seeds", _at_least(1), 1)
+    seed0 = _param(params, "seed", int, 0)
+    x_base = _param(params, "x0", float, 0.123)
 
     runs = []
     lines = []
     orbit_lines = []
     verdict = True
-    bound = None
     for s in range(n_seeds):
         seed = seed0 + s
         x0 = (x_base + 0.6180339887498949 * s) % 1.0
         po = perturb_orbit(family, x0, horizon, noise, seed)
         report, _ = pullback_shadow(family, po, epsilon, margin=margin)
-        bound = report.diameter_bound
         verdict = verdict and report.verdict
         runs.append(
             {
@@ -163,6 +192,8 @@ def _run_shadow(scenario: dict, params: dict):
         lines += _pair_lines(enumerate(report.per_step_errors), f"{seed},")
         if s == 0:
             orbit_lines = _orbit_lines(po)
+    # Every seed shares the family, epsilon and horizon, so the last certificate stands for all.
+    bound, (m, e) = report.diameter_bound, report.diameter_pair
     report = {
         "family": family.name,
         "epsilon": epsilon,
@@ -180,18 +211,16 @@ def _run_shadow(scenario: dict, params: dict):
         "errors": (["seed", "step", "error"], lines),
         "orbit": (orbit_header, orbit_lines),
     }
-    return verdict, report, series, f"diam<=2^{certificate_log2(family, epsilon, horizon):.1f}"
+    return verdict, report, series, f"diam<=2^{math.log2(m) + e:.1f}"
 
 
 def _run_periodic(scenario: dict, params: dict):
-    family = family_from_descriptor(_require(scenario, "family", dict))
-    epsilon = float(_param(params, "epsilon", required=True))
-    delta = float(_param(params, "delta", required=True))
-    base = [float(v) for v in _param(params, "base_points", required=True)]
-    if not base:
-        raise ConfigInvalidError("parameters.base_points must be a nonempty list")
-    horizon = int(_param(params, "horizon", 4 * len(base)))
-    seed = int(_param(params, "seed", 0))
+    family = _family(scenario, "family")
+    epsilon = _param(params, "epsilon", float, required=True)
+    delta = _param(params, "delta", float, required=True)
+    base = _param(params, "base_points", _nonempty(float), required=True)
+    horizon = _param(params, "horizon", _at_least(0), 4 * len(base))
+    seed = _param(params, "seed", int, 0)
     rng = random.Random(seed)
     jitter = [rng.uniform(-delta / 3.0, delta / 3.0) for _ in base]
     cycle = [family.space.reduce(b + j) for b, j in zip(base, jitter)]
@@ -216,11 +245,11 @@ def _run_periodic(scenario: dict, params: dict):
 
 
 def _run_limit(scenario: dict, params: dict):
-    family = family_from_descriptor(_require(scenario, "family", dict))
-    horizon = int(_param(params, "horizon", 10_000))
-    levels = int(_param(params, "levels", 8))
-    profile = _param(params, "profile", {"kind": "harmonic"})
-    x0 = float(_param(params, "x0", 0.2))
+    family = _family(scenario, "family")
+    horizon = _param(params, "horizon", _at_least(0), 10_000)
+    levels = _param(params, "levels", _at_least(1), 8)
+    profile = _param(params, "profile", dict, {"kind": "harmonic"})
+    x0 = _param(params, "x0", float, 0.2)
     po = inject_defects(family, x0, _profile_values(profile, horizon))
     result = limit_shadow_point(family, po, levels=levels)
     final_target = 1.0 / levels
@@ -252,12 +281,12 @@ def _run_limit(scenario: dict, params: dict):
 
 
 def _run_average(scenario: dict, params: dict):
-    family = family_from_descriptor(_require(scenario, "family", dict))
-    horizon = int(_param(params, "horizon", 10_000))
-    subset = [int(v) for v in _param(params, "subset", required=True)]
-    magnitude = float(_param(params, "magnitude", 1.01))
-    tol = float(_param(params, "tolerance", 0.05))
-    x0 = int(_param(params, "x0", subset[0]))
+    family = _family(scenario, "family")
+    horizon = _param(params, "horizon", _at_least(0), 10_000)
+    subset = _param(params, "subset", _nonempty(int), required=True)
+    magnitude = _param(params, "magnitude", float, 1.01)
+    tol = _param(params, "tolerance", float, 0.05)
+    x0 = _param(params, "x0", int, subset[0])
     sub = InvariantSubsystem.finite(family, subset)
     po = displace_orbit(family, x0, _on_squares(magnitude, horizon, 1))
     result = average_shadow_point(sub, po)
@@ -298,9 +327,9 @@ def _run_average(scenario: dict, params: dict):
 
 
 def _run_density(scenario: dict, params: dict):
-    horizon = int(_param(params, "horizon", 10_000))
-    profile = _param(params, "profile", {"kind": "squares_indicator"})
-    bound = float(_param(params, "bound", 1.0))
+    horizon = _param(params, "horizon", _at_least(0), 10_000)
+    profile = _param(params, "profile", dict, {"kind": "squares_indicator"})
+    bound = _param(params, "bound", float, 1.0)
     values = _profile_values(profile, 2 * horizon)
     extraction = cesaro_to_density_zero(values[:horizon], horizon)
     contract_ok = all(
@@ -334,17 +363,14 @@ def _run_density(scenario: dict, params: dict):
 
 
 def _run_product(scenario: dict, params: dict):
-    cases = _param(params, "cases", required=True)
-    if not isinstance(cases, list) or not cases:
-        raise ConfigInvalidError("parameters.cases must be a nonempty list")
+    cases = _param(params, "cases", _nonempty(dict), required=True)
     rows = []
     reports = []
     verdict = True
     for idx, case in enumerate(cases):
         if "variant" not in case:
             raise ConfigInvalidError(f"parameters.cases[{idx}].variant missing")
-        left = family_from_descriptor(case["left"])
-        right = family_from_descriptor(case["right"])
+        left, right = _family(case, "left"), _family(case, "right")
         budget = VariantBudget(
             epsilon=float(case.get("epsilon", 0.5)),
             delta=float(case.get("delta", 0.25)),

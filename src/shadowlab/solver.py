@@ -7,8 +7,9 @@ one backward pass carries the centres z_j and a radius bound r_j scaled by
 each branch's slope, rounded up and kept as (mantissa, exponent) so it never
 underflows; the branch-domain and tube inclusions are checked with outward
 rounding and no slack (Hammel, Yorke & Grebogi 1987; Coomes, Kocak & Palmer
-1995). The shadow point is z_0, with the certified diameter bound
-2 * epsilon * prod(rates of the k inverted maps).
+1995). The shadow point is z_0. Its diameter certificate, 2 * epsilon *
+prod(rates of the k inverted maps), is one round-to-nearest product kept as
+(mantissa, exponent) so its log2 stays finite where the float underflows.
 
 Pseudo-orbit points are canonical (validated where they entered), so each
 solver resolves its maps once as a `MapFamily.window` and calls `apply`,
@@ -18,10 +19,9 @@ re-validation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import frexp, inf, ldexp, nextafter
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     BranchDomainViolatedError,
@@ -41,6 +41,9 @@ _MAX_ITERATIONS = 100_000
 # evaluation on points of [0, 1), one distance and the sums of one check each
 # miss their exact values by a few units of 2^-53; 2^-48 is 32 such units.
 _ROUNDING = 2.0**-48
+# The certificate's running product is rescaled only below this, far above
+# the subnormal range, so each step rounds as the unscaled product would.
+_RENORMALISE = 2.0**-511
 
 
 def cell_pull(space: StateSpace, mapobj, branch, w, cell):
@@ -108,15 +111,6 @@ def _reach(distance: float, radius: Tuple[float, int], steps: int) -> float:
     return nextafter(distance, inf) + ldexp(*radius) + steps * _ROUNDING
 
 
-def _rounded_product(scale: float, factors: Iterable[float]) -> Tuple[float, int]:
-    """scale * prod(factors) as (mantissa, exponent), each product rounded up."""
-    m, e = frexp(scale)
-    for factor in factors:
-        m, de = frexp(nextafter(factor * m, inf))
-        e += de
-    return m, e
-
-
 @dataclass(frozen=True)
 class PullbackChain:
     """Centres z_0..z_k of the pulled-back cells and (mantissa, exponent) bounds on their radii.
@@ -135,15 +129,6 @@ class PullbackChain:
                 return j
         return None
 
-    def validate_tube(self, po: PseudoOrbit, epsilon: float) -> None:
-        """Every level below the top lies inside the closed eps-ball around its point."""
-        k = len(self.centres) - 1
-        distance = po.family.space.distance
-        for j in range(k):
-            extent = _reach(distance(self.centres[j], po.points[j]), self.radii[j], k - j + 1)
-            if extent > epsilon:
-                raise ValueError(f"cell at {j} leaves the tube: {extent} > {epsilon}")
-
 
 @dataclass(frozen=True)
 class ShadowReport:
@@ -154,21 +139,36 @@ class ShadowReport:
     horizon: int
     epsilon: float
     per_step_errors: Tuple[float, ...]
-    diameter_bound: float
+    diameter_pair: Tuple[float, int]  # the certificate 2 eps * prod(rates), see certificate_pair
     measured_diameter: float
     resolution_floor_step: Optional[int]  # first level, from the top, narrower than a float step
     delta_schedule: Tuple[float, ...]
     max_defect: float
     verdict: bool
 
+    @property
+    def diameter_bound(self) -> float:
+        """The certificate as a float: 0.0 once 2 eps * prod(rates) underflows."""
+        return ldexp(*self.diameter_pair)
 
-def diameter_certificate(family: MapFamily, epsilon: float, k: int) -> float:
-    """2 eps * product of the k inverted maps' contraction rates."""
-    return _diameter_bound(epsilon, family.rates(k))
 
+def certificate_pair(epsilon: float, maps: Sequence) -> Tuple[float, int]:
+    """2 eps * prod(rates of `maps`) as (mantissa, exponent), the library's one product of rates.
 
-def _diameter_bound(epsilon: float, rates: Iterable[float]) -> float:
-    return 2.0 * epsilon * math.prod(rates)
+    The rates are multiplied left to right and 2 eps applied last, as the
+    float 2.0 * epsilon * math.prod(rates) would, with the running product
+    rescaled by frexp whenever it falls below _RENORMALISE. Rescaling by a
+    power of two is exact, so ldexp of the pair equals that float bit for
+    bit wherever the float is normal, and its log2 stays finite beyond.
+    """
+    p, e = 1.0, 0
+    for mapobj in maps:
+        p *= mapobj.rate
+        if p < _RENORMALISE:
+            p, de = frexp(p)
+            e += de
+    m, de = frexp(2.0 * epsilon * p)
+    return m, e + de
 
 
 def pull_back_chain(
@@ -224,6 +224,11 @@ def pullback_shadow(
     hypothesis gate), EmptyCell when the top cell is empty or a pulled-back
     cell leaves the eps-tube, and BranchDomainViolated when a cell escapes
     the branch domain.
+
+    The verdict tests the top level alone. Every level j < k passed the tube
+    check up(d_j) + r_j + allowance <= eps, a float sum of nonnegative terms
+    that is at least up(d_j) > d_j, so d_j < eps already holds there; only
+    the top centre, which may sit on the eps-sphere, can fail.
     """
     family.require_expanding()
     k = po.horizon
@@ -253,55 +258,14 @@ def pullback_shadow(
         horizon=k,
         epsilon=epsilon,
         per_step_errors=tuple(errors),
-        diameter_bound=_diameter_bound(epsilon, (m.rate for m in maps)),  # delta_budget read these
+        diameter_pair=certificate_pair(epsilon, maps),  # delta_budget read these rates
         measured_diameter=ldexp(radii[0][0], radii[0][1] + 1),
         resolution_floor_step=chain.resolution_floor(space),
         delta_schedule=tuple(budget.values[:k]),
         max_defect=po.max_defect,
-        verdict=all(e < epsilon for e in errors),
+        verdict=errors[k] < epsilon,
     )
     return report, chain
-
-
-def uniqueness_certificate(
-    family: MapFamily,
-    po: PseudoOrbit,
-    epsilon: float,
-    k: int,
-    margin: float = MARGIN,
-) -> float:
-    """Certified diameter of the horizon-k shadow cell.
-
-    Any two eps-shadowing points of the same pseudo-orbit lie within this
-    value of each other. The pulled-back radius bound is checked against it
-    in exponent form, so a claimed rate below a branch's slope raises
-    EmptyCell even where both products underflow as floats.
-    """
-    if k > po.horizon:
-        raise ValueError("k exceeds the pseudo-orbit horizon")
-    truncated = PseudoOrbit(
-        family=family,
-        start_index=po.start_index,
-        points=po.points[: k + 1],
-        defects=po.defects[:k],
-    )
-    report, chain = pullback_shadow(family, truncated, epsilon, margin=margin)
-    # prod(s_j) * r_k against eps * prod(rate_j), both in exponent form and
-    # rounded up alike, so neither underflows. A float rate stands for the
-    # contraction it rounds, which may lie one float above it.
-    m, e = chain.radii[0]
-    bound_m, bound_e = _rounded_product(
-        epsilon, (nextafter(rate, inf) for rate in family.rates(k))
-    )
-    if ldexp(m, e - bound_e) > bound_m:
-        raise EmptyCellError(f"radius 2^{math.log2(m) + e:.1f} exceeds 2^{math.log2(bound_m) + bound_e:.1f}")
-    return report.diameter_bound
-
-
-def certificate_log2(family: MapFamily, epsilon: float, k: int) -> float:
-    """log2 of the certificate 2 eps * prod(rates), finite where the float one underflows."""
-    m, e = _rounded_product(2.0 * epsilon, family.rates(k))
-    return math.log2(m) + e
 
 
 def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):

@@ -8,7 +8,10 @@ and the spaces' arc calculus, which the solver now uses for its top cell only.
 The series writer keeps csv.writer, whose bytes the runners' own CSV lines
 must reproduce. ``orbit_table`` and ``best_orbit`` keep the per-index
 best-orbit search (orbits by ``compose``, errors by ``space.distance``) that
-``FiniteKernel.best`` replaced.
+``FiniteKernel.best`` replaced. The certificate checks at the end hold
+the solver's own output to bounds computed apart from it: the float rate
+product it replaced, the eps-tube with the rounding allowance, and a
+rounded-up product of the rates.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 import itertools
 import math
 from fractions import Fraction
+from math import frexp, inf, ldexp, nextafter
 
 import numpy as np
 
@@ -295,7 +299,7 @@ def two_pass_pullback(family, po, epsilon, slack=1e-12):
             raise BranchDomainViolatedError(f"backward iterate leaves branch domain at step {j}")
         z = points[j] = maps[j].inverse_branch_point(branches[j], images[j], z)
     errors = tuple(map(space.distance, points, po.points))
-    bound = 2.0 * epsilon * math.prod(m.rate for m in maps)
+    bound = diameter_bound_reference(epsilon, (m.rate for m in maps))
     return points[0], errors, all(e < epsilon for e in errors), bound, space.cell_diameter(bottom)
 
 
@@ -505,3 +509,67 @@ def write_series_reference(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
+
+
+# ---------------------------------------------------------------------------
+# Diameter certificates and the eps-tube, kept beside the solver's one
+# exponent-form product of rates.
+
+
+def diameter_bound_reference(epsilon, rates):
+    """The float certificate the solver computed before its exponent form: 0.0 once it underflows."""
+    return 2.0 * epsilon * math.prod(rates)
+
+
+def validate_tube(chain, po, epsilon):
+    """Every level below the top of a PullbackChain lies inside the closed eps-ball around its point."""
+    from shadowlab.solver import _reach
+
+    k = len(chain.centres) - 1
+    distance = po.family.space.distance
+    for j in range(k):
+        extent = _reach(distance(chain.centres[j], po.points[j]), chain.radii[j], k - j + 1)
+        if extent > epsilon:
+            raise ValueError(f"cell at {j} leaves the tube: {extent} > {epsilon}")
+
+
+def _rounded_product(scale, factors):
+    """scale * prod(factors) as (mantissa, exponent), each product rounded up."""
+    m, e = frexp(scale)
+    for factor in factors:
+        m, de = frexp(nextafter(factor * m, inf))
+        e += de
+    return m, e
+
+
+def uniqueness_certificate(family, po, epsilon, k):
+    """Certified diameter of the horizon-k shadow cell.
+
+    Any two eps-shadowing points of the same pseudo-orbit lie within this
+    value of each other. The pulled-back radius bound is checked against it
+    in exponent form, so a claimed rate below a branch's slope raises
+    EmptyCell even where both products underflow as floats.
+    """
+    from shadowlab.errors import EmptyCellError
+    from shadowlab.pseudo_orbits import PseudoOrbit
+    from shadowlab.solver import pullback_shadow
+
+    if k > po.horizon:
+        raise ValueError("k exceeds the pseudo-orbit horizon")
+    truncated = PseudoOrbit(
+        family=family,
+        start_index=po.start_index,
+        points=po.points[: k + 1],
+        defects=po.defects[:k],
+    )
+    report, chain = pullback_shadow(family, truncated, epsilon)
+    # prod(s_j) * r_k against eps * prod(rate_j), both in exponent form and
+    # rounded up alike, so neither underflows. A float rate stands for the
+    # contraction it rounds, which may lie one float above it.
+    m, e = chain.radii[0]
+    bound_m, bound_e = _rounded_product(
+        epsilon, (nextafter(rate, inf) for rate in family.rates(k))
+    )
+    if ldexp(m, e - bound_e) > bound_m:
+        raise EmptyCellError(f"radius 2^{math.log2(m) + e:.1f} exceeds 2^{math.log2(bound_m) + bound_e:.1f}")
+    return report.diameter_bound

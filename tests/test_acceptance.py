@@ -9,7 +9,7 @@ import math
 import time
 from fractions import Fraction
 
-from oracles import doubling_grid_minimizer
+from oracles import doubling_grid_minimizer, uniqueness_certificate
 from shadowlab.averaging import InvariantSubsystem, average_shadow_point
 from shadowlab.cli import EXIT_OK, bundled_scenarios_dir, run_suite
 from shadowlab.density import (
@@ -38,12 +38,7 @@ from shadowlab.pseudo_orbits import (
     perturb_orbit,
 )
 from shadowlab.reporting import load_report, report_body_bytes
-from shadowlab.solver import (
-    diameter_certificate,
-    periodic_shadow,
-    pullback_shadow,
-    uniqueness_certificate,
-)
+from shadowlab.solver import periodic_shadow, pullback_shadow
 from shadowlab.spaces import circle_distance
 
 
@@ -88,12 +83,12 @@ def test_criterion_2_uniqueness_decay():
 def test_criterion_3_oracle_agreement():
     """Solver vs brute-force grid minimizer at resolution 1e-6, 10 seeds."""
     fam = doubling_family()
-    cert = diameter_certificate(fam, 0.1, 16)
     started = time.perf_counter()
     worst_gap = 0.0
     for s in range(10):
         po = perturb_orbit(fam, (0.11 + 0.083 * s) % 1.0, 16, 0.049, seed=100 + s)
         report, _ = pullback_shadow(fam, po, 0.1)
+        cert = report.diameter_bound
         grid_point, _ = doubling_grid_minimizer(po.points, 1e-6)
         gap = circle_distance(report.shadow_point, grid_point)
         worst_gap = max(worst_gap, gap)

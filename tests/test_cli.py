@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from shadowlab import cli
 from shadowlab.cli import (
     EXIT_CONFIG,
@@ -171,3 +173,38 @@ def test_shadow_summary_prints_the_bound_in_exponent_form(tmp_path, capsys):
     assert run_scenario(write_scenario(tmp_path, "long", payload), tmp_path) == EXIT_OK
     assert load_report(tmp_path / "small-shadow.report.json")["report"]["diameter_bound"] == 0.0
     assert "[diam<=2^-1102.3]" in capsys.readouterr().out
+
+
+def _with(scenario, family=None, **params):
+    """A copy of `scenario` with its family and some parameters replaced."""
+    return {
+        **scenario,
+        "family": family or scenario["family"],
+        "parameters": {**scenario["parameters"], **params},
+    }
+
+
+def _bundled(name):
+    return json.loads((bundled_scenarios_dir() / f"{name}.json").read_text())
+
+
+INVALID_CONFIGS = {
+    "unknown-family-kind": _with(SMALL_SHADOW, {"kind": "nope"}),
+    "unknown-family-parameter": _with(SMALL_SHADOW, {"kind": "doubling", "degree": 3}),
+    "non-numeric-epsilon": _with(SMALL_SHADOW, epsilon="abc"),
+    "list-x0-on-a-product": _with(
+        SMALL_SHADOW, {"kind": "product", "factors": [{"kind": "doubling"}] * 2}, x0=[0.3, 0.7]
+    ),
+    "empty-average-subset": _with(_bundled("eight-state-average"), subset=[]),
+    "zero-limit-levels": _with(_bundled("rotation-limit"), levels=0),
+    "negative-shadow-horizon": _with(SMALL_SHADOW, horizon=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_scenario_configs_exit_2(tmp_path, case):
+    # Each of these once raised a traceback or passed; run_suite must also
+    # get through them and report the config error.
+    path = write_scenario(tmp_path, "invalid", INVALID_CONFIGS[case])
+    assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
+    assert run_suite(tmp_path, tmp_path / "suite", quiet=True) == EXIT_CONFIG

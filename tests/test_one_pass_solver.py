@@ -6,11 +6,14 @@ centre. On budget-compliant pseudo-orbits the one-pass solver must return
 the same shadow point, per-step errors, verdict and diameter bound, bit for
 bit (compared by ``repr``). Its radius bounds must never fall below the exact
 rational recursion over the same branch slopes, also past the point where a
-plain float radius would underflow.
+plain float radius would underflow. Its diameter certificate, kept in
+exponent form, must equal the float product it replaced wherever that
+product is normal, and keep a finite log2 beyond.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,17 +22,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import two_pass_pullback  # noqa: E402
+from oracles import diameter_bound_reference, two_pass_pullback  # noqa: E402
 from shadowlab.errors import EmptyCellError  # noqa: E402
 from shadowlab.families import (  # noqa: E402
     alternating_family,
+    barely_expanding_family,
     doubling_family,
     product_family,
     slow_expanding_family,
     tripling_family,
 )
 from shadowlab.pseudo_orbits import inject_defects  # noqa: E402
-from shadowlab.solver import delta_budget, pullback_shadow  # noqa: E402
+from shadowlab.solver import certificate_pair, delta_budget, pullback_shadow  # noqa: E402
 
 EPSILON = 0.1
 FAMILIES = {
@@ -111,3 +115,43 @@ def test_radius_bounds_never_fall_below_the_exact_recursion(name, data):
         exact *= Fraction(maps[j].branch_slope(maps[j].branch_of(po.points[j])))
         m, e = chain.radii[j]
         assert Fraction(m) * Fraction(2) ** e >= exact, j
+
+
+# Family and longest horizon: barely_expanding's rate 1 - 2^-(j+1) rounds to
+# 1.0, which no map accepts, from j = 53 on.
+CERTIFICATE_FAMILIES = {
+    fam.name: (fam, horizon)
+    for fam, horizon in (
+        (doubling_family(), 5000),
+        (tripling_family(), 5000),
+        (alternating_family(), 5000),
+        (slow_expanding_family(), 5000),
+        (barely_expanding_family(), 53),
+        (product_family(slow_expanding_family(), doubling_family()), 5000),
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), epsilon=st.floats(2.0**-20, 0.12))
+def test_certificate_pair_is_the_float_product_wherever_that_is_normal(name, data, epsilon):
+    fam, horizon = CERTIFICATE_FAMILIES[name]
+    edges = st.sampled_from([0, 1, min(1074, horizon), horizon])
+    k = data.draw(st.one_of(edges, st.integers(0, min(1100, horizon)), st.integers(0, horizon)))
+    maps = fam.window(0, k)
+    rates = [m.rate for m in maps]
+    m, e = certificate_pair(epsilon, maps)
+    assert 0.5 <= m < 1.0
+    reference = diameter_bound_reference(epsilon, rates)
+    if reference >= sys.float_info.min:
+        assert repr(math.ldexp(m, e)) == repr(reference)
+    log2 = math.log2(m) + e
+    assert math.isfinite(log2)
+    assert log2 == pytest.approx(math.log2(2.0 * epsilon) + math.fsum(map(math.log2, rates)), abs=1e-6)
+
+
+def test_certificate_pair_of_no_maps_is_two_epsilon():
+    for epsilon in (0.1, 0.0625, 2.0**-30):
+        assert certificate_pair(epsilon, []) == math.frexp(2.0 * epsilon)
+        assert math.ldexp(*certificate_pair(epsilon, [])) == 2.0 * epsilon

@@ -24,9 +24,6 @@ PACKAGE = ROOT / "src" / "shadowlab"
 
 # Test-only definitions kept on purpose, each with its reason.
 ALLOWED = {
-    "diameter_certificate": "acceptance criterion 2 checks measured diameters against it",
-    "uniqueness_certificate": "acceptance criterion 2 checks the uniqueness decay against it",
-    "validate_tube": "the solver tests hold every pullback chain to the eps-tube with it",
     "equicontinuity_modulus": "kept until a certified modulus replaces the empirical one",
 }
 
@@ -79,7 +76,6 @@ ALLOWED_OPTIONS = {
     "pullback_shadow(check_budget)": "tests reach the EmptyCell and BranchDomain raises with it",
     "inject_defects(signs)": "tests draw defects with random signs; removing it would move its loop into them",
     "from_points(start_index)": "tests pin splice's map-time offset with it",
-    "uniqueness_certificate(margin)": "kept until the rigorous solver rewrites the certificate",
     "equicontinuity_modulus(samples)": "kept until a certified modulus replaces the empirical one",
     "equicontinuity_modulus(horizon)": "kept until a certified modulus replaces the empirical one",
     "equicontinuity_modulus(ladder_depth)": "kept until a certified modulus replaces the empirical one",

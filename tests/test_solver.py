@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import doubling_grid_minimizer
+from oracles import doubling_grid_minimizer, uniqueness_certificate, validate_tube
 from shadowlab.errors import (
     BranchDomainViolatedError,
     DeltaBudgetViolatedError,
@@ -32,12 +32,9 @@ from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, perturb_orbit
 from shadowlab.solver import (
     DeltaSchedule,
     PullbackChain,
-    certificate_log2,
     delta_budget,
-    diameter_certificate,
     periodic_shadow,
     pullback_shadow,
-    uniqueness_certificate,
 )
 from shadowlab.spaces import circle_distance, interval_space
 
@@ -113,13 +110,13 @@ def test_doubling_seeded_run_matches_spec_scenario():
     report, chain = pullback_shadow(fam, po, 0.1)
     assert report.verdict
     assert max(report.per_step_errors) < 0.1
-    chain.validate_tube(po, 0.1)
+    validate_tube(chain, po, 0.1)
 
 
 def test_diameter_bound_value_at_horizon_20():
-    assert diameter_certificate(doubling_family(), 0.1, 20) == pytest.approx(
-        1.9073486328125e-07, abs=0.0
-    )
+    fam = doubling_family()
+    report, _ = pullback_shadow(fam, perturb_orbit(fam, 0.3, 20, 0.0, seed=0), 0.1)
+    assert report.diameter_bound == pytest.approx(1.9073486328125e-07, abs=0.0)
 
 
 def test_reported_errors_match_forward_iteration_at_short_horizon():
@@ -170,7 +167,7 @@ def test_top_cell_touching_the_eps_sphere_passes():
     po = PseudoOrbit.from_points(fam, [0.1875, 0.25])
     _, chain = pullback_shadow(fam, po, 0.0625, check_budget=False)
     assert chain.centres[1] == 0.3125 and math.ldexp(*chain.radii[1]) == 0.0
-    chain.validate_tube(po, 0.0625)
+    validate_tube(chain, po, 0.0625)
 
 
 def test_a_level_below_the_top_at_exactly_epsilon_fails_the_tube():
@@ -185,7 +182,7 @@ def test_a_level_below_the_top_at_exactly_epsilon_fails_the_tube():
     assert caught.value.witness == 0
     chain = PullbackChain([0.078125, 0.15625, 0.3125], [(0.0, 0), (0.0, 0), (0.0, 0)])
     with pytest.raises(ValueError):
-        chain.validate_tube(po, 0.0625)
+        validate_tube(chain, po, 0.0625)
 
 
 def test_branch_domain_check_counts_the_cell_radius():
@@ -220,7 +217,7 @@ def test_measured_diameter_within_certificate_at_every_horizon():
     for k in (1, 5, 10, 20, 30):
         trunc = PseudoOrbit(fam, 0, po.points[: k + 1], po.defects[:k])
         report, _ = pullback_shadow(fam, trunc, 0.1)
-        assert report.measured_diameter <= diameter_certificate(fam, 0.1, k) + 1e-15
+        assert report.measured_diameter <= report.diameter_bound + 1e-15
 
 
 @pytest.mark.parametrize(
@@ -233,7 +230,7 @@ def test_verdict_true_across_seeds_and_horizons(make):
             po = scheduled_noise_orbit(fam, (0.05 + 0.045 * seed) % 1.0, horizon, 0.1, seed)
             report, chain = pullback_shadow(fam, po, 0.1)
             assert report.verdict, (fam.name, horizon, seed)
-            chain.validate_tube(po, 0.1)
+            validate_tube(chain, po, 0.1)
 
 
 def test_product_family_pullback():
@@ -241,7 +238,7 @@ def test_product_family_pullback():
     po = perturb_orbit(fam, (0.2, 0.7), 40, 0.04, seed=5)
     report, chain = pullback_shadow(fam, po, 0.09)
     assert report.verdict
-    chain.validate_tube(po, 0.09)
+    validate_tube(chain, po, 0.09)
 
 
 def test_product_cells_are_pairs_of_circle_cells():
@@ -295,8 +292,6 @@ def test_a_rateless_map_in_an_expanding_family_raises_at_its_step():
     readers = [
         lambda: fam.rate_at(1),
         lambda: delta_budget(fam, 0.1, horizon=4),
-        lambda: certificate_log2(fam, 0.1, 4),
-        lambda: diameter_certificate(fam, 0.1, 4),
         lambda: pullback_shadow(fam, po, 0.1),
     ]
     for read in readers:
@@ -347,9 +342,9 @@ def test_two_shadow_points_within_certificate():
 
 def test_solver_agrees_with_grid_oracle():
     fam = doubling_family()
-    cert = diameter_certificate(fam, 0.1, 16)
     po = perturb_orbit(fam, 0.11, 16, 0.049, seed=100)
     report, _ = pullback_shadow(fam, po, 0.1)
+    cert = report.diameter_bound
     grid_point, grid_sup = doubling_grid_minimizer(po.points, 1e-6)
     assert circle_distance(report.shadow_point, grid_point) <= cert
     assert max(report.per_step_errors) <= grid_sup + 2e-6
@@ -361,7 +356,7 @@ def test_solver_agrees_with_grid_oracle_alternating():
     fam = alternating_family()
     po = scheduled_noise_orbit(fam, 0.27, 12, 0.1, seed=21)
     report, _ = pullback_shadow(fam, po, 0.1)
-    cert = diameter_certificate(fam, 0.1, 12)
+    cert = report.diameter_bound
     grid_point, _ = alternating_grid_minimizer(po.points, 1e-6)
     assert circle_distance(report.shadow_point, grid_point) <= cert + 1e-6
 
@@ -396,7 +391,7 @@ def test_periodic_agrees_with_pullback_for_full_period():
     po = PseudoOrbit.from_points(fam, [cycle[i % 2] for i in range(13)])
     x, _, _ = periodic_shadow(fam, po, 0.05)
     report, _ = pullback_shadow(fam, po, 0.05)
-    cert = diameter_certificate(fam, 0.05, po.horizon)
+    cert = report.diameter_bound
     assert circle_distance(x, report.shadow_point) <= max(cert, 1e-9)
 
 
@@ -484,10 +479,10 @@ def test_validate_tube_rejects_a_cell_half_again_outside_the_tube():
     fam = doubling_family()
     po = PseudoOrbit.from_points(fam, [0.1, 0.2])
     # Level 0 at the centre 0.1 with radius 0.05 is inside; the top level is not checked.
-    PullbackChain([0.1, 0.2], [math.frexp(0.05), math.frexp(0.1)]).validate_tube(po, 0.1)
+    validate_tube(PullbackChain([0.1, 0.2], [math.frexp(0.05), math.frexp(0.1)]), po, 0.1)
     # Extent 0.05 + 0.1 = 1.5 eps: far past any rounding allowance.
     with pytest.raises(ValueError):
-        PullbackChain([0.15, 0.2], [math.frexp(0.1), math.frexp(0.1)]).validate_tube(po, 0.1)
+        validate_tube(PullbackChain([0.15, 0.2], [math.frexp(0.1), math.frexp(0.1)]), po, 0.1)
 
 
 def test_delta_budget_rejects_equality_in_the_budget_inequality():
@@ -562,7 +557,7 @@ def test_chain_cells_are_pinned():
         assert len(chain.centres) == len(chain.radii) == 9
         cells = list(zip(range(9), chain.centres, chain.radii))
         assert _sha256(cells) == digest, fam.name
-        chain.validate_tube(po, 0.1)
+        validate_tube(chain, po, 0.1)
 
 
 def test_rule_backed_maps_are_built_once_per_window(monkeypatch):

@@ -1,6 +1,7 @@
 """Mutation check for the library's boundary gates (opt-in, stdlib only).
 
-Each mutant loosens one gate by a single textual edit. For every mutant the
+Each mutant loosens one gate by a single textual edit; a gate that the tests
+keep in ``tests/oracles.py`` is mutated there. For every mutant the
 script copies ``src/``, ``tests/`` and ``bench/`` (which the benchmark hook
 tests load, and which no mutant edits) into a fresh scratch directory,
 applies the edit there, and runs ``pytest -x`` on the named test files. A
@@ -33,7 +34,7 @@ MUTANTS = [
         "if defect > self.values[n]:",
     ),
     (
-        "src/shadowlab/solver.py",
+        "tests/oracles.py",
         "if extent > epsilon:",
         "if extent > 2 * epsilon:",
     ),
@@ -143,14 +144,19 @@ MUTANTS = [
         "if not delta + lam * epsilon <= epsilon:",
     ),
     (
-        "src/shadowlab/solver.py",
+        "tests/oracles.py",
         "if ldexp(m, e - bound_e) > bound_m:",
         "if ldexp(m, e - bound_e) > 2 * bound_m:",
     ),
     (
         "src/shadowlab/solver.py",
-        "verdict=all(e < epsilon for e in errors),",
-        "verdict=all(e <= epsilon for e in errors),",
+        "verdict=errors[k] < epsilon,",
+        "verdict=errors[k] <= epsilon,",
+    ),
+    (
+        "src/shadowlab/solver.py",
+        "if p < _RENORMALISE:",
+        "if p < 0.0:",
     ),
     (
         "src/shadowlab/cli.py",
