@@ -28,7 +28,7 @@ from .density import cesaro_to_density_zero, density_zero_to_cesaro, upper_densi
 from .errors import ConfigInvalidError, ShadowlabError
 from .families import MapFamily, family_from_descriptor
 from .limits import limit_shadow_point
-from .products import VariantBudget, product_equivalence_check
+from .products import ShadowingVariant, VariantBudget, product_equivalence_check
 from .pseudo_orbits import (
     PseudoOrbit,
     displace_orbit,
@@ -110,7 +110,10 @@ def _on_squares(value: float, horizon: int, shift: int) -> list:
 
 def _profile_values(profile: dict, horizon: int) -> list:
     kind = profile.get("kind")
-    scale = float(profile.get("scale", 1.0))
+    try:
+        scale = _param(profile, "scale", float, 1.0)
+    except ConfigInvalidError as exc:
+        raise ConfigInvalidError(f"parameters.profile: {exc}") from exc
     if kind == "harmonic":
         return [scale / (i + 1) for i in range(horizon)]
     if kind == "squares_indicator":
@@ -362,30 +365,33 @@ def _run_density(scenario: dict, params: dict):
     return verdict, report, series, f"density={float(density_h):.3g}"
 
 
+# The report fields of a product case that its CSV row repeats, in column order.
+_CASE_COLUMNS = ("left", "right", "variant", "left_passed", "right_passed", "product_passed", "consistent")
+
+
 def _run_product(scenario: dict, params: dict):
     cases = _param(params, "cases", _nonempty(dict), required=True)
     rows = []
     reports = []
     verdict = True
     for idx, case in enumerate(cases):
-        if "variant" not in case:
-            raise ConfigInvalidError(f"parameters.cases[{idx}].variant missing")
+        try:
+            variant = _param(case, "variant", ShadowingVariant, required=True).tag
+            budget = VariantBudget(
+                epsilon=_param(case, "epsilon", float, 0.5),
+                delta=_param(case, "delta", float, 0.25),
+                max_len=_param(case, "max_len", int, 6),
+                horizon=_param(case, "horizon", int, 48),
+                trials=_param(case, "trials", int, 8),
+                seed=_param(case, "seed", int, 0),
+            )
+            delta_left = _param(case, "delta_left", float)
+            delta_right = _param(case, "delta_right", float)
+        except ConfigInvalidError as exc:
+            raise ConfigInvalidError(f"parameters.cases[{idx}]: {exc}") from exc
         left, right = _family(case, "left"), _family(case, "right")
-        budget = VariantBudget(
-            epsilon=float(case.get("epsilon", 0.5)),
-            delta=float(case.get("delta", 0.25)),
-            max_len=int(case.get("max_len", 6)),
-            horizon=int(case.get("horizon", 48)),
-            trials=int(case.get("trials", 8)),
-            seed=int(case.get("seed", 0)),
-        )
         record = product_equivalence_check(
-            left,
-            right,
-            case["variant"],
-            budget,
-            delta_left=case.get("delta_left"),
-            delta_right=case.get("delta_right"),
+            left, right, variant, budget, delta_left=delta_left, delta_right=delta_right
         )
         verdict = verdict and record.consistent
         reports.append(
@@ -401,34 +407,10 @@ def _run_product(scenario: dict, params: dict):
                 "consistent": record.consistent,
             }
         )
-        rows.append(
-            [
-                left.name,
-                right.name,
-                record.variant,
-                record.factor_left.passed,
-                record.factor_right.passed,
-                record.product_result.passed,
-                record.consistent,
-                repr(record.witness) if record.witness is not None else "",
-            ]
-        )
+        witness = repr(record.witness) if record.witness is not None else ""
+        rows.append([*map(reports[-1].get, _CASE_COLUMNS), witness])
     report = {"cases": reports, "all_consistent": verdict, "verdict": verdict}
-    series = {
-        "cases": (
-            [
-                "left",
-                "right",
-                "variant",
-                "left_passed",
-                "right_passed",
-                "product_passed",
-                "consistent",
-                "witness",
-            ],
-            csv_lines(rows),
-        )
-    }
+    series = {"cases": ([*_CASE_COLUMNS, "witness"], csv_lines(rows))}
     return verdict, report, series, f"{len(cases)} cases"
 
 

@@ -246,9 +246,8 @@ class ProductMap:
 
 @dataclass(frozen=True)
 class OrbitSegment:
-    """A finite run of an exact orbit; points[i] is the point at time start_index+i."""
+    """A finite run of an exact orbit from time 0; points[i] is the point at time i."""
 
-    start_index: int
     points: tuple
 
 
@@ -267,7 +266,7 @@ class MapFamily:
 
     Maps return canonical points of ``space`` (``require`` is the identity
     on them), so only boundaries validate: ``evaluate`` both ends, ``compose``
-    its start; library loops run ``window``'s maps from a validated start.
+    its start; library loops run ``window``'s maps from a validated start point.
     """
 
     name: str
@@ -283,12 +282,12 @@ class MapFamily:
     def map_at(self, n: int):
         return self.maps.at(n)
 
-    def window(self, start: int, k: int) -> list:
-        """[f_start, ..., f_{start+k-1}], each looked up (or built by a rule) once."""
+    def window(self, k: int) -> list:
+        """[f_0, ..., f_{k-1}], each looked up (or built by a rule) once."""
         maps = self.maps
-        if maps.period == 1 and start >= 0:
+        if maps.period == 1:
             return [maps.cycle[0]] * k
-        return [maps.at(n) for n in range(start, start + k)]
+        return [maps.at(n) for n in range(k)]
 
     def rate_at(self, n: int) -> float:
         """The rate of f_n; a map without one raises NotExpanding with n as witness."""
@@ -302,7 +301,7 @@ class MapFamily:
 
     def rates(self, k: int) -> list:
         """The rates of f_0 ... f_{k-1}, each as `rate_at` reads it."""
-        maps = self.window(0, k)
+        maps = self.window(k)
         try:
             return [mapobj.rate for mapobj in maps]
         except AttributeError:
@@ -324,9 +323,9 @@ class MapFamily:
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         points = [self.space.require(x)]
-        for mapobj in self.window(0, horizon):
+        for mapobj in self.window(horizon):
             points.append(mapobj.apply(points[-1]))
-        return OrbitSegment(start_index=0, points=tuple(points))
+        return OrbitSegment(points=tuple(points))
 
     def sup_distance(self, xs: Sequence, ys: Sequence, lo: int, hi: int) -> float:
         """max of d(xs[i], ys[i]) over 0 <= lo <= i <= hi; 0.0 on an empty window."""
@@ -360,7 +359,7 @@ class FiniteKernel:
         self.points = points = space.points
         self.code = code = {p: k for k, p in enumerate(points)}
         self.dist = space.distance_table()
-        maps = family.window(0, steps)
+        maps = family.window(steps)
         tables = {m: [code[m.apply(p)] for p in points] for m in dict.fromkeys(maps)}
         self.step = list(map(tables.__getitem__, maps))
 
@@ -504,12 +503,20 @@ def slow_expanding_family() -> MapFamily:
     )
 
 
+def _barely_expanding_map(j: int) -> TwoSlopeCircleMap:
+    lam = 1.0 - 0.5 ** (j + 1)
+    if lam == 1.0:
+        raise NotExpandingError(f"rate 1 - 2^-{j + 1} rounds to 1.0 at step {j}", witness=j)
+    return TwoSlopeCircleMap(lam)
+
+
 def barely_expanding_family() -> MapFamily:
-    """Negative control: rates 1 - 2^-n whose infinite product stays positive."""
+    """Negative control: rates 1 - 2^-(n+1) whose infinite product stays positive.
+    From n = 53 the rate rounds to 1.0, and f_n raises NotExpanding with n as witness."""
     return MapFamily(
         name="barely_expanding",
         space=circle_space(),
-        maps=Schedule(rule=lambda j: TwoSlopeCircleMap(1.0 - 0.5 ** (j + 1))),
+        maps=Schedule(rule=_barely_expanding_map),
         branch_radius=DELTA0_CIRCLE,
     )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .families import FiniteKernel, MapFamily
 from .pseudo_orbits import PseudoOrbit
-from .solver import MARGIN, pullback_shadow
+from .solver import delta_budget, pullback_shadow
 
 CAUCHY_TOL = 1e-9
 
@@ -131,9 +132,9 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int, *, reads_defects: bool 
     Preimages are chosen closest to the original points (ties break toward
     the lower branch id), so the head stays near the data; any admissible
     selection satisfies the construction; a lone preimage is taken unscored.
-    Map times are offset by po.start_index. The cost is O(cut): the tail and
-    its defects are reused. With reads_defects=False the head defects are
-    skipped and the spliced orbit's defects are None.
+    Step i inverts f_i. The cost is O(cut): the tail and its defects are
+    reused. With reads_defects=False the head defects are skipped and the
+    spliced orbit's defects are None.
     """
     if not 0 <= cut <= po.horizon:
         raise ValueError("cut must be within the horizon")
@@ -142,12 +143,11 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int, *, reads_defects: bool 
     z = po.points[cut]
     head = [None] * cut
     space = family.space
-    maps = family.window(po.start_index, cut)
+    maps = family.window(cut)
     for i in range(cut - 1, -1, -1):
         candidates = maps[i].preimages(z)
         if not candidates:
-            n = po.start_index + i
-            raise PreimageSearchFailedError(f"no preimage of {z!r} under f_{n}", witness=n)
+            raise PreimageSearchFailedError(f"no preimage of {z!r} under f_{i}", witness=i)
         best = 0 if len(candidates) == 1 else min(
             range(len(candidates)),
             key=lambda b: (space.distance(candidates[b], po.points[i]), b),
@@ -158,7 +158,8 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int, *, reads_defects: bool 
 
 
 # ---------------------------------------------------------------------------
-# Per-family shadowing oracles
+# Per-family shadowing oracles: modulus(target, cut, horizon) bounds the
+# defects admissible on the tail steps [cut, horizon) of a splice at `cut`.
 
 
 class TransportOracle:
@@ -171,9 +172,9 @@ class TransportOracle:
             raise OracleUnavailableError("transport oracle needs an isometry family")
         self.family = family
 
-    def modulus(self, target: float, tail_length: int) -> float:
+    def modulus(self, target: float, cut: int, horizon: int) -> float:
         # Drift accumulates at most one defect per remaining step.
-        return target / max(tail_length, 1)
+        return target / max(horizon - cut, 1)
 
     def accuracy(self, target: float) -> None:
         # The transported orbit does not depend on the target.
@@ -197,7 +198,7 @@ class ExhaustiveOracle:
         self.kernels = {}  # horizon -> FiniteKernel, shared by every level
         self.min_distance = family.space.min_positive_distance()
 
-    def modulus(self, target: float, tail_length: int) -> float:
+    def modulus(self, target: float, cut: int, horizon: int) -> float:
         return self.min_distance
 
     def accuracy(self, target: float) -> None:
@@ -221,20 +222,23 @@ class PullbackOracle:
     def __init__(self, family: MapFamily):
         family.require_expanding()
         self.family = family
-        self.rate_maxima = []  # rate_maxima[n] = max(rate_at(m) for m <= n)
+        self.tail = (None, [])  # ((eps, horizon), minima), minima[n] = min of the budgets from step n
 
     def accuracy(self, target: float) -> float:
         """The solver's epsilon at this target; equal epsilons shadow alike."""
         return min(target, 0.99 * self.family.branch_radius / 2.0)
 
-    def modulus(self, target: float, tail_length: int) -> float:
+    def modulus(self, target: float, cut: int, horizon: int) -> float:
+        """The least `delta_budget` value over the tail steps [cut, horizon), the budgets
+        pullback_shadow checks the tail's defects against; an empty tail reads the last step's."""
         eps = self.accuracy(target)
-        count = max(tail_length, 1)
-        maxima = self.rate_maxima
-        while len(maxima) < count:
-            rate = self.family.rate_at(len(maxima))
-            maxima.append(max(maxima[-1], rate) if maxima else rate)
-        return MARGIN * (1.0 - maxima[count - 1]) * eps
+        key, minima = self.tail
+        if key != (eps, horizon):
+            values = delta_budget(self.family, eps, horizon=max(horizon, 1)).values
+            minima = list(accumulate(reversed(values), min))[::-1]
+            minima.append(minima[-1])
+            self.tail = ((eps, horizon), minima)
+        return minima[cut]
 
     def shadow(self, po: PseudoOrbit, target: float):
         eps = self.accuracy(target)
@@ -295,7 +299,7 @@ def _find_cut(
 ) -> Optional[int]:
     """The first k >= start whose tail sup lies strictly below the modulus."""
     for k in range(start, horizon + 1):
-        if defect_tails[k] < oracle.modulus(target, horizon - k):
+        if defect_tails[k] < oracle.modulus(target, k, horizon):
             return k
     return None
 
@@ -362,7 +366,7 @@ def limit_shadow_point(family: MapFamily, po: PseudoOrbit, levels: int) -> Limit
                 level=n,
                 target=target,
                 cut=cut,
-                delta=oracle.modulus(target, horizon - cut),
+                delta=oracle.modulus(target, cut, horizon),
                 point=y,
                 sup_error_vs_spliced=sup_err,
                 window_error=window_err,

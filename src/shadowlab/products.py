@@ -85,7 +85,7 @@ def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
             po = perturb_orbit(family, x0, budget.max_len - 1, delta, budget.seed + t)
         except ShadowlabError as exc:
             return CheckResult("h", False, checked, witness=(exc.code,))
-        n, maps = po.horizon, family.window(0, po.horizon)
+        n, maps = po.horizon, family.window(po.horizon)
         images = [m.apply(x) for m, x in zip(maps, po.points)]
         branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
         checked += 1

@@ -4,6 +4,8 @@ A pseudo-orbit is a point sequence whose per-step defects d(f_i(x_i), x_{i+1})
 are small in one of three senses: uniformly (delta-pseudo-orbit), eventually
 (limit pseudo-orbit), or in Cesaro mean (asymptotic-average pseudo-orbit).
 
+Time starts at 0: points[i] is the point at time i, and the defect at step i
+is measured through f_i, the map every solver reads at that step.
 `PseudoOrbit.from_points` validates every point; the generators validate
 their start point only, run the map window on the canonical points that
 follow, and take each defect from the image they already computed.
@@ -20,21 +22,19 @@ from .families import MapFamily
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """A finite indexed point sequence with its cached defect sequence.
+    """A finite point sequence from time 0 with its cached defect sequence.
 
     `defects` is None only on a points-only splice, so no reader sees stale values.
     """
 
     family: MapFamily
-    start_index: int
     points: tuple
     defects: Optional[tuple]
 
     @classmethod
-    def from_points(cls, family: MapFamily, points: Sequence, start_index: int = 0) -> "PseudoOrbit":
+    def from_points(cls, family: MapFamily, points: Sequence) -> "PseudoOrbit":
         pts = tuple(family.space.require(p) for p in points)
-        defects = _defects(family, pts, start_index)
-        return cls(family=family, start_index=start_index, points=pts, defects=defects)
+        return cls(family=family, points=pts, defects=_defects(family, pts))
 
     @property
     def horizon(self) -> int:
@@ -53,13 +53,13 @@ class PseudoOrbit:
         """
         cut = len(head)
         pts = tuple(head) + self.points[cut:]
-        new = _defects(self.family, pts[: cut + 1], self.start_index) + self.defects[cut:] if defects else None
-        return PseudoOrbit(family=self.family, start_index=self.start_index, points=pts, defects=new)
+        new = _defects(self.family, pts[: cut + 1]) + self.defects[cut:] if defects else None
+        return PseudoOrbit(family=self.family, points=pts, defects=new)
 
 
-def _defects(family: MapFamily, points: Sequence, start_index: int) -> tuple:
-    """d(f_i(x_i), x_{i+1}) for each step of canonical points, times offset by start_index."""
-    maps = family.window(start_index, len(points) - 1)
+def _defects(family: MapFamily, points: Sequence) -> tuple:
+    """d(f_i(x_i), x_{i+1}) for each step i of canonical points."""
+    maps = family.window(len(points) - 1)
     return tuple(map(family.space.distance, (m.apply(x) for m, x in zip(maps, points)), points[1:]))
 
 
@@ -79,12 +79,12 @@ def perturb_orbit(
     if horizon > 0 and not noise <= space.diameter:
         raise NoiseExceedsSpaceError(f"noise {noise} exceeds space diameter {space.diameter}")
     points, defects = [x], []
-    for mapobj in family.window(0, horizon):
+    for mapobj in family.window(horizon):
         true_next = mapobj.apply(x)
         x = space.reduce(space.perturb(true_next, noise, rng))
         points.append(x)
         defects.append(space.distance(true_next, x))
-    return PseudoOrbit(family, 0, tuple(points), tuple(defects))
+    return PseudoOrbit(family, tuple(points), tuple(defects))
 
 
 def inject_defects(
@@ -105,12 +105,12 @@ def inject_defects(
     space = family.space
     x = space.require(x0)
     points, realized = [x], []
-    for i, (mapobj, e) in enumerate(zip(family.window(0, len(defects)), defects)):
+    for i, (mapobj, e) in enumerate(zip(family.window(len(defects)), defects)):
         true_next = mapobj.apply(x)
         x = space.reduce(space.displace(true_next, float(e), sign_at(i)))
         points.append(x)
         realized.append(space.distance(true_next, x))
-    return PseudoOrbit(family, 0, tuple(points), tuple(realized))
+    return PseudoOrbit(family, tuple(points), tuple(realized))
 
 
 def displace_orbit(family: MapFamily, x0, displacements: Sequence[float]) -> PseudoOrbit:
@@ -126,7 +126,7 @@ def displace_orbit(family: MapFamily, x0, displacements: Sequence[float]) -> Pse
     for i, t in enumerate(displacements):
         if t:
             points[i + 1] = space.reduce(space.displace(points[i + 1], float(t), 1 if i % 2 == 0 else -1))
-    return PseudoOrbit(family, 0, tuple(points), _defects(family, points, 0))
+    return PseudoOrbit(family, tuple(points), _defects(family, points))
 
 
 def pseudo_orbit_rows(po: PseudoOrbit) -> list:
@@ -143,5 +143,5 @@ def pseudo_orbit_rows(po: PseudoOrbit) -> list:
     rows = []
     for i, p in enumerate(po.points):
         defect = po.defects[i] if i < len(po.defects) else ""
-        rows.append([po.start_index + i, *flat(p), defect])
+        rows.append([i, *flat(p), defect])
     return rows

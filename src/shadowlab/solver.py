@@ -237,7 +237,7 @@ def pullback_shadow(
         budget.check(po.defects)
 
     space = family.space
-    maps = family.window(0, k)
+    maps = family.window(k)
     images = [m.apply(x) for m, x in zip(maps, po.points)]
     branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
 
@@ -290,7 +290,7 @@ def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):
     budget.check(po.defects)
 
     space = family.space
-    maps = family.window(0, period)
+    maps = family.window(period)
     images = [m.apply(po.points[j]) for j, m in enumerate(maps)]
     branches = [m.branch_of(po.points[j]) for j, m in enumerate(maps)]
 

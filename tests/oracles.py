@@ -246,13 +246,12 @@ def off_set_sups_reference(values, members, cuts):
 def head_is_exact(spliced, tol=1e-10):
     """True when every step of a splice's head is exact up to `tol`.
 
-    Each step is re-evaluated through the validated ``MapFamily.evaluate``
-    at the orbit's own map times (offset by its start index).
+    Each step i is re-evaluated through the validated ``MapFamily.evaluate`` of f_i.
     """
     po = spliced.orbit
-    fam, start = po.family, po.start_index
+    fam = po.family
     return not any(
-        fam.space.distance(fam.evaluate(start + i, po.points[i]), po.points[i + 1]) > tol
+        fam.space.distance(fam.evaluate(i, po.points[i]), po.points[i + 1]) > tol
         for i in range(spliced.cut_index)
     )
 
@@ -277,7 +276,7 @@ def two_pass_pullback(family, po, epsilon, slack=1e-12):
     from shadowlab.errors import BranchDomainViolatedError, EmptyCellError
 
     space, k, radius = family.space, po.horizon, family.branch_radius
-    maps = family.window(0, k)
+    maps = family.window(k)
     images = [m.apply(x) for m, x in zip(maps, po.points)]
     branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
     cell = space.make_ball(po.points[k], epsilon)
@@ -409,7 +408,7 @@ def lift_to_A_reference(sub, po, blocks):
     prime = set(blocks.prime_set.members)
     members_a = set(sub.points)
     space = sub.ambient.space
-    maps = sub.ambient.window(0, n_points - 1)
+    maps = sub.ambient.window(n_points - 1)
     lifted = [None] * n_points
     deviations = []
     for a, b in blocks.blocks:
@@ -558,7 +557,6 @@ def uniqueness_certificate(family, po, epsilon, k):
         raise ValueError("k exceeds the pseudo-orbit horizon")
     truncated = PseudoOrbit(
         family=family,
-        start_index=po.start_index,
         points=po.points[: k + 1],
         defects=po.defects[:k],
     )

@@ -188,6 +188,13 @@ def _bundled(name):
     return json.loads((bundled_scenarios_dir() / f"{name}.json").read_text())
 
 
+def _product_case(**fields):
+    """The bundled product scenario cut to its first case, with some case fields replaced."""
+    scenario = _bundled("finite-products")
+    case = {**scenario["parameters"]["cases"][0], **fields}
+    return {**scenario, "parameters": {**scenario["parameters"], "cases": [case]}}
+
+
 INVALID_CONFIGS = {
     "unknown-family-kind": _with(SMALL_SHADOW, {"kind": "nope"}),
     "unknown-family-parameter": _with(SMALL_SHADOW, {"kind": "doubling", "degree": 3}),
@@ -198,6 +205,10 @@ INVALID_CONFIGS = {
     "empty-average-subset": _with(_bundled("eight-state-average"), subset=[]),
     "zero-limit-levels": _with(_bundled("rotation-limit"), levels=0),
     "negative-shadow-horizon": _with(SMALL_SHADOW, horizon=-1),
+    "unknown-product-variant": _product_case(variant="nope"),
+    "non-numeric-product-max-len": _product_case(max_len="six"),
+    "non-numeric-product-delta-left": _product_case(delta_left="x"),
+    "non-numeric-profile-scale": _with(_bundled("rotation-limit"), profile={"kind": "harmonic", "scale": "abc"}),
 }
 
 
@@ -208,3 +219,12 @@ def test_invalid_scenario_configs_exit_2(tmp_path, case):
     path = write_scenario(tmp_path, "invalid", INVALID_CONFIGS[case])
     assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
     assert run_suite(tmp_path, tmp_path / "suite", quiet=True) == EXIT_CONFIG
+
+
+def test_barely_expanding_past_its_float_rates_fails_with_the_step(tmp_path, capsys):
+    # From step 53 on, the rate 1 - 2^-(n+1) rounds to 1.0: f_n does not expand.
+    path = write_scenario(tmp_path, "barely", _with(_bundled("barely-expanding-control"), horizon=60))
+    assert run_scenario(path, tmp_path / "out") == EXIT_FAIL
+    assert "NotExpanding: rate 1 - 2^-54 rounds to 1.0 at step 53 (witness: 53)" in capsys.readouterr().err
+    # The scenario expects to fail, so the suite counts the failure as a pass.
+    assert run_suite(tmp_path, tmp_path / "suite", quiet=True) == EXIT_OK

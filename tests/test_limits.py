@@ -31,7 +31,7 @@ from shadowlab.limits import (
     splice,
 )
 from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, perturb_orbit
-from shadowlab.solver import MARGIN
+from shadowlab.solver import delta_budget
 
 
 def harmonic_rotation_orbit(horizon=10_000):
@@ -136,29 +136,15 @@ def test_points_only_splice_has_no_defects_to_read():
         bare.orbit.defects[0]
 
 
-def exact_orbit_from(fam, x, start_index, horizon):
-    points = [x]
-    for i in range(horizon):
-        points.append(fam.evaluate(start_index + i, points[-1]))
-    return PseudoOrbit.from_points(fam, points, start_index=start_index)
-
-
-def test_splice_reads_map_times_from_start_index():
+def test_head_is_exact_rejects_a_head_of_the_wrong_maps():
     fam = alternating_family()
-    po = exact_orbit_from(fam, 0.3, 1, 12)
-    assert po.max_defect == 0.0
-    spliced = splice(fam, po, 6)
-    assert max(spliced.orbit.defects[:6]) <= 1e-12
-    assert head_is_exact(spliced)
-
-
-def test_head_is_exact_reads_map_times_from_start_index():
-    fam = alternating_family()
-    # Exact from time 0, relabelled to start at time 1: doubling and tripling
-    # swap places, so the head is not an orbit of f_1, f_2, ...
-    points = fam.compose(0.3, 12).points
-    po = PseudoOrbit.from_points(fam, points, start_index=1)
-    assert not head_is_exact(SplicedOrbit(cut_index=6, head=points[:6], orbit=po))
+    # An exact orbit of f_1, f_2, ... read from time 0: doubling and tripling
+    # swap places, so the head is not an orbit of f_0, f_1, ...
+    points = [0.3]
+    for n in range(1, 13):
+        points.append(fam.evaluate(n, points[-1]))
+    po = PseudoOrbit.from_points(fam, points)
+    assert not head_is_exact(SplicedOrbit(cut_index=6, head=tuple(points[:6]), orbit=po))
 
 
 def _splice_cases():
@@ -168,7 +154,7 @@ def _splice_cases():
     eight = eight_state_family()
     eight_po = perturb_orbit(eight, 3, 20, 0.015, seed=4)
     alt = alternating_family()
-    alt_po = exact_orbit_from(alt, 0.3, 1, 24)
+    alt_po = PseudoOrbit.from_points(alt, alt.compose(0.3, 24).points)
     return [(rot, rot_po), (dbl, dbl_po), (eight, eight_po), (alt, alt_po)]
 
 
@@ -176,27 +162,37 @@ def _splice_cases():
 def test_splice_orbit_equals_from_points_of_its_points(case):
     fam, po = _splice_cases()[case]
     for cut in (0, 1, po.horizon // 2, po.horizon):
-        orbit = splice(fam, po, cut).orbit
-        fresh = PseudoOrbit.from_points(fam, orbit.points, start_index=po.start_index)
-        assert orbit.points == fresh.points
-        assert orbit.defects == fresh.defects
-        assert orbit.start_index == po.start_index
+        spliced = splice(fam, po, cut)
+        fresh = PseudoOrbit.from_points(fam, spliced.orbit.points)
+        assert spliced.orbit.points == fresh.points
+        assert spliced.orbit.defects == fresh.defects
+        assert head_is_exact(spliced)
 
 
 # ---------------------------------------------------------------------------
 # moduli and cuts
 
 
-def test_pullback_modulus_equals_the_brute_force_prefix_maximum():
+def test_pullback_modulus_is_the_brute_force_tail_minimum_of_the_budget():
     fam = slow_expanding_family()
     oracle = PullbackOracle(fam)
     eps = oracle.accuracy(0.125)
 
-    def brute(t):
-        return MARGIN * (1.0 - max(fam.rate_at(n) for n in range(max(t, 1)))) * eps
+    def brute(cut, horizon):
+        values = delta_budget(fam, eps, horizon=max(horizon, 1)).values
+        return min(values[cut:horizon], default=values[-1])
 
-    for t in (50, 7, 2, 1, 0, 0, 1, 2, 7, 50):
-        assert oracle.modulus(0.125, t) == brute(t)
+    for cut, horizon in ((0, 50), (7, 50), (49, 50), (50, 50), (0, 1), (1, 1), (0, 0), (3, 9), (0, 50)):
+        assert oracle.modulus(0.125, cut, horizon) == brute(cut, horizon)
+
+
+def test_pullback_modulus_of_an_empty_tail_is_the_last_steps_budget():
+    fam = slow_expanding_family()
+    oracle = PullbackOracle(fam)
+    eps = oracle.accuracy(0.5)
+    values = delta_budget(fam, eps, horizon=40).values
+    assert oracle.modulus(0.5, 40, 40) == values[39] == oracle.modulus(0.5, 39, 40)
+    assert oracle.modulus(0.5, 0, 0) == delta_budget(fam, eps, horizon=1).values[0]
 
 
 def test_cut_needs_a_tail_strictly_below_the_modulus():
@@ -204,7 +200,7 @@ def test_cut_needs_a_tail_strictly_below_the_modulus():
     po = inject_defects(fam, 0, [0.5, 0.5, 0.0, 0.0])
     oracle = ExhaustiveOracle(fam)
     # The tail sups at k = 0, 1 equal the modulus exactly: not admissible.
-    assert oracle.modulus(1.0, 4) == 0.5
+    assert oracle.modulus(1.0, 0, 4) == 0.5
     assert po.defects == (0.5, 0.5, 0.0, 0.0)
     (record,) = limit_shadow_point(fam, po, levels=1).levels
     assert record.cut == 2
@@ -279,6 +275,18 @@ def test_doubling_family_through_solver_oracle():
     for rec in result.levels:
         assert rec.sup_error_vs_spliced < rec.target
     assert result.converged
+
+
+def test_slow_expanding_cuts_fit_the_budgets_of_the_steps_they_guard():
+    # slow_expanding's rates rise with n, so its latest steps have the least
+    # budget. A modulus read from the first steps of the tail let a defect of
+    # 0.0028 at step 358 through against that step's budget of 0.00034.
+    fam = slow_expanding_family()
+    po = inject_defects(fam, 0.2, [1.0 / (i + 1) for i in range(400)])
+    result = limit_shadow_point(fam, po, levels=8)
+    assert len(result.levels) == 8
+    assert result.table_nonincreasing
+    assert result.table[-1] < 1.0 / 8
 
 
 def counting(monkeypatch, module, name):
@@ -415,9 +423,9 @@ def test_exhaustive_oracle_measures_the_minimum_distance_once(monkeypatch):
 
     modulus = ExhaustiveOracle.modulus
 
-    def probed(self, target, tail_length):
-        probes.append(tail_length)
-        return modulus(self, target, tail_length)
+    def probed(self, target, cut, horizon):
+        probes.append(cut)
+        return modulus(self, target, cut, horizon)
 
     monkeypatch.setattr(space_type, "min_positive_distance", counted)
     monkeypatch.setattr(ExhaustiveOracle, "modulus", probed)

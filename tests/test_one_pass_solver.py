@@ -93,7 +93,7 @@ def test_one_pass_solver_equals_the_two_pass_solver(name, data):
         # next one's. A run of such cuts can empty the cell although every
         # level stays inside its own tube ball, which the verdict confirms.
         k = po.horizon
-        rates = [m.rate for m in fam.window(0, k)]
+        rates = [m.rate for m in fam.window(k)]
         budget = delta_budget(fam, EPSILON, horizon=max(k, 1)).values
         assert any(budget[j] + rates[j + 1] * EPSILON >= EPSILON for j in range(k - 1))
         return
@@ -109,7 +109,7 @@ def test_radius_bounds_never_fall_below_the_exact_recursion(name, data):
     po = data.draw(pseudo_orbits(fam, st.sampled_from([0, 1, 2, 200, 1100])))
     _, chain = pullback_shadow(fam, po, EPSILON, check_budget=False)
     k = po.horizon
-    maps = fam.window(0, k)
+    maps = fam.window(k)
     exact = Fraction(math.ldexp(*chain.radii[k]))
     for j in range(k - 1, -1, -1):
         exact *= Fraction(maps[j].branch_slope(maps[j].branch_of(po.points[j])))
@@ -139,7 +139,7 @@ def test_certificate_pair_is_the_float_product_wherever_that_is_normal(name, dat
     fam, horizon = CERTIFICATE_FAMILIES[name]
     edges = st.sampled_from([0, 1, min(1074, horizon), horizon])
     k = data.draw(st.one_of(edges, st.integers(0, min(1100, horizon)), st.integers(0, horizon)))
-    maps = fam.window(0, k)
+    maps = fam.window(k)
     rates = [m.rate for m in maps]
     m, e = certificate_pair(epsilon, maps)
     assert 0.5 <= m < 1.0

@@ -75,7 +75,6 @@ def test_every_definition_is_reached_outside_the_tests():
 ALLOWED_OPTIONS = {
     "pullback_shadow(check_budget)": "tests reach the EmptyCell and BranchDomain raises with it",
     "inject_defects(signs)": "tests draw defects with random signs; removing it would move its loop into them",
-    "from_points(start_index)": "tests pin splice's map-time offset with it",
     "equicontinuity_modulus(samples)": "kept until a certified modulus replaces the empirical one",
     "equicontinuity_modulus(horizon)": "kept until a certified modulus replaces the empirical one",
     "equicontinuity_modulus(ladder_depth)": "kept until a certified modulus replaces the empirical one",

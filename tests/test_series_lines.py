@@ -89,13 +89,12 @@ def test_average_term_and_defect_lines(same_bytes, values, defects):
 
 
 @given(
-    start=st.integers(0, 10**6),
     points=st.lists(st.tuples(floats, floats), min_size=1, max_size=12),
     data=st.data(),
 )
-def test_product_orbit_lines_flatten_points_and_leave_the_last_defect_empty(same_bytes, start, points, data):
+def test_product_orbit_lines_flatten_points_and_leave_the_last_defect_empty(same_bytes, points, data):
     defects = data.draw(st.lists(floats, min_size=len(points) - 1, max_size=len(points) - 1))
-    po = PseudoOrbit(PRODUCT, start, tuple(points), tuple(defects))
+    po = PseudoOrbit(PRODUCT, tuple(points), tuple(defects))
     lines = _orbit_lines(po)
     assert lines[-1].endswith(",\r\n")
     same_bytes(["index", "x0", "x1", "defect"], pseudo_orbit_rows(po), lines)

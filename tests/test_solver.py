@@ -203,7 +203,7 @@ def test_monotone_nesting_of_final_cells():
     po = perturb_orbit(fam, 0.61, 21, 0.049, seed=11)
     previous = None
     for k in range(1, 22):
-        trunc = PseudoOrbit(fam, 0, po.points[: k + 1], po.defects[:k])
+        trunc = PseudoOrbit(fam, po.points[: k + 1], po.defects[:k])
         _, chain = pullback_shadow(fam, trunc, 0.1)
         cell = (chain.centres[0], math.ldexp(*chain.radii[0]))
         if previous is not None:
@@ -215,7 +215,7 @@ def test_measured_diameter_within_certificate_at_every_horizon():
     fam = alternating_family()
     po = perturb_orbit(fam, 0.3, 30, 0.03, seed=4)
     for k in (1, 5, 10, 20, 30):
-        trunc = PseudoOrbit(fam, 0, po.points[: k + 1], po.defects[:k])
+        trunc = PseudoOrbit(fam, po.points[: k + 1], po.defects[:k])
         report, _ = pullback_shadow(fam, trunc, 0.1)
         assert report.measured_diameter <= report.diameter_bound + 1e-15
 
@@ -333,7 +333,7 @@ def test_two_shadow_points_within_certificate():
     fam = doubling_family()
     po = perturb_orbit(fam, 0.52, 24, 0.049, seed=8)
     k = 16
-    trunc = PseudoOrbit(fam, 0, po.points[: k + 1], po.defects[:k])
+    trunc = PseudoOrbit(fam, po.points[: k + 1], po.defects[:k])
     rep_a, _ = pullback_shadow(fam, trunc, 0.1)
     rep_b, _ = pullback_shadow(fam, po, 0.1)
     cert = uniqueness_certificate(fam, po, 0.1, k)

@@ -75,8 +75,15 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/limits.py",
-        "if defect_tails[k] < oracle.modulus(target, horizon - k):",
-        "if defect_tails[k] <= oracle.modulus(target, horizon - k):",
+        "if defect_tails[k] < oracle.modulus(target, k, horizon):",
+        "if defect_tails[k] <= oracle.modulus(target, k, horizon):",
+    ),
+    (
+        # The pullback modulus reads the budgets of steps 0 ... horizon - cut - 1
+        # instead of the tail's own steps cut ... horizon - 1.
+        "src/shadowlab/limits.py",
+        "minima = list(accumulate(reversed(values), min))[::-1]",
+        "minima = list(accumulate(values, min))[::-1]",
     ),
     (
         "src/shadowlab/limits.py",
