@@ -77,6 +77,21 @@ def _at_least(low: int):
     return convert
 
 
+def _float_where(test, text: str):
+    """A converter to float that rejects values failing `test` (NaN included), named by `text`."""
+    def convert(value) -> float:
+        x = float(value)
+        if not test(x):
+            raise ValueError(f"must be {text}, got {x}")
+        return x
+    return convert
+
+
+_POSITIVE = _float_where(lambda x: x > 0.0, "> 0")
+_NONNEGATIVE = _float_where(lambda x: x >= 0.0, ">= 0")
+_OPEN_UNIT = _float_where(lambda x: 0.0 < x < 1.0, "in (0, 1)")
+
+
 def _nonempty(convert):
     """A converter of a nonempty list, item by item."""
     def convert_list(values) -> list:
@@ -164,10 +179,10 @@ def _table_lines(records, table) -> list:
 
 def _run_shadow(scenario: dict, params: dict):
     family = _family(scenario, "family")
-    epsilon = _param(params, "epsilon", float, required=True)
-    noise = _param(params, "noise", float, required=True)
+    epsilon = _param(params, "epsilon", _POSITIVE, required=True)
+    noise = _param(params, "noise", _NONNEGATIVE, required=True)
     horizon = _param(params, "horizon", _at_least(0), 64)
-    margin = _param(params, "margin", float, MARGIN)
+    margin = _param(params, "margin", _OPEN_UNIT, MARGIN)
     n_seeds = _param(params, "seeds", _at_least(1), 1)
     seed0 = _param(params, "seed", int, 0)
     x_base = _param(params, "x0", float, 0.123)
@@ -219,7 +234,9 @@ def _run_shadow(scenario: dict, params: dict):
 
 def _run_periodic(scenario: dict, params: dict):
     family = _family(scenario, "family")
-    epsilon = _param(params, "epsilon", float, required=True)
+    if family.space.kind != "circle":
+        raise ConfigInvalidError(f"family: periodic needs a circle family, got a {family.space.kind} space")
+    epsilon = _param(params, "epsilon", _POSITIVE, required=True)
     delta = _param(params, "delta", float, required=True)
     base = _param(params, "base_points", _nonempty(float), required=True)
     horizon = _param(params, "horizon", _at_least(0), 4 * len(base))
@@ -252,7 +269,8 @@ def _run_limit(scenario: dict, params: dict):
     horizon = _param(params, "horizon", _at_least(0), 10_000)
     levels = _param(params, "levels", _at_least(1), 8)
     profile = _param(params, "profile", dict, {"kind": "harmonic"})
-    x0 = _param(params, "x0", float, 0.2)
+    finite = family.space.kind == "finite"
+    x0 = _param(params, "x0", int, 0) if finite else _param(params, "x0", float, 0.2)
     po = inject_defects(family, x0, _profile_values(profile, horizon))
     result = limit_shadow_point(family, po, levels=levels)
     final_target = 1.0 / levels
@@ -378,15 +396,15 @@ def _run_product(scenario: dict, params: dict):
         try:
             variant = _param(case, "variant", ShadowingVariant, required=True).tag
             budget = VariantBudget(
-                epsilon=_param(case, "epsilon", float, 0.5),
-                delta=_param(case, "delta", float, 0.25),
-                max_len=_param(case, "max_len", int, 6),
-                horizon=_param(case, "horizon", int, 48),
-                trials=_param(case, "trials", int, 8),
+                epsilon=_param(case, "epsilon", _POSITIVE, 0.5),
+                delta=_param(case, "delta", _POSITIVE, 0.25),
+                max_len=_param(case, "max_len", _at_least(2), 6),
+                horizon=_param(case, "horizon", _at_least(1), 48),
+                trials=_param(case, "trials", _at_least(1), 8),
                 seed=_param(case, "seed", int, 0),
             )
-            delta_left = _param(case, "delta_left", float)
-            delta_right = _param(case, "delta_right", float)
+            delta_left = _param(case, "delta_left", _POSITIVE)
+            delta_right = _param(case, "delta_right", _POSITIVE)
         except ConfigInvalidError as exc:
             raise ConfigInvalidError(f"parameters.cases[{idx}]: {exc}") from exc
         left, right = _family(case, "left"), _family(case, "right")

@@ -86,11 +86,9 @@ def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
         except ShadowlabError as exc:
             return CheckResult("h", False, checked, witness=(exc.code,))
         n, maps = po.horizon, family.window(po.horizon)
-        images = [m.apply(x) for m, x in zip(maps, po.points)]
-        branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
         checked += 1
         try:
-            centres, _, _ = pull_back_chain(family, maps, images, branches, po.points[n])
+            centres, _, _ = pull_back_chain(family, maps, po.points, po.points[n])
         except BranchDomainViolatedError:
             return CheckResult("h", False, checked, witness=po.points)
         orbit = family.compose(centres[0], n).points
@@ -309,7 +307,7 @@ def product_equivalence_check(
     implementation bug and carries the offending witness.
     """
     tag = ShadowingVariant(variant)
-    d0 = min(delta_left or budget.delta, delta_right or budget.delta)
+    d0 = min(budget.delta if d is None else d for d in (delta_left, delta_right))
     shared = replace(budget, delta=d0)
     return EquivalenceRecord(
         variant=variant,

@@ -12,9 +12,10 @@ prod(rates of the k inverted maps), is one round-to-nearest product kept as
 (mantissa, exponent) so its log2 stays finite where the float underflows.
 
 Pseudo-orbit points are canonical (validated where they entered), so each
-solver resolves its maps once as a `MapFamily.window` and calls `apply`,
-`branch_of`, `inverse_branch_point`, `branch_slope` and `rate` on it with no
-re-validation.
+solver resolves its maps once as a `MapFamily.window` and hands them with
+the points to `pull_back_chain`, the one backward pass: its step j computes
+f_j(x_j) and the branch of x_j where it uses them, with no image or branch
+list and no re-validation.
 """
 
 from __future__ import annotations
@@ -172,40 +173,43 @@ def certificate_pair(epsilon: float, maps: Sequence) -> Tuple[float, int]:
 
 
 def pull_back_chain(
-    family: MapFamily, maps: Sequence, images: Sequence, branches: Sequence, z,
-    radius: float = 0.0, points: Optional[Sequence] = None, epsilon: float = 0.0,
+    family: MapFamily, maps: Sequence, points: Sequence, z, radius: float = 0.0,
+    epsilon: Optional[float] = None,
 ) -> Tuple[list, list, list]:
     """(centres, radii, errors) of the backward branch chain from z_k = z with r_k = `radius`.
 
-    Step j applies the inverse branch `branches[j]` of `maps[j]` = f_j anchored
-    at `images[j]` to z_{j+1}, and sets r_j = up(s_j * r_{j+1}) with s_j that
-    branch's slope. It raises BranchDomainViolated unless the cell around
-    z_{j+1} lies in the open branch domain B(images[j], delta_0). Given
-    `points`, each level j < k must lie in the closed ball B(points[j],
-    epsilon), else EmptyCell, and errors[j] = d(z_j, points[j]).
+    Step j, for j < k = len(maps), computes w = f_j(x_j) and raises
+    BranchDomainViolated unless the cell around z_{j+1} lies in the open
+    branch domain B(w, delta_0); then it applies f_j's inverse branch through
+    x_j, anchored at w, to z_{j+1} and sets r_j = up(s_j * r_{j+1}) with s_j
+    that branch's slope. `points` may run past x_k. Given `epsilon`, each
+    level j < k must lie in the closed ball B(x_j, epsilon), else EmptyCell,
+    and errors[j] = d(z_j, x_j); without it, errors is empty.
 
     Branches are right inverses, so {z_j} is the exact orbit of z_0; the
     backward computation is contractive, hence float-stable, whereas naive
     forward iteration would amplify rounding by the full expansion factor.
     """
-    k = len(images)
+    k = len(maps)
     centres, radii = [None] * (k + 1), [None] * (k + 1)
     m, e = frexp(radius)
     centres[k], radii[k] = z, (m, e)
     distance, delta0 = family.space.distance, family.branch_radius
-    errors = [] if points is None else [distance(z, points[k])] * (k + 1)
+    errors = [] if epsilon is None else [distance(z, points[k])] * (k + 1)
     for j in range(k - 1, -1, -1):
-        if _reach(distance(images[j], z), radii[j + 1], k - j) >= delta0:
+        mapobj, x = maps[j], points[j]
+        w = mapobj.apply(x)
+        if _reach(distance(w, z), radii[j + 1], k - j) >= delta0:
             raise BranchDomainViolatedError(
                 f"cell at step {j + 1} leaves the branch domain", witness=j + 1
             )
-        mapobj, branch = maps[j], branches[j]
-        z = mapobj.inverse_branch_point(branch, images[j], z)
+        branch = mapobj.branch_of(x)
+        z = mapobj.inverse_branch_point(branch, w, z)
         m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))
         e += de
         centres[j], radii[j] = z, (m, e)
-        if points is not None:
-            errors[j] = d = distance(z, points[j])
+        if epsilon is not None:
+            errors[j] = d = distance(z, x)
             if _reach(d, radii[j], k - j + 1) > epsilon:
                 raise EmptyCellError(f"cell at step {j} leaves the eps-tube", witness=j)
     return centres, radii, errors
@@ -236,21 +240,17 @@ def pullback_shadow(
     if check_budget:
         budget.check(po.defects)
 
-    space = family.space
-    maps = family.window(k)
-    images = [m.apply(x) for m, x in zip(maps, po.points)]
-    branches = [m.branch_of(x) for m, x in zip(maps, po.points)]
-
+    space, maps = family.space, family.window(k)
     # The top cell B(x_k, eps) & B(f(x_{k-1}), eps) lies in the eps-ball at
     # level k by construction, touching its sphere whenever f(x_{k-1}) != x_k,
     # so only the levels below it are checked against the tube.
     top = space.make_ball(po.points[k], epsilon)
     if k:
-        top = space.cell_intersect(top, space.make_ball(images[k - 1], epsilon))
+        top = space.cell_intersect(top, space.make_ball(maps[k - 1].apply(po.points[k - 1]), epsilon))
         if top is None:
             raise EmptyCellError(f"pullback cell at step {k} is empty", witness=k)
     centre, radius = space.cell_center(top), space.cell_diameter(top) / 2.0
-    centres, radii, errors = pull_back_chain(family, maps, images, branches, centre, radius, po.points, epsilon)
+    centres, radii, errors = pull_back_chain(family, maps, po.points, centre, radius, epsilon)
     chain = PullbackChain(centres, radii)
     report = ShadowReport(
         family_name=family.name,
@@ -291,12 +291,9 @@ def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):
 
     space = family.space
     maps = family.window(period)
-    images = [m.apply(po.points[j]) for j, m in enumerate(maps)]
-    branches = [m.branch_of(po.points[j]) for j, m in enumerate(maps)]
-
     z = po.points[0]
     for _ in range(_MAX_ITERATIONS):
-        centres = pull_back_chain(family, maps, images, branches, z)[0]
+        centres = pull_back_chain(family, maps, po.points, z)[0]
         z_next = centres[0]
         if space.distance(z_next, z) < _FIXED_POINT_TOL / 2.0:
             z = z_next

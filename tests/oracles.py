@@ -5,6 +5,8 @@ the grid minimizer hard-codes the doubling map, the h-shadowing oracle
 re-enumerates pseudo-orbits with its own breadth-first machinery, and the
 two-pass pullback keeps the solver's previous algorithm, built from the maps
 and the spaces' arc calculus, which the solver now uses for its top cell only.
+``pull_back_chain_reference`` keeps the backward chain as it ran on image
+and branch lists built in two passes before it.
 The series writer keeps csv.writer, whose bytes the runners' own CSV lines
 must reproduce. ``orbit_table`` and ``best_orbit`` keep the per-index
 best-orbit search (orbits by ``compose``, errors by ``space.distance``) that
@@ -300,6 +302,46 @@ def two_pass_pullback(family, po, epsilon, slack=1e-12):
     errors = tuple(map(space.distance, points, po.points))
     bound = diameter_bound_reference(epsilon, (m.rate for m in maps))
     return points[0], errors, all(e < epsilon for e in errors), bound, space.cell_diameter(bottom)
+
+
+def _reach_reference(distance, radius, steps):
+    """The solver's reach bound, with its rounding allowance of 2^-48 per step written out."""
+    return nextafter(distance, inf) + ldexp(*radius) + steps * 2.0**-48
+
+
+def pull_back_chain_reference(family, maps, points, z, radius=0.0, epsilon=None):
+    """The backward branch chain as it was before it read the pseudo-orbit itself.
+
+    Two passes first list the images f_j(x_j) and the branches of x_j for
+    j < k = len(maps); the chain then reads them by index. Given `epsilon`,
+    the tube is checked and the errors kept, as the solver does. Returns
+    (centres, radii, errors) and raises where that chain did.
+    """
+    from shadowlab.errors import BranchDomainViolatedError, EmptyCellError
+
+    images = [m.apply(x) for m, x in zip(maps, points)]
+    branches = [m.branch_of(x) for m, x in zip(maps, points)]
+    k = len(images)
+    centres, radii = [None] * (k + 1), [None] * (k + 1)
+    m, e = frexp(radius)
+    centres[k], radii[k] = z, (m, e)
+    distance, delta0 = family.space.distance, family.branch_radius
+    errors = [] if epsilon is None else [distance(z, points[k])] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        if _reach_reference(distance(images[j], z), radii[j + 1], k - j) >= delta0:
+            raise BranchDomainViolatedError(
+                f"cell at step {j + 1} leaves the branch domain", witness=j + 1
+            )
+        mapobj, branch = maps[j], branches[j]
+        z = mapobj.inverse_branch_point(branch, images[j], z)
+        m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))
+        e += de
+        centres[j], radii[j] = z, (m, e)
+        if epsilon is not None:
+            errors[j] = d = distance(z, points[j])
+            if _reach_reference(d, radii[j], k - j + 1) > epsilon:
+                raise EmptyCellError(f"cell at step {j} leaves the eps-tube", witness=j)
+    return centres, radii, errors
 
 
 # ---------------------------------------------------------------------------

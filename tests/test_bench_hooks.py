@@ -8,6 +8,7 @@ not halfway through a benchmark run.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -98,6 +99,57 @@ def test_instrument_patches_and_restores_a_fresh_import():
     for owner, attr, original, is_dict in saved:
         current = owner[attr] if is_dict else owner.__dict__[attr]
         assert current is original, (owner, attr)
+
+
+# The benchmark's limit job shapes at shorter horizons: rotation runs on the
+# transport oracle, doubling and alternating on the pullback oracle.
+LIMIT_SHAPES = (("rotation", 2000, 0.2), ("doubling", 1000, 0.3), ("alternating", 1000, 0.7))
+
+
+def test_traced_limit_passes_repeat_their_counts_and_report_bodies(tmp_path):
+    """A traced run fails when a count or a report body differs between passes.
+
+    Library state kept from one call to the next (a module-level or
+    per-family memo) makes the second pass do less work or report other
+    values; two passes through ``cli.run_scenario`` must agree exactly.
+    """
+    tracing = load_tracing()
+    lib = fresh_library()
+    paths = []
+    for kind, horizon, x0 in LIMIT_SHAPES:
+        params = {"horizon": horizon, "levels": 8, "profile": {"kind": "harmonic", "scale": 1.0}, "x0": x0}
+        scenario = {"name": f"limit-{kind}", "experiment": "limit", "family": {"kind": kind}, "parameters": params}
+        paths.append(tmp_path / f"limit-{kind}.json")
+        paths[-1].write_text(json.dumps(scenario))
+    reporting = lib.reporting
+
+    def body_size(report):
+        return len(reporting.canonical_json(report))
+
+    tracer = tracing.Tracer()
+    patches = tracing.instrument(lib, tracer)
+    passes = []
+    try:
+        for _ in range(2):
+            tracer.reset()
+            bodies = []
+            for path in paths:
+                tracer.job = path.stem
+                root = tracer.open("cli.run_scenario")
+                try:
+                    assert lib.cli.run_scenario(path, tmp_path / "out", quiet=True) == 0, path.stem
+                finally:
+                    tracer.close(root)
+                envelope = reporting.load_report(tmp_path / "out" / f"{path.stem}.report.json")
+                bodies.append(reporting.report_body_bytes(envelope))
+            layer = tracing.layer_metrics(tracer.spans, tracer.counts, body_size)
+            passes.append(({name: layer[name] for name in tracing.COUNT_METRICS}, bodies))
+    finally:
+        patches.restore()
+    (counts, bodies), (counts_again, bodies_again) = passes
+    assert counts["limits.splice_calls"] > 0 and counts["limits.modulus_calls"] > 0
+    assert counts_again == counts
+    assert bodies_again == bodies
 
 
 def test_micro_benchmarks_run_on_a_fresh_import():

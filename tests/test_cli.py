@@ -195,6 +195,8 @@ def _product_case(**fields):
     return {**scenario, "parameters": {**scenario["parameters"], "cases": [case]}}
 
 
+_DOUBLING = {"kind": "doubling"}
+
 INVALID_CONFIGS = {
     "unknown-family-kind": _with(SMALL_SHADOW, {"kind": "nope"}),
     "unknown-family-parameter": _with(SMALL_SHADOW, {"kind": "doubling", "degree": 3}),
@@ -209,6 +211,24 @@ INVALID_CONFIGS = {
     "non-numeric-product-max-len": _product_case(max_len="six"),
     "non-numeric-product-delta-left": _product_case(delta_left="x"),
     "non-numeric-profile-scale": _with(_bundled("rotation-limit"), profile={"kind": "harmonic", "scale": "abc"}),
+    "negative-shadow-epsilon": _with(SMALL_SHADOW, epsilon=-0.1),
+    "negative-shadow-noise": _with(SMALL_SHADOW, noise=-0.01),
+    "shadow-margin-above-one": _with(SMALL_SHADOW, margin=2),
+    "negative-periodic-epsilon": _with(_bundled("doubling-periodic"), epsilon=-0.05),
+    "periodic-on-a-product": _with(_bundled("doubling-periodic"), {"kind": "product", "factors": [_DOUBLING] * 2}),
+    "zero-product-max-len": _product_case(max_len=0),
+    "one-point-product-max-len": _product_case(max_len=1),
+    "zero-product-delta": _product_case(delta=0),
+    "negative-product-delta": _product_case(delta=-1),
+    "zero-product-delta-left": _product_case(delta_left=0),
+    "zero-product-epsilon": _product_case(epsilon=0),
+    "negative-product-epsilon": _product_case(epsilon=-1),
+    "zero-product-trials": _product_case(left=_DOUBLING, right=_DOUBLING, trials=0),
+    "negative-product-trials": _product_case(left=_DOUBLING, right=_DOUBLING, trials=-1),
+    "negative-plain-product-horizon": _product_case(
+        left=_DOUBLING, right=_DOUBLING, variant="plain", horizon=-2
+    ),
+    "zero-h-product-max-len": _product_case(left=_DOUBLING, right=_DOUBLING, max_len=0),
 }
 
 
@@ -219,6 +239,18 @@ def test_invalid_scenario_configs_exit_2(tmp_path, case):
     path = write_scenario(tmp_path, "invalid", INVALID_CONFIGS[case])
     assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
     assert run_suite(tmp_path, tmp_path / "suite", quiet=True) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("x0", [None, 5])
+def test_limit_runs_on_a_finite_family(tmp_path, x0):
+    # x0 is read as a state on a finite family, 0 by default; read as a float
+    # it lay outside the space and the run exited 1.
+    params = {"horizon": 400} if x0 is None else {"horizon": 400, "x0": x0}
+    payload = {"name": "eight-limit", "experiment": "limit", "family": {"kind": "eight_state"}, "parameters": params}
+    assert run_scenario(write_scenario(tmp_path, "eight-limit", payload), tmp_path / "out", quiet=True) == EXIT_OK
+    report = load_report(tmp_path / "out" / "eight-limit.report.json")["report"]
+    assert report["verdict"] is True and report["converged"] is True
+    assert report["point"] in range(8)
 
 
 def test_barely_expanding_past_its_float_rates_fails_with_the_step(tmp_path, capsys):

@@ -8,7 +8,9 @@ bit (compared by ``repr``). Its radius bounds must never fall below the exact
 rational recursion over the same branch slopes, also past the point where a
 plain float radius would underflow. Its diameter certificate, kept in
 exponent form, must equal the float product it replaced wherever that
-product is normal, and keep a finite log2 beyond.
+product is normal, and keep a finite log2 beyond. The backward chain, which
+reads the pseudo-orbit itself, must return what the chain on precomputed
+image and branch lists returned, and raise where it raised.
 """
 
 import math
@@ -22,8 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import diameter_bound_reference, two_pass_pullback  # noqa: E402
-from shadowlab.errors import EmptyCellError  # noqa: E402
+from oracles import (  # noqa: E402
+    diameter_bound_reference,
+    pull_back_chain_reference,
+    two_pass_pullback,
+)
+from shadowlab.errors import EmptyCellError, ShadowlabError  # noqa: E402
 from shadowlab.families import (  # noqa: E402
     alternating_family,
     barely_expanding_family,
@@ -33,7 +39,12 @@ from shadowlab.families import (  # noqa: E402
     tripling_family,
 )
 from shadowlab.pseudo_orbits import inject_defects  # noqa: E402
-from shadowlab.solver import certificate_pair, delta_budget, pullback_shadow  # noqa: E402
+from shadowlab.solver import (  # noqa: E402
+    certificate_pair,
+    delta_budget,
+    pull_back_chain,
+    pullback_shadow,
+)
 
 EPSILON = 0.1
 FAMILIES = {
@@ -115,6 +126,34 @@ def test_radius_bounds_never_fall_below_the_exact_recursion(name, data):
         exact *= Fraction(maps[j].branch_slope(maps[j].branch_of(po.points[j])))
         m, e = chain.radii[j]
         assert Fraction(m) * Fraction(2) ** e >= exact, j
+
+
+CHAIN_FAMILIES = ("doubling", "tripling", "alternating", "slow_expanding", "doubling*tripling")
+
+
+def _outcome(chain, *args, **kwargs):
+    """repr of what a chain returns, or the class and witness of what it raises."""
+    try:
+        return repr(chain(*args, **kwargs))
+    except ShadowlabError as exc:
+        return type(exc).__name__, exc.witness
+
+
+@pytest.mark.parametrize("with_epsilon", [False, True])
+@pytest.mark.parametrize("name", CHAIN_FAMILIES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_pull_back_chain_equals_the_chain_on_image_and_branch_lists(name, with_epsilon, data):
+    fam = FAMILIES[name]
+    po = data.draw(pseudo_orbits(fam, st.sampled_from([0, 1, 2, 3, 8, 64, 300])))
+    # Fewer maps than points is periodic_shadow's shape: one period of a longer orbit.
+    k = data.draw(st.one_of(st.just(po.horizon), st.integers(0, po.horizon)))
+    maps = fam.window(k)
+    # Radii up to the branch radius reach both the tube and the branch-domain raises.
+    radius = data.draw(st.one_of(st.just(0.0), st.floats(0.0, EPSILON), st.floats(0.0, 0.3)))
+    kwargs = {"epsilon": EPSILON} if with_epsilon else {}
+    args = (fam, maps, po.points, po.points[k], radius)
+    assert _outcome(pull_back_chain, *args, **kwargs) == _outcome(pull_back_chain_reference, *args, **kwargs)
 
 
 # Family and longest horizon: barely_expanding's rate 1 - 2^-(j+1) rounds to

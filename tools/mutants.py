@@ -45,8 +45,8 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/solver.py",
-        "if _reach(distance(images[j], z), radii[j + 1], k - j) >= delta0:",
-        "if _reach(distance(images[j], z), radii[j + 1], k - j) >= delta0 + 1e-12:",
+        "if _reach(distance(w, z), radii[j + 1], k - j) >= delta0:",
+        "if _reach(distance(w, z), radii[j + 1], k - j) >= delta0 + 1e-12:",
     ),
     (
         "src/shadowlab/solver.py",
