@@ -19,7 +19,6 @@ from .density import (
 from .families import (
     BUILTIN_FAMILIES,
     MapFamily,
-    OrbitSegment,
     family_from_descriptor,
     product_family,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "IndexSet",
     "InvariantSubsystem",
     "MapFamily",
-    "OrbitSegment",
     "PseudoOrbit",
     "ShadowReport",
     "ShadowingVariant",

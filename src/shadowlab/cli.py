@@ -63,14 +63,16 @@ def _param(params: dict, name: str, convert, default=None, required: bool = Fals
         return default
     try:
         return convert(params[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalidError(f"parameters.{name}: {exc}") from exc
 
 
-def _at_least(low: int):
-    """A converter to int that rejects values below `low`."""
+def _at_least(low: float):
+    """A converter to int that rejects values below `low` and values int() would change."""
     def convert(value) -> int:
         n = int(value)
+        if n != value:
+            raise ValueError(f"must be an integer, got {value!r}")
         if n < low:
             raise ValueError(f"must be >= {low}, got {n}")
         return n
@@ -87,6 +89,7 @@ def _float_where(test, text: str):
     return convert
 
 
+_INTEGER = _at_least(-math.inf)
 _POSITIVE = _float_where(lambda x: x > 0.0, "> 0")
 _NONNEGATIVE = _float_where(lambda x: x >= 0.0, ">= 0")
 _OPEN_UNIT = _float_where(lambda x: 0.0 < x < 1.0, "in (0, 1)")
@@ -184,7 +187,7 @@ def _run_shadow(scenario: dict, params: dict):
     horizon = _param(params, "horizon", _at_least(0), 64)
     margin = _param(params, "margin", _OPEN_UNIT, MARGIN)
     n_seeds = _param(params, "seeds", _at_least(1), 1)
-    seed0 = _param(params, "seed", int, 0)
+    seed0 = _param(params, "seed", _INTEGER, 0)
     x_base = _param(params, "x0", float, 0.123)
 
     runs = []
@@ -237,10 +240,10 @@ def _run_periodic(scenario: dict, params: dict):
     if family.space.kind != "circle":
         raise ConfigInvalidError(f"family: periodic needs a circle family, got a {family.space.kind} space")
     epsilon = _param(params, "epsilon", _POSITIVE, required=True)
-    delta = _param(params, "delta", float, required=True)
+    delta = _param(params, "delta", _NONNEGATIVE, required=True)
     base = _param(params, "base_points", _nonempty(float), required=True)
     horizon = _param(params, "horizon", _at_least(0), 4 * len(base))
-    seed = _param(params, "seed", int, 0)
+    seed = _param(params, "seed", _INTEGER, 0)
     rng = random.Random(seed)
     jitter = [rng.uniform(-delta / 3.0, delta / 3.0) for _ in base]
     cycle = [family.space.reduce(b + j) for b, j in zip(base, jitter)]
@@ -270,7 +273,7 @@ def _run_limit(scenario: dict, params: dict):
     levels = _param(params, "levels", _at_least(1), 8)
     profile = _param(params, "profile", dict, {"kind": "harmonic"})
     finite = family.space.kind == "finite"
-    x0 = _param(params, "x0", int, 0) if finite else _param(params, "x0", float, 0.2)
+    x0 = _param(params, "x0", _INTEGER, 0) if finite else _param(params, "x0", float, 0.2)
     po = inject_defects(family, x0, _profile_values(profile, horizon))
     result = limit_shadow_point(family, po, levels=levels)
     final_target = 1.0 / levels
@@ -304,10 +307,10 @@ def _run_limit(scenario: dict, params: dict):
 def _run_average(scenario: dict, params: dict):
     family = _family(scenario, "family")
     horizon = _param(params, "horizon", _at_least(0), 10_000)
-    subset = _param(params, "subset", _nonempty(int), required=True)
-    magnitude = _param(params, "magnitude", float, 1.01)
-    tol = _param(params, "tolerance", float, 0.05)
-    x0 = _param(params, "x0", int, subset[0])
+    subset = _param(params, "subset", _nonempty(_INTEGER), required=True)
+    magnitude = _param(params, "magnitude", _POSITIVE, 1.01)
+    tol = _param(params, "tolerance", _POSITIVE, 0.05)
+    x0 = _param(params, "x0", _INTEGER, subset[0])
     sub = InvariantSubsystem.finite(family, subset)
     po = displace_orbit(family, x0, _on_squares(magnitude, horizon, 1))
     result = average_shadow_point(sub, po)
@@ -401,7 +404,7 @@ def _run_product(scenario: dict, params: dict):
                 max_len=_param(case, "max_len", _at_least(2), 6),
                 horizon=_param(case, "horizon", _at_least(1), 48),
                 trials=_param(case, "trials", _at_least(1), 8),
-                seed=_param(case, "seed", int, 0),
+                seed=_param(case, "seed", _INTEGER, 0),
             )
             delta_left = _param(case, "delta_left", _POSITIVE)
             delta_right = _param(case, "delta_right", _POSITIVE)

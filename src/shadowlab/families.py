@@ -36,7 +36,6 @@ from .spaces import (
     circle_space,
     finite_space,
     product_space,
-    space_from_descriptor,
 )
 
 
@@ -174,19 +173,6 @@ class CircleRotation:
         return [circle_reduce(w - self.alpha)]
 
 
-class IdentityMap:
-    """Identity on any space."""
-
-    def __init__(self, space: StateSpace):
-        self.space = space
-
-    def apply(self, x):
-        return self.space.reduce(x)
-
-    def preimages(self, w) -> list:
-        return [self.space.reduce(w)]
-
-
 class FiniteMap:
     """Table-driven map on a finite space; onto-ness checked at construction."""
 
@@ -241,14 +227,7 @@ class ProductMap:
 
 
 # ---------------------------------------------------------------------------
-# Orbit segments and families
-
-
-@dataclass(frozen=True)
-class OrbitSegment:
-    """A finite run of an exact orbit from time 0; points[i] is the point at time i."""
-
-    points: tuple
+# Families
 
 
 @dataclass(frozen=True)
@@ -318,14 +297,14 @@ class MapFamily:
         space = self.space
         return space.require(self.map_at(n).apply(space.require(x)))
 
-    def compose(self, x, horizon: int) -> OrbitSegment:
-        """The orbit segment [x, F_1(x), ..., F_horizon(x)]."""
+    def compose(self, x, horizon: int) -> tuple:
+        """The orbit (x, F_1(x), ..., F_horizon(x)); item i is the point at time i."""
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         points = [self.space.require(x)]
         for mapobj in self.window(horizon):
             points.append(mapobj.apply(points[-1]))
-        return OrbitSegment(points=tuple(points))
+        return tuple(points)
 
     def sup_distance(self, xs: Sequence, ys: Sequence, lo: int, hi: int) -> float:
         """max of d(xs[i], ys[i]) over 0 <= lo <= i <= hi; 0.0 on an empty window."""
@@ -521,12 +500,12 @@ def barely_expanding_family() -> MapFamily:
     )
 
 
-def identity_family(space: Optional[StateSpace] = None) -> MapFamily:
-    space = space or circle_space()
+def identity_family() -> MapFamily:
+    """The identity on the circle, as the rotation by 0."""
     return MapFamily(
         name="identity",
-        space=space,
-        maps=constant_schedule(IdentityMap(space)),
+        space=circle_space(),
+        maps=constant_schedule(CircleRotation(0.0)),
         is_isometry=True,
     )
 
@@ -568,7 +547,7 @@ def identity_pair_family() -> MapFamily:
     return MapFamily(
         name="identity_pair",
         space=space,
-        maps=constant_schedule(IdentityMap(space)),
+        maps=constant_schedule(FiniteMap(space, (0, 1))),
         is_isometry=True,
     )
 
@@ -664,7 +643,4 @@ def family_from_descriptor(desc: dict) -> MapFamily:
         return product_family(family_from_descriptor(left), family_from_descriptor(right))
     if kind not in BUILTIN_FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")
-    params = {k: v for k, v in desc.items() if k not in ("kind",)}
-    if kind == "identity" and "space" in params:
-        params["space"] = space_from_descriptor(params["space"])
-    return BUILTIN_FAMILIES[kind](**params)
+    return BUILTIN_FAMILIES[kind](**{k: v for k, v in desc.items() if k != "kind"})

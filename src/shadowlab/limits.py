@@ -182,7 +182,7 @@ class TransportOracle:
 
     def shadow(self, po: PseudoOrbit, target: float):
         y = po.points[0]
-        orbit = self.family.compose(y, po.horizon).points
+        orbit = self.family.compose(y, po.horizon)
         return y, self.family.sup_distance(orbit, po.points, 0, po.horizon), orbit
 
 
@@ -396,7 +396,7 @@ def limit_shadow_point(family: MapFamily, po: PseudoOrbit, levels: int) -> Limit
         ]
     else:
         # One orbit to the widest window; every narrower window is a prefix.
-        orbit = family.compose(y_final, max(windows)).points
+        orbit = family.compose(y_final, max(windows))
         table = [
             family.sup_distance(orbit, po.points, rec.cut, hi)
             for rec, hi in zip(records, windows)

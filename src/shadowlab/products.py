@@ -91,7 +91,7 @@ def h_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
             centres, _, _ = pull_back_chain(family, maps, po.points, po.points[n])
         except BranchDomainViolatedError:
             return CheckResult("h", False, checked, witness=po.points)
-        orbit = family.compose(centres[0], n).points
+        orbit = family.compose(centres[0], n)
         landing = family.space.distance(orbit[n], po.points[n])
         if landing > 1e-10 or family.sup_distance(orbit, po.points, 0, n - 1) >= eps:
             return CheckResult("h", False, checked, witness=po.points)

@@ -95,11 +95,11 @@ def inject_defects(
 ) -> PseudoOrbit:
     """Displace the true orbit by a prescribed amount at each step.
 
-    x_{i+1} is f_i(x_i) displaced by defects[i]; on circle and interval the
-    realized defect equals the prescription (up to circle wrap for amounts
-    >= 1/2 and interval clamping), on finite spaces the nearest realizable
-    distance wins. Signs alternate by default, which keeps the cumulative
-    drift of isometry families bounded by the last defect.
+    x_{i+1} is f_i(x_i) displaced by defects[i]; on the circle the realized
+    defect equals the prescription (up to circle wrap for amounts >= 1/2),
+    on finite spaces the nearest realizable distance wins. Signs alternate
+    by default, which keeps the cumulative drift of isometry families
+    bounded by the last defect.
     """
     sign_at = signs or (lambda i: 1 if i % 2 == 0 else -1)
     space = family.space
@@ -121,7 +121,7 @@ def displace_orbit(family: MapFamily, x0, displacements: Sequence[float]) -> Pse
     adjacent steps. Signs alternate as in inject_defects, which displaces
     steps cumulatively and realizes the prescribed per-step defect exactly.
     """
-    points = list(family.compose(x0, len(displacements)).points)
+    points = list(family.compose(x0, len(displacements)))
     space = family.space
     for i, t in enumerate(displacements):
         if t:

@@ -300,7 +300,7 @@ def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):
             break
         z = z_next
     orbit = family.compose(z, period)
-    residual = space.distance(orbit.points[period], z)
+    residual = space.distance(orbit[period], z)
     if residual >= _FIXED_POINT_TOL:
         raise NonPeriodicInputError(
             f"fixed-point iteration stalled at residual {residual}"
@@ -308,7 +308,7 @@ def periodic_shadow(family: MapFamily, po: PseudoOrbit, epsilon: float):
     # Errors over one period determine the whole horizon: the orbit of x is
     # p-periodic up to the fixed-point residual, and the pseudo-orbit repeats.
     errors = tuple(
-        space.distance(orbit.points[i], po.points[i]) for i in range(period + 1)
+        space.distance(orbit[i], po.points[i]) for i in range(period + 1)
     )
     return z, residual, errors
 

@@ -1,9 +1,9 @@
-"""State spaces: circle, interval, finite metric spaces, and binary products.
+"""State spaces: the circle, finite metric spaces, and binary products.
 
-Points are plain Python values: a float in [0, 1) for the circle, a float in
-[0, 1] for the interval, an integer index for finite spaces, and a 2-tuple of
-factor points for products. Circle representatives are always reduced to
-[0, 1) before any metric evaluation so results are bit-reproducible.
+Points are plain Python values: a float in [0, 1) for the circle, an integer
+index for finite spaces, and a 2-tuple of factor points for products. Circle
+representatives are always reduced to [0, 1) before any metric evaluation so
+results are bit-reproducible.
 
 Each kind is one class that owns its geometry: metric, membership, canonical
 representatives, displacement, random draws and, on circles and products, the
@@ -18,8 +18,6 @@ from math import isfinite, ulp
 from typing import Sequence, Tuple
 
 from .errors import BranchDomainViolatedError, PointOutsideSpaceError
-
-_INTERVAL_SLACK = 1e-9  # interval membership admits points this far outside [0, 1]
 
 
 def circle_reduce(x: float) -> float:
@@ -40,9 +38,9 @@ def circle_signed_gap(base: float, other: float) -> float:
 
 
 class StateSpace:
-    """A metric space of one kind; the subclasses below are the four kinds.
+    """A metric space of one kind; the subclasses below are the three kinds.
 
-    Defaults serve the continuous kinds (circle and interval).
+    Defaults serve the continuous kind, the circle.
     """
 
     is_enumerable = False
@@ -60,9 +58,8 @@ class StateSpace:
         """A point at metric distance ~`amount` from p, biased toward `sign`.
 
         On the circle the realized distance is exactly min(amount, 1-amount)
-        for amount <= 1; on the interval the direction flips if it would leave
-        [0, 1]; on finite spaces the point with distance closest to `amount`
-        wins (ties -> lowest index). Products displace both components.
+        for amount <= 1; on finite spaces the point with distance closest to
+        `amount` wins (ties -> lowest index). Products displace both components.
         """
         if amount == 0.0:
             return p
@@ -150,29 +147,6 @@ class CircleSpace(StateSpace):
     def spacing(self, p) -> float:
         """Gap from p to the next float: the narrowest arc a centre at p resolves."""
         return ulp(p)
-
-
-@dataclass(frozen=True)
-class IntervalSpace(StateSpace):
-    """[0, 1] with |a - b|; no expanding built-in map reaches it, so no cells."""
-
-    description = "unit interval [0,1]"
-    kind = "interval"
-    diameter = 1.0
-
-    def distance(self, a, b) -> float:
-        return abs(a - b)
-
-    def contains(self, p) -> bool:
-        return -_INTERVAL_SLACK <= p <= 1.0 + _INTERVAL_SLACK
-
-    def _displace(self, p, amount: float, sign: int):
-        cand = p + sign * amount
-        if not 0.0 <= cand <= 1.0:
-            cand = p - sign * amount
-        if not 0.0 <= cand <= 1.0:
-            cand = min(1.0, max(0.0, p + sign * amount))
-        return cand
 
 
 @dataclass(frozen=True)
@@ -295,7 +269,6 @@ class ProductSpace(StateSpace):
 
 
 circle_space = CircleSpace
-interval_space = IntervalSpace
 
 
 def finite_space(distances: Sequence[Sequence[float]], description: str = "") -> StateSpace:
@@ -317,17 +290,3 @@ def finite_space(distances: Sequence[Sequence[float]], description: str = "") ->
 
 def product_space(left: StateSpace, right: StateSpace) -> StateSpace:
     return ProductSpace((left, right), f"({left.description}) x ({right.description})")
-
-
-def space_from_descriptor(desc: dict) -> StateSpace:
-    kind = desc.get("kind")
-    if kind == CircleSpace.kind:
-        return circle_space()
-    if kind == IntervalSpace.kind:
-        return interval_space()
-    if kind == FiniteSpace.kind:
-        return finite_space(desc["distances"])
-    if kind == ProductSpace.kind:
-        left, right = desc["factors"]
-        return product_space(space_from_descriptor(left), space_from_descriptor(right))
-    raise ValueError(f"unknown space kind {kind!r}")

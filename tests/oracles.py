@@ -407,7 +407,7 @@ def orbit_table(family, length, starts=None):
     """Orbits out to `length` steps, keyed by start point (default: all of X)."""
     if starts is None:
         starts = family.space.points
-    return {y: family.compose(y, length).points for y in starts}
+    return {y: family.compose(y, length) for y in starts}
 
 
 def best_orbit(space, orbits, target, mean=False):

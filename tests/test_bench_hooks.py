@@ -86,7 +86,7 @@ def test_instrument_patches_and_restores_a_fresh_import():
         budget = products.VariantBudget(epsilon=0.6, delta=0.4, max_len=3)
         assert products.VARIANT_CHECKERS["h"](fam, budget).passed
         # The finite paths above follow step tables and never compose.
-        assert fam.compose(0, 2).points == (0, 1, 2)
+        assert fam.compose(0, 2) == (0, 1, 2)
         names = {span[0] for span in tracer.spans}
         assert {
             "pseudo_orbits.from_points",

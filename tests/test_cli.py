@@ -229,6 +229,19 @@ INVALID_CONFIGS = {
         left=_DOUBLING, right=_DOUBLING, variant="plain", horizon=-2
     ),
     "zero-h-product-max-len": _product_case(left=_DOUBLING, right=_DOUBLING, max_len=0),
+    "identity-on-a-described-space": _with(_bundled("rotation-limit"), {"kind": "identity", "space": {"kind": "interval"}}),
+    "fractional-finite-limit-x0": _with(_bundled("rotation-limit"), {"kind": "eight_state"}, x0=1.5),
+    "fractional-average-subset-item": _with(_bundled("eight-state-average"), subset=[0, 1.7, 2]),
+    "fractional-average-x0": _with(_bundled("eight-state-average"), x0=0.5),
+    "fractional-shadow-horizon": _with(SMALL_SHADOW, horizon=16.9),
+    "fractional-shadow-seeds": _with(SMALL_SHADOW, seeds=2.5),
+    "fractional-shadow-seed": _with(SMALL_SHADOW, seed=0.5),
+    "fractional-periodic-seed": _with(_bundled("doubling-periodic"), seed=1.5),
+    "fractional-product-seed": _product_case(seed=0.5),
+    "infinite-shadow-horizon": _with(SMALL_SHADOW, horizon=float("inf")),
+    "negative-average-magnitude": _with(_bundled("eight-state-average"), magnitude=-1.0),
+    "zero-average-tolerance": _with(_bundled("eight-state-average"), tolerance=0.0),
+    "negative-periodic-delta": _with(_bundled("doubling-periodic"), delta=-0.01),
 }
 
 

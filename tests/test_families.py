@@ -16,6 +16,7 @@ from shadowlab.families import (
     eight_state_family,
     family_from_descriptor,
     finite_cycle_family,
+    identity_family,
     identity_pair_family,
     product_family,
     rotation_family,
@@ -40,26 +41,26 @@ def test_evaluate_finite_permutation():
 def test_compose_empty_and_doubling():
     fam = doubling_family()
     seg = fam.compose(0.42, 0)
-    assert seg.points == (0.42,)
+    assert seg == (0.42,)
     seg = fam.compose(0.1, 3)
-    assert seg.points == pytest.approx((0.1, 0.2, 0.4, 0.8), abs=1e-15)
+    assert seg == pytest.approx((0.1, 0.2, 0.4, 0.8), abs=1e-15)
 
 
 def test_compose_alternating():
     fam = alternating_family()
     seg = fam.compose(0.1, 2)
-    assert seg.points == pytest.approx((0.1, 0.2, 0.6), abs=1e-15)
+    assert seg == pytest.approx((0.1, 0.2, 0.6), abs=1e-15)
 
 
 def test_compose_agrees_with_continuation_exactly():
     fam = alternating_family()
     full = fam.compose(0.137, 25)
     head = fam.compose(0.137, 10)
-    assert full.points[:11] == head.points
-    tail = head.points[-1]
+    assert full[:11] == head
+    tail = head[-1]
     for n in range(10, 25):
         tail = fam.evaluate(n, tail)
-    assert tail == full.points[25]
+    assert tail == full[25]
 
 
 def test_inverse_branch_examples():
@@ -184,7 +185,7 @@ def test_rate_index_convention():
 
 def test_sup_distance_windows():
     fam = product_family(doubling_family(), eight_state_family())
-    xs = fam.compose((0.1, 3), 4).points
+    xs = fam.compose((0.1, 3), 4)
     ys = [(x + 0.01 * i, s) for i, (x, s) in enumerate(xs)]
     assert fam.sup_distance(xs, ys, 0, 4) == pytest.approx(0.04)
     assert fam.sup_distance(xs, ys, 1, 2) == pytest.approx(0.02)
@@ -218,6 +219,18 @@ def test_family_descriptors_build_all_builtins():
     assert prod.name == "doubling*rotation"
     with pytest.raises(ValueError):
         family_from_descriptor({"kind": "nope"})
+
+
+def test_identity_families_fix_every_point():
+    # identity is the rotation by 0 and identity_pair the table (0, 1).
+    rng = random.Random(5)
+    circle = [0.0, 0.5, math.nextafter(1.0, 0.0)] + [rng.random() for _ in range(1000)]
+    for fam, points in ((identity_family(), circle), (identity_pair_family(), [0, 1])):
+        for n, w in enumerate(points):
+            mapobj = fam.map_at(n)
+            assert fam.evaluate(n, w) == w
+            assert mapobj.apply(w) == w
+            assert mapobj.preimages(w) == [w]
 
 
 def test_rotation_preserves_distance():

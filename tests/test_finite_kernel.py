@@ -67,7 +67,7 @@ def scans(draw):
         family = product_family(draw(factors()), draw(factors()))
     points = family.space.points
     n = draw(st.integers(1, 24))
-    near = family.compose(draw(st.sampled_from(points)), n - 1).points
+    near = family.compose(draw(st.sampled_from(points)), n - 1)
     target = [draw(st.sampled_from(points)) if draw(st.booleans()) else p for p in near]
     order = draw(st.permutations(points))
     starts = order[: draw(st.integers(1, len(order)))]

@@ -154,7 +154,7 @@ def _splice_cases():
     eight = eight_state_family()
     eight_po = perturb_orbit(eight, 3, 20, 0.015, seed=4)
     alt = alternating_family()
-    alt_po = PseudoOrbit.from_points(alt, alt.compose(0.3, 24).points)
+    alt_po = PseudoOrbit.from_points(alt, alt.compose(0.3, 24))
     return [(rot, rot_po), (dbl, dbl_po), (eight, eight_po), (alt, alt_po)]
 
 
@@ -248,9 +248,9 @@ def test_rotation_triangle_step_at_final_level():
     orbit_y = fam.compose(y, window_hi)
     orbit_n = fam.compose(y_n, window_hi)
     for i in range(final.cut, window_hi + 1):
-        lhs = space.distance(orbit_y.points[i], po.points[i])
-        a = space.distance(orbit_y.points[i], orbit_n.points[i])
-        b = space.distance(orbit_n.points[i], po.points[i])
+        lhs = space.distance(orbit_y[i], po.points[i])
+        a = space.distance(orbit_y[i], orbit_n[i])
+        b = space.distance(orbit_n[i], po.points[i])
         assert lhs <= a + b + 1e-12
         assert a < target / 2.0
         assert b < target
@@ -264,7 +264,7 @@ def test_finite_family_eventually_zero_defects_exact():
     assert all(t == 0.0 for t in result.table)
     # The point's orbit matches the data exactly past the last defect.
     orbit = fam.compose(result.point, po.horizon)
-    assert orbit.points[10:] == po.points[10:]
+    assert orbit[10:] == po.points[10:]
 
 
 def test_doubling_family_through_solver_oracle():
@@ -347,7 +347,7 @@ def first_sup_minimiser(family, points):
     space = family.space_at(0)
     best = None
     for y in space.points:
-        orbit = family.compose(y, len(points) - 1).points
+        orbit = family.compose(y, len(points) - 1)
         err = max(space.distance(a, b) for a, b in zip(orbit, points))
         if best is None or err < best[1]:
             best = (y, err, orbit)

@@ -25,7 +25,7 @@ def test_zero_noise_gives_true_orbit():
     fam = doubling_family()
     po = perturb_orbit(fam, 0.137, 20, 0.0, seed=3)
     assert po.max_defect == 0.0
-    assert po.points == fam.compose(0.137, 20).points
+    assert po.points == fam.compose(0.137, 20)
 
 
 def test_perturb_orbit_golden_points():
@@ -67,7 +67,7 @@ def test_finite_space_small_noise_is_exact():
     noise = 0.5 * fam.space_at(0).min_positive_distance()
     po = perturb_orbit(fam, 0, 30, noise, seed=1)
     assert po.max_defect == 0.0
-    assert po.points == fam.compose(0, 30).points
+    assert po.points == fam.compose(0, 30)
 
 
 def test_finite_space_large_noise_jumps_within_bound():

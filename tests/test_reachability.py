@@ -84,7 +84,6 @@ ALLOWED_OPTIONS = {
     "VariantBudget(lipschitz_bound)": "tests pin the Lipschitz checker's boundary with it",
     "rotation_family(alpha)": "scenario descriptors set it through BUILTIN_FAMILIES[kind](**params)",
     "finite_cycle_family(n)": "scenario descriptors set it through BUILTIN_FAMILIES[kind](**params)",
-    "identity_family(space)": "scenario descriptors set it through BUILTIN_FAMILIES[kind](**params)",
     "main(argv)": "the console entry point reads sys.argv; tests pass argv",
     "ShadowlabError(witness)": "every subclass is raised with a witness under its own name",
 }

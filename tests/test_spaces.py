@@ -9,9 +9,7 @@ from shadowlab.spaces import (
     circle_signed_gap,
     circle_space,
     finite_space,
-    interval_space,
     product_space,
-    space_from_descriptor,
 )
 
 TRIPLES = 10_000
@@ -22,7 +20,6 @@ def _spaces():
     finite = eight_state_family().space_at(0)
     return [
         circle_space(),
-        interval_space(),
         finite,
         product_space(circle_space(), finite),
     ]
@@ -54,11 +51,9 @@ def test_finite_metric_axioms_exact():
 def test_metric_ranges():
     rng = random.Random(7)
     circle = circle_space()
-    interval = interval_space()
     for _ in range(2000):
         a, b = rng.random(), rng.random()
         assert 0.0 <= circle.distance(a, b) <= 0.5
-        assert 0.0 <= interval.distance(a, b) <= 1.0
 
 
 def test_circle_reduction_and_signed_gap():
@@ -78,9 +73,6 @@ def test_displacement_realizes_metric_distance():
     circle = circle_space()
     assert circle.distance(0.3, circle.displace(0.3, 0.05, 1)) == pytest.approx(0.05, abs=1e-15)
     assert circle.distance(0.3, circle.displace(0.3, 0.05, -1)) == pytest.approx(0.05, abs=1e-15)
-    interval = interval_space()
-    # Direction flips rather than leaving the interval.
-    assert interval.displace(0.99, 0.05, 1) == pytest.approx(0.94)
     finite = eight_state_family().space_at(0)
     # Nearest realizable distance to 1.01 from a cycle state is a far state.
     q = finite.displace(0, 1.01, 1)
@@ -113,28 +105,10 @@ def test_points_enumeration_and_membership():
         circle_space().points
 
 
-def test_descriptor_round_trip():
-    distances = [list(row) for row in eight_state_family().space_at(0).distances]
-    finite = {"kind": "finite", "distances": distances}
-    descriptors = [
-        {"kind": "circle"},
-        {"kind": "interval"},
-        finite,
-        {"kind": "product", "factors": [{"kind": "circle"}, finite]},
-    ]
-    for space, descriptor in zip(_spaces(), descriptors):
-        rebuilt = space_from_descriptor(descriptor)
-        assert rebuilt.kind == space.kind
-        rng = random.Random(3)
-        for _ in range(50):
-            a, b = space.random_point(rng), space.random_point(rng)
-            assert rebuilt.distance(a, b) == space.distance(a, b)
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_points_are_outside_every_continuous_space(bad):
     finite = eight_state_family().space_at(0)
-    for space in (circle_space(), interval_space(), product_space(circle_space(), finite)):
+    for space in (circle_space(), product_space(circle_space(), finite)):
         point = (bad, 0) if space.kind == "product" else bad
         with pytest.raises(PointOutsideSpaceError):
             space.require(point)

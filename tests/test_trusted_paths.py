@@ -83,7 +83,7 @@ def test_apply_returns_canonical_points(data, n):
 @given(data=family_and_point(), horizon=st.integers(0, 40))
 def test_compose_equals_stepwise_evaluate(data, horizon):
     family, raw = data
-    points = family.compose(raw, horizon).points
+    points = family.compose(raw, horizon)
     assert same(points[0], family.space.require(raw))
     for i in range(horizon):
         assert same(points[i + 1], family.evaluate(i, points[i]))

@@ -171,6 +171,12 @@ MUTANTS = [
         "verdict = max(errors) <= epsilon",
     ),
     (
+        # Integer parameters go back to int(), which truncates 1.5 to 1.
+        "src/shadowlab/cli.py",
+        'if n != value:\n            raise ValueError(f"must be an integer, got {value!r}")\n        if n < low:',
+        "if n < low:",
+    ),
+    (
         "src/shadowlab/cli.py",
         "{acc / n!r}",
         "{acc / n:.16g}",
