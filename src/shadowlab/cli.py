@@ -68,8 +68,10 @@ def _param(params: dict, name: str, convert, default=None, required: bool = Fals
 
 
 def _at_least(low: float):
-    """A converter to int that rejects values below `low` and values int() would change."""
+    """A converter to int that rejects booleans, values below `low` and values int() would change."""
     def convert(value) -> int:
+        if isinstance(value, bool):
+            raise ValueError(f"must be an integer, got {value!r}")
         n = int(value)
         if n != value:
             raise ValueError(f"must be an integer, got {value!r}")
@@ -80,8 +82,10 @@ def _at_least(low: float):
 
 
 def _float_where(test, text: str):
-    """A converter to float that rejects values failing `test` (NaN included), named by `text`."""
+    """A converter to float that rejects booleans and values failing `test` (NaN included), named by `text`."""
     def convert(value) -> float:
+        if isinstance(value, bool):
+            raise ValueError(f"must be a number, got {value!r}")
         x = float(value)
         if not test(x):
             raise ValueError(f"must be {text}, got {x}")
@@ -93,6 +97,7 @@ _INTEGER = _at_least(-math.inf)
 _POSITIVE = _float_where(lambda x: x > 0.0, "> 0")
 _NONNEGATIVE = _float_where(lambda x: x >= 0.0, ">= 0")
 _OPEN_UNIT = _float_where(lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_FINITE = _float_where(math.isfinite, "finite")
 
 
 def _nonempty(convert):
@@ -129,7 +134,7 @@ def _on_squares(value: float, horizon: int, shift: int) -> list:
 def _profile_values(profile: dict, horizon: int) -> list:
     kind = profile.get("kind")
     try:
-        scale = _param(profile, "scale", float, 1.0)
+        scale = _param(profile, "scale", _FINITE, 1.0)
     except ConfigInvalidError as exc:
         raise ConfigInvalidError(f"parameters.profile: {exc}") from exc
     if kind == "harmonic":
@@ -188,7 +193,7 @@ def _run_shadow(scenario: dict, params: dict):
     margin = _param(params, "margin", _OPEN_UNIT, MARGIN)
     n_seeds = _param(params, "seeds", _at_least(1), 1)
     seed0 = _param(params, "seed", _INTEGER, 0)
-    x_base = _param(params, "x0", float, 0.123)
+    x_base = _param(params, "x0", _FINITE, 0.123)
 
     runs = []
     lines = []
@@ -241,7 +246,7 @@ def _run_periodic(scenario: dict, params: dict):
         raise ConfigInvalidError(f"family: periodic needs a circle family, got a {family.space.kind} space")
     epsilon = _param(params, "epsilon", _POSITIVE, required=True)
     delta = _param(params, "delta", _NONNEGATIVE, required=True)
-    base = _param(params, "base_points", _nonempty(float), required=True)
+    base = _param(params, "base_points", _nonempty(_FINITE), required=True)
     horizon = _param(params, "horizon", _at_least(0), 4 * len(base))
     seed = _param(params, "seed", _INTEGER, 0)
     rng = random.Random(seed)
@@ -260,7 +265,7 @@ def _run_periodic(scenario: dict, params: dict):
         "fixed_point": point,
         "residual": residual,
         "period_errors": list(errors),
-        "distance_to_base": family.space.distance(point, base[0]),
+        "distance_to_base": family.space.distance(point, family.space.reduce(base[0])),
         "verdict": verdict,
     }
     series = {"errors": (["step", "error"], _pair_lines(enumerate(errors)))}
@@ -273,7 +278,7 @@ def _run_limit(scenario: dict, params: dict):
     levels = _param(params, "levels", _at_least(1), 8)
     profile = _param(params, "profile", dict, {"kind": "harmonic"})
     finite = family.space.kind == "finite"
-    x0 = _param(params, "x0", _INTEGER, 0) if finite else _param(params, "x0", float, 0.2)
+    x0 = _param(params, "x0", _INTEGER, 0) if finite else _param(params, "x0", _FINITE, 0.2)
     po = inject_defects(family, x0, _profile_values(profile, horizon))
     result = limit_shadow_point(family, po, levels=levels)
     final_target = 1.0 / levels
@@ -353,7 +358,7 @@ def _run_average(scenario: dict, params: dict):
 def _run_density(scenario: dict, params: dict):
     horizon = _param(params, "horizon", _at_least(0), 10_000)
     profile = _param(params, "profile", dict, {"kind": "squares_indicator"})
-    bound = _param(params, "bound", float, 1.0)
+    bound = _param(params, "bound", _FINITE, 1.0)
     values = _profile_values(profile, 2 * horizon)
     extraction = cesaro_to_density_zero(values[:horizon], horizon)
     contract_ok = all(

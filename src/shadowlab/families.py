@@ -78,7 +78,7 @@ def constant_schedule(value) -> Schedule:
 
 
 class CircleLinearMap:
-    """f(x) = degree * x mod 1 on the circle; inverse branches contract by 1/degree."""
+    """f(x) = degree * x mod 1 on circle points in [0, 1); inverse branches contract by 1/degree."""
 
     def __init__(self, degree: int):
         if degree < 1:
@@ -90,14 +90,13 @@ class CircleLinearMap:
         self.slope = self.rate if num * degree >= den else math.nextafter(self.rate, math.inf)
 
     def apply(self, x: float) -> float:
-        return circle_reduce(self.degree * circle_reduce(x))
+        return circle_reduce(self.degree * x)
 
     def preimages(self, w: float) -> list:
-        w = circle_reduce(w)
         return [circle_reduce((w + j) / self.degree) for j in range(self.degree)]
 
     def branch_of(self, x: float) -> int:
-        return min(int(circle_reduce(x) * self.degree), self.degree - 1)
+        return min(int(x * self.degree), self.degree - 1)
 
     def branch_slope(self, branch: int) -> float:
         return self.slope
@@ -105,7 +104,7 @@ class CircleLinearMap:
     def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
         if not 0 <= branch < self.degree:
             raise InvalidBranchIdError(f"branch {branch} not in 0..{self.degree - 1}")
-        z = circle_reduce((circle_reduce(w) + branch) / self.degree)  # preimages(w)[branch]
+        z = circle_reduce((w + branch) / self.degree)  # preimages(w)[branch]
         return circle_reduce(z + circle_signed_gap(w, y) / self.degree)
 
 
@@ -115,7 +114,7 @@ class TwoSlopeCircleMap:
     Branch 0 maps [0, lam) onto the circle with slope 1/lam; branch 1 maps
     [lam, 1) with slope 1/(1-lam). Inverse branches are affine with
     contractions lam and 1-lam, so the advertised rate is max(lam, 1-lam).
-    At lam = 1/2 this is exactly the doubling map.
+    At lam = 1/2 this is exactly the doubling map. Methods take circle points.
     """
 
     def __init__(self, lam: float):
@@ -128,17 +127,15 @@ class TwoSlopeCircleMap:
         self.slopes = (lam, upper if 1.0 - upper <= lam else math.nextafter(upper, math.inf))
 
     def apply(self, x: float) -> float:
-        x = circle_reduce(x)
         if x < self.lam:
             return circle_reduce(x / self.lam)
         return circle_reduce((x - self.lam) / (1.0 - self.lam))
 
     def preimages(self, w: float) -> list:
-        w = circle_reduce(w)
-        return [self.lam * w, self.lam + (1.0 - self.lam) * w]
+        return [self.lam * w, circle_reduce(self.lam + (1.0 - self.lam) * w)]
 
     def branch_of(self, x: float) -> int:
-        return 0 if circle_reduce(x) < self.lam else 1
+        return 0 if x < self.lam else 1
 
     def branch_slope(self, branch: int) -> float:
         return self.slopes[branch]
@@ -156,18 +153,19 @@ class TwoSlopeCircleMap:
     def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
         if branch not in (0, 1):
             raise InvalidBranchIdError(f"branch {branch} not in (0, 1)")
-        w = circle_reduce(w)
         return circle_reduce(self._lift_inverse(w + branch + circle_signed_gap(w, y)))
 
 
 class CircleRotation:
-    """Isometry x -> x + alpha mod 1."""
+    """Isometry x -> x + alpha mod 1; every method takes points of the circle."""
 
     def __init__(self, alpha: float):
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}")
         self.alpha = circle_reduce(alpha)
 
     def apply(self, x: float) -> float:
-        return circle_reduce(circle_reduce(x) + self.alpha)
+        return circle_reduce(x + self.alpha)
 
     def preimages(self, w: float) -> list:
         return [circle_reduce(w - self.alpha)]
@@ -243,9 +241,10 @@ class MapFamily:
     its own ``rate``, the Lipschitz constant of its inverse branches, so
     ``rate_at`` reads the maps and cannot disagree with them.
 
-    Maps return canonical points of ``space`` (``require`` is the identity
-    on them), so only boundaries validate: ``evaluate`` both ends, ``compose``
-    its start; library loops run ``window``'s maps from a validated start point.
+    Maps take and return canonical points of ``space`` (circle floats in
+    [0, 1), on which ``require`` is the identity). Only boundaries validate:
+    ``evaluate`` both ends, ``compose`` its start; a map method reduces the
+    point it makes last, and library loops reduce nothing on the way.
     """
 
     name: str
@@ -531,6 +530,8 @@ def _cycle_metric(n: int) -> list:
 
 def finite_cycle_family(n: int = 3) -> MapFamily:
     """Cyclic permutation i -> i+1 mod n with the normalized cycle metric."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     space = finite_space(_cycle_metric(n), description=f"{n}-cycle")
     table = [(i + 1) % n for i in range(n)]
     return MapFamily(

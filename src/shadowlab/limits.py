@@ -152,7 +152,7 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int, *, reads_defects: bool 
             range(len(candidates)),
             key=lambda b: (space.distance(candidates[b], po.points[i]), b),
         )
-        z = space.reduce(candidates[best])
+        z = candidates[best]
         head[i] = z
     return SplicedOrbit(cut_index=cut, head=tuple(head), orbit=po.with_head(head, defects=reads_defects))
 

@@ -81,7 +81,7 @@ def perturb_orbit(
     points, defects = [x], []
     for mapobj in family.window(horizon):
         true_next = mapobj.apply(x)
-        x = space.reduce(space.perturb(true_next, noise, rng))
+        x = space.perturb(true_next, noise, rng)
         points.append(x)
         defects.append(space.distance(true_next, x))
     return PseudoOrbit(family, tuple(points), tuple(defects))
@@ -107,7 +107,7 @@ def inject_defects(
     points, realized = [x], []
     for i, (mapobj, e) in enumerate(zip(family.window(len(defects)), defects)):
         true_next = mapobj.apply(x)
-        x = space.reduce(space.displace(true_next, float(e), sign_at(i)))
+        x = space.displace(true_next, float(e), sign_at(i))
         points.append(x)
         realized.append(space.distance(true_next, x))
     return PseudoOrbit(family, tuple(points), tuple(realized))
@@ -125,7 +125,7 @@ def displace_orbit(family: MapFamily, x0, displacements: Sequence[float]) -> Pse
     space = family.space
     for i, t in enumerate(displacements):
         if t:
-            points[i + 1] = space.reduce(space.displace(points[i + 1], float(t), 1 if i % 2 == 0 else -1))
+            points[i + 1] = space.displace(points[i + 1], float(t), 1 if i % 2 == 0 else -1)
     return PseudoOrbit(family, tuple(points), _defects(family, points))
 
 

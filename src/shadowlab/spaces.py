@@ -1,9 +1,10 @@
 """State spaces: the circle, finite metric spaces, and binary products.
 
 Points are plain Python values: a float in [0, 1) for the circle, an integer
-index for finite spaces, and a 2-tuple of factor points for products. Circle
-representatives are always reduced to [0, 1) before any metric evaluation so
-results are bit-reproducible.
+index for finite spaces, and a 2-tuple of factor points for products. A circle
+point is reduced to [0, 1) once: by ``require`` where it enters, or by the last
+step of the function that makes it (map methods, ``displace``, the cell
+calculus). Metrics and maps take points of the space and reduce nothing.
 
 Each kind is one class that owns its geometry: metric, membership, canonical
 representatives, displacement, random draws and, on circles and products, the
@@ -27,13 +28,14 @@ def circle_reduce(x: float) -> float:
 
 
 def circle_distance(a: float, b: float) -> float:
-    gap = abs(circle_reduce(a) - circle_reduce(b))
+    """Arc distance between two points of the circle (floats in [0, 1))."""
+    gap = abs(a - b)
     return min(gap, 1.0 - gap)
 
 
 def circle_signed_gap(base: float, other: float) -> float:
-    """Signed displacement in [-1/2, 1/2) taking `base` to `other` on the circle."""
-    gap = (circle_reduce(other) - circle_reduce(base)) % 1.0
+    """Signed displacement in [-1/2, 1/2) taking the circle point `base` to `other`."""
+    gap = (other - base) % 1.0
     return gap - 1.0 if gap >= 0.5 else gap
 
 
@@ -115,7 +117,7 @@ class CircleSpace(StateSpace):
         return circle_reduce(p + sign * amount)
 
     def make_ball(self, center, radius: float):
-        return (circle_reduce(center), radius)
+        return (center, radius)
 
     def cell_intersect(self, c1, c2):
         """Exact intersection; None when empty."""

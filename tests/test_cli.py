@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -155,7 +156,8 @@ def test_bundled_suite_all_pass(tmp_path):
 def test_non_finite_start_point_fails_cleanly(tmp_path):
     payload = {**SMALL_SHADOW, "parameters": {**SMALL_SHADOW["parameters"], "x0": float("nan")}}
     path = write_scenario(tmp_path, "small-shadow", payload)
-    assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_FAIL
+    # A non-finite x0 is a config error now, refused before it reaches the library.
+    assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
 
 
 def test_periodic_error_equal_to_epsilon_fails(tmp_path, monkeypatch):
@@ -196,6 +198,7 @@ def _product_case(**fields):
 
 
 _DOUBLING = {"kind": "doubling"}
+_DENSITY = _bundled("squares-density")
 
 INVALID_CONFIGS = {
     "unknown-family-kind": _with(SMALL_SHADOW, {"kind": "nope"}),
@@ -242,6 +245,17 @@ INVALID_CONFIGS = {
     "negative-average-magnitude": _with(_bundled("eight-state-average"), magnitude=-1.0),
     "zero-average-tolerance": _with(_bundled("eight-state-average"), tolerance=0.0),
     "negative-periodic-delta": _with(_bundled("doubling-periodic"), delta=-0.01),
+    "one-state-finite-cycle": _with(_bundled("rotation-limit"), {"kind": "finite_cycle", "n": 1}, x0=0),
+    "empty-finite-cycle": _with(_bundled("rotation-limit"), {"kind": "finite_cycle", "n": 0}, x0=0),
+    "boolean-finite-cycle-n": _with(_bundled("rotation-limit"), {"kind": "finite_cycle", "n": True}, x0=0),
+    "nan-rotation-alpha": _with(_bundled("rotation-limit"), {"kind": "rotation", "alpha": math.nan}),
+    "boolean-shadow-horizon-and-seeds": _with(SMALL_SHADOW, horizon=True, seeds=True),
+    "boolean-average-subset-item": _with(_bundled("eight-state-average"), subset=[0, True, 2]),
+    "nan-shadow-x0": _with(SMALL_SHADOW, x0=math.nan),
+    "infinite-limit-x0": _with(_bundled("rotation-limit"), x0=math.inf),
+    "nan-periodic-base-point": _with(_bundled("doubling-periodic"), base_points=[math.nan, 0.5]),
+    "nan-density-bound": {**_DENSITY, "parameters": {**_DENSITY["parameters"], "bound": math.nan}},
+    "nan-profile-scale": _with(_bundled("rotation-limit"), profile={"kind": "harmonic", "scale": math.nan}),
 }
 
 
@@ -252,6 +266,16 @@ def test_invalid_scenario_configs_exit_2(tmp_path, case):
     path = write_scenario(tmp_path, "invalid", INVALID_CONFIGS[case])
     assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
     assert run_suite(tmp_path, tmp_path / "suite", quiet=True) == EXIT_CONFIG
+
+
+def test_periodic_distance_to_base_measures_from_the_reduced_base_point(tmp_path):
+    # Base points off [0, 1) are reduced before they reach the metric; the
+    # raw 1.333... against the fixed point near 1/3 reads 1.3686096700382677e-10.
+    base = [1.3333333333333333, 1.6666666666666667]
+    scenario = _with(_bundled("doubling-periodic"), base_points=base, seed=0, epsilon=0.05, delta=0.01)
+    assert run_scenario(write_scenario(tmp_path, "periodic", scenario), tmp_path / "out", quiet=True) == EXIT_OK
+    report = load_report(tmp_path / "out" / "doubling-periodic.report.json")["report"]
+    assert report["distance_to_base"] == 1.36861022514978e-10
 
 
 @pytest.mark.parametrize("x0", [None, 5])

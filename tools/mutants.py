@@ -196,6 +196,18 @@ MUTANTS = [
         "lines[start : start + _SERIES_CHUNK]",
         "lines[start : start + _SERIES_CHUNK - 1]",
     ),
+    (
+        # The upper preimage of 1 - 2^-53 under lam = 3/4 stays at 1.0.
+        "src/shadowlab/families.py",
+        "return [self.lam * w, circle_reduce(self.lam + (1.0 - self.lam) * w)]",
+        "return [self.lam * w, self.lam + (1.0 - self.lam) * w]",
+    ),
+    (
+        # A base point off [0, 1) reaches the metric unreduced.
+        "src/shadowlab/cli.py",
+        "family.space.distance(point, family.space.reduce(base[0]))",
+        "family.space.distance(point, base[0])",
+    ),
 ]
 
 DEFAULT_TESTS = [
@@ -210,6 +222,7 @@ DEFAULT_TESTS = [
     "tests/test_average_tables.py",
     "tests/test_cli.py",
     "tests/test_series_lines.py",
+    "tests/test_trusted_paths.py",
     "tests/test_acceptance.py::test_criterion_10_determinism",
 ]
 
