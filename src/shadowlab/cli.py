@@ -37,7 +37,7 @@ from .pseudo_orbits import (
     pseudo_orbit_rows,
 )
 from .reporting import csv_lines, write_report, write_series
-from .solver import MARGIN, periodic_shadow, pullback_shadow
+from .solver import MARGIN, periodic_shadow, pullback_plan, pullback_shadow
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -197,13 +197,15 @@ def _run_shadow(scenario: dict, params: dict):
 
     runs = []
     lines = []
-    orbit_lines = []
     verdict = True
     for s in range(n_seeds):
         seed = seed0 + s
         x0 = (x_base + 0.6180339887498949 * s) % 1.0
         po = perturb_orbit(family, x0, horizon, noise, seed)
-        report, _ = pullback_shadow(family, po, epsilon, margin=margin)
+        if s == 0:  # every seed shares the family, epsilon, margin and horizon
+            plan = pullback_plan(family, epsilon, margin, horizon)
+            orbit_lines = _orbit_lines(po)
+        report, _ = pullback_shadow(family, po, epsilon, margin=margin, plan=plan)
         verdict = verdict and report.verdict
         runs.append(
             {
@@ -216,9 +218,7 @@ def _run_shadow(scenario: dict, params: dict):
             }
         )
         lines += _pair_lines(enumerate(report.per_step_errors), f"{seed},")
-        if s == 0:
-            orbit_lines = _orbit_lines(po)
-    # Every seed shares the family, epsilon and horizon, so the last certificate stands for all.
+    # The seeds share one plan, so the last certificate stands for all.
     bound, (m, e) = report.diameter_bound, report.diameter_pair
     report = {
         "family": family.name,

@@ -160,8 +160,8 @@ class CircleRotation:
     """Isometry x -> x + alpha mod 1; every method takes points of the circle."""
 
     def __init__(self, alpha: float):
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha!r}")
+        if isinstance(alpha, bool) or not math.isfinite(alpha):
+            raise ValueError(f"alpha must be a finite number, got {alpha!r}")
         self.alpha = circle_reduce(alpha)
 
     def apply(self, x: float) -> float:

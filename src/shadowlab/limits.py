@@ -10,6 +10,9 @@ share a cut are adjacent; they share one splice, and one shadow when the
 oracle's effective accuracy is also the same. Only the previous level's
 splice and shadow are kept alive. A splice computes head defects only for
 an oracle that reads them (the pullback solver checks its defect budget).
+Tail sups never rise and moduli never fall as the cut grows, so each level
+bisects for its cut; the splice's tail is the data, so one distance pass
+gives a level's sup and window errors; the last orbit serves the table.
 
 Shadowing itself enters as a per-family oracle: exact transport for
 isometry families, exhaustive search for finite-state families, and the
@@ -19,8 +22,9 @@ pullback solver for expanding families.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -32,7 +36,7 @@ from .errors import (
 )
 from .families import FiniteKernel, MapFamily
 from .pseudo_orbits import PseudoOrbit
-from .solver import delta_budget, pullback_shadow
+from .solver import pullback_plan, pullback_shadow
 
 CAUCHY_TOL = 1e-9
 
@@ -159,7 +163,9 @@ def splice(family: MapFamily, po: PseudoOrbit, cut: int, *, reads_defects: bool 
 
 # ---------------------------------------------------------------------------
 # Per-family shadowing oracles: modulus(target, cut, horizon) bounds the
-# defects admissible on the tail steps [cut, horizon) of a splice at `cut`.
+# defects admissible on the tail steps [cut, horizon) of a splice at `cut`,
+# and never falls as `cut` grows. shadow(po, target, lo, hi) returns y, its
+# sup errors against po overall and on [lo, hi], and its orbit (or None).
 
 
 class TransportOracle:
@@ -180,10 +186,14 @@ class TransportOracle:
         # The transported orbit does not depend on the target.
         return None
 
-    def shadow(self, po: PseudoOrbit, target: float):
+    def shadow(self, po: PseudoOrbit, target: float, lo: int, hi: int):
         y = po.points[0]
         orbit = self.family.compose(y, po.horizon)
-        return y, self.family.sup_distance(orbit, po.points, 0, po.horizon), orbit
+        # One pass over the distances, read in three stretches: before, on and after [lo, hi].
+        errors = map(self.family.space.distance, orbit, po.points)
+        head = max(islice(errors, lo), default=0.0)
+        window = max(islice(errors, hi - lo + 1), default=0.0)
+        return y, max(head, window, max(errors, default=0.0)), window, orbit
 
 
 class ExhaustiveOracle:
@@ -205,13 +215,14 @@ class ExhaustiveOracle:
         # The best orbit does not depend on the target.
         return None
 
-    def shadow(self, po: PseudoOrbit, target: float):
+    def shadow(self, po: PseudoOrbit, target: float, lo: int, hi: int):
         kernel = self.kernels.get(po.horizon)
         if kernel is None:
             kernel = self.kernels[po.horizon] = FiniteKernel(self.family, po.horizon)
         target = list(map(kernel.code.__getitem__, po.points))
         y, err, orbit = kernel.best(target, range(len(kernel.points)), False)
-        return kernel.points[y], err, kernel.witness(orbit)
+        orbit = kernel.witness(orbit)
+        return kernel.points[y], err, self.family.sup_distance(orbit, po.points, lo, hi), orbit
 
 
 class PullbackOracle:
@@ -222,28 +233,34 @@ class PullbackOracle:
     def __init__(self, family: MapFamily):
         family.require_expanding()
         self.family = family
-        self.tail = (None, [])  # ((eps, horizon), minima), minima[n] = min of the budgets from step n
+        self.plan = self.minima = None  # the latest plan; minima[n] = min of its budgets from n on
 
     def accuracy(self, target: float) -> float:
         """The solver's epsilon at this target; equal epsilons shadow alike."""
         return min(target, 0.99 * self.family.branch_radius / 2.0)
 
+    def _plan(self, eps: float, horizon: int):
+        """The pullback plan for (eps, horizon), shared by the modulus and the shadows."""
+        plan = self.plan
+        if plan is None or (plan.epsilon, plan.horizon) != (eps, horizon):
+            plan = self.plan = pullback_plan(self.family, eps, horizon=horizon)
+            values = plan.budget.values
+            minima = self.minima = list(accumulate(reversed(values), min))[::-1]
+            minima.append(minima[-1])
+        return plan
+
     def modulus(self, target: float, cut: int, horizon: int) -> float:
         """The least `delta_budget` value over the tail steps [cut, horizon), the budgets
         pullback_shadow checks the tail's defects against; an empty tail reads the last step's."""
-        eps = self.accuracy(target)
-        key, minima = self.tail
-        if key != (eps, horizon):
-            values = delta_budget(self.family, eps, horizon=max(horizon, 1)).values
-            minima = list(accumulate(reversed(values), min))[::-1]
-            minima.append(minima[-1])
-            self.tail = ((eps, horizon), minima)
-        return minima[cut]
+        self._plan(self.accuracy(target), horizon)
+        return self.minima[cut]
 
-    def shadow(self, po: PseudoOrbit, target: float):
+    def shadow(self, po: PseudoOrbit, target: float, lo: int, hi: int):
         eps = self.accuracy(target)
-        report, _ = pullback_shadow(self.family, po, eps)
-        return report.shadow_point, max(report.per_step_errors), None
+        report, _ = pullback_shadow(self.family, po, eps, plan=self._plan(eps, po.horizon))
+        # The certified sup error bounds the window's errors too.
+        err = max(report.per_step_errors)
+        return report.shadow_point, err, err, None
 
 
 def shadowing_oracle(family: MapFamily):
@@ -288,33 +305,21 @@ class LimitShadowResult:
 
 def _tail_sups(values: Sequence[float]) -> tuple:
     """tails[n] = sup of values[i] over i >= n, with tails[len(values)] = 0.0."""
-    tails = [0.0] * (len(values) + 1)
-    for i in range(len(values) - 1, -1, -1):
-        tails[i] = max(float(values[i]), tails[i + 1])
-    return tuple(tails)
+    return tuple(accumulate(map(float, reversed(values)), max, initial=0.0))[::-1]
 
 
 def _find_cut(
     defect_tails: Sequence[float], horizon: int, oracle, target: float, start: int = 0
 ) -> Optional[int]:
-    """The first k >= start whose tail sup lies strictly below the modulus."""
-    for k in range(start, horizon + 1):
-        if defect_tails[k] < oracle.modulus(target, k, horizon):
-            return k
-    return None
+    """The first k >= start whose tail sup lies strictly below the modulus, or None; the test
+    passes on a suffix of the cuts (tails never rise, moduli never fall), so bisection finds it."""
+    cuts = range(start, horizon + 1)
+    i = bisect_left(cuts, True, key=lambda k: defect_tails[k] < oracle.modulus(target, k, horizon))
+    return cuts[i] if i < len(cuts) else None
 
 
 def _window_hi(cut: int, horizon: int) -> int:
     return min(max(2 * cut, cut + 1), horizon)
-
-
-def _shadow_level(family: MapFamily, po: PseudoOrbit, oracle, spliced: SplicedOrbit, target: float):
-    """(y, sup error against the splice, error against the data on the window)."""
-    y, sup_err, orbit = oracle.shadow(spliced.orbit, target)
-    if orbit is None:
-        return y, sup_err, sup_err
-    cut = spliced.cut_index
-    return y, sup_err, family.sup_distance(orbit, po.points, cut, _window_hi(cut, po.horizon))
 
 
 def limit_shadow_point(family: MapFamily, po: PseudoOrbit, levels: int) -> LimitShadowResult:
@@ -359,8 +364,9 @@ def limit_shadow_point(family: MapFamily, po: PseudoOrbit, levels: int) -> Limit
             spliced = shadowed = None  # release the previous level first
             spliced = splice(family, po, cut, reads_defects=oracle.reads_defects)
         if shadowed is None or shadowed[0] != accuracy:
-            shadowed = (accuracy, *_shadow_level(family, po, oracle, spliced, target))
-        _, y, sup_err, window_err = shadowed
+            # The splice's tail is the data: its window [cut, hi] measures the data.
+            shadowed = (accuracy, *oracle.shadow(spliced.orbit, target, cut, _window_hi(cut, horizon)))
+        y, sup_err, window_err = shadowed[1:4]  # the orbit stays in `shadowed` alone
         records.append(
             LevelRecord(
                 level=n,
@@ -395,8 +401,8 @@ def limit_shadow_point(family: MapFamily, po: PseudoOrbit, levels: int) -> Limit
             for rec, hi in zip(records, windows)
         ]
     else:
-        # One orbit to the widest window; every narrower window is a prefix.
-        orbit = family.compose(y_final, max(windows))
+        # The last level's orbit is y_final's, out to the horizon.
+        orbit = shadowed[-1]
         table = [
             family.sup_distance(orbit, po.points, rec.cut, hi)
             for rec, hi in zip(records, windows)

@@ -24,7 +24,7 @@ from .errors import BranchDomainViolatedError, ShadowlabError
 from .families import FiniteKernel, MapFamily, product_family
 from .limits import limit_shadow_point
 from .pseudo_orbits import inject_defects, perturb_orbit
-from .solver import pull_back_chain, pullback_shadow
+from .solver import pull_back_chain, pullback_plan, pullback_shadow
 
 PROVEN_VARIANTS = ("h", "s_limit")
 EMPIRICAL_VARIANTS = ("plain", "limit", "average", "asymptotic_average", "periodic", "lipschitz")
@@ -112,7 +112,9 @@ def plain_shadow_check(family: MapFamily, budget: VariantBudget) -> CheckResult:
         x0 = space.random_point(rng)
         try:
             po = perturb_orbit(family, x0, budget.horizon, delta, budget.seed + t)
-            report, _ = pullback_shadow(family, po, eps)
+            if t == 0:  # every trial shares the family, eps and horizon
+                plan = pullback_plan(family, eps, horizon=budget.horizon)
+            report, _ = pullback_shadow(family, po, eps, plan=plan)
         except ShadowlabError as exc:
             return CheckResult("plain", False, checked, witness=(exc.code, exc.witness))
         checked += 1

@@ -15,7 +15,9 @@ Pseudo-orbit points are canonical (validated where they entered), so each
 solver resolves its maps once as a `MapFamily.window` and hands them with
 the points to `pull_back_chain`, the one backward pass: its step j computes
 f_j(x_j) and the branch of x_j where it uses them, with no image or branch
-list and no re-validation.
+list and no re-validation, and each level's float radius once. Callers that
+shadow many pseudo-orbits of one shape share one `PullbackPlan` of the maps,
+budget and certificate.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ def delta_budget(
 # Pullback solver
 
 
-def _reach(distance: float, radius: Tuple[float, int], steps: int) -> float:
+def _reach(distance: float, radius: float, steps: int) -> float:
     """Bound on a point's distance to the far side of a cell: the distance to its float centre,
     rounded up, plus the cell's radius and one allowance per rounded step behind that centre."""
-    return nextafter(distance, inf) + ldexp(*radius) + steps * _ROUNDING
+    return nextafter(distance, inf) + radius + steps * _ROUNDING
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,13 @@ def pull_back_chain(
     centres, radii = [None] * (k + 1), [None] * (k + 1)
     m, e = frexp(radius)
     centres[k], radii[k] = z, (m, e)
+    r = ldexp(m, e)  # the float radius of the current level, for both of its checks
     distance, delta0 = family.space.distance, family.branch_radius
     errors = [] if epsilon is None else [distance(z, points[k])] * (k + 1)
     for j in range(k - 1, -1, -1):
         mapobj, x = maps[j], points[j]
         w = mapobj.apply(x)
-        if _reach(distance(w, z), radii[j + 1], k - j) >= delta0:
+        if _reach(distance(w, z), r, k - j) >= delta0:
             raise BranchDomainViolatedError(
                 f"cell at step {j + 1} leaves the branch domain", witness=j + 1
             )
@@ -207,12 +210,36 @@ def pull_back_chain(
         z = mapobj.inverse_branch_point(branch, w, z)
         m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))
         e += de
+        r = ldexp(m, e)
         centres[j], radii[j] = z, (m, e)
         if epsilon is not None:
             errors[j] = d = distance(z, x)
-            if _reach(d, radii[j], k - j + 1) > epsilon:
+            if _reach(d, r, k - j + 1) > epsilon:
                 raise EmptyCellError(f"cell at step {j} leaves the eps-tube", witness=j)
     return centres, radii, errors
+
+
+@dataclass(frozen=True)
+class PullbackPlan:
+    """What every pullback on one (family, epsilon, margin, horizon) shares: the maps
+    f_0 ... f_{horizon-1}, the delta budget and the diameter certificate."""
+
+    family: MapFamily
+    epsilon: float
+    margin: float
+    horizon: int
+    maps: list
+    budget: DeltaSchedule
+    certificate: Tuple[float, int]
+
+
+def pullback_plan(
+    family: MapFamily, epsilon: float, margin: float = MARGIN, horizon: int = 64
+) -> PullbackPlan:
+    """The plan for pseudo-orbits of `horizon` steps; raises as `delta_budget` does."""
+    budget = delta_budget(family, epsilon, margin=margin, horizon=max(horizon, 1))
+    maps = family.window(horizon)
+    return PullbackPlan(family, epsilon, margin, horizon, maps, budget, certificate_pair(epsilon, maps))
 
 
 def pullback_shadow(
@@ -221,13 +248,15 @@ def pullback_shadow(
     epsilon: float,
     margin: float = MARGIN,
     check_budget: bool = True,
+    plan: Optional[PullbackPlan] = None,
 ) -> Tuple[ShadowReport, PullbackChain]:
     """Shadow a budget-compliant pseudo-orbit by backward pullback.
 
     Raises DeltaBudgetViolated when a defect exceeds its budget (the
     hypothesis gate), EmptyCell when the top cell is empty or a pulled-back
     cell leaves the eps-tube, and BranchDomainViolated when a cell escapes
-    the branch domain.
+    the branch domain; `plan` is built here when None, and one built for
+    another family object, epsilon, margin or horizon raises ValueError.
 
     The verdict tests the top level alone. Every level j < k passed the tube
     check up(d_j) + r_j + allowance <= eps, a float sum of nonnegative terms
@@ -236,11 +265,13 @@ def pullback_shadow(
     """
     family.require_expanding()
     k = po.horizon
-    budget = delta_budget(family, epsilon, margin=margin, horizon=max(k, 1))
+    plan = plan or pullback_plan(family, epsilon, margin, k)
+    if plan.family is not family or (plan.epsilon, plan.margin, plan.horizon) != (epsilon, margin, k):
+        raise ValueError("the plan was built for another family, epsilon, margin or horizon")
     if check_budget:
-        budget.check(po.defects)
+        plan.budget.check(po.defects)
 
-    space, maps = family.space, family.window(k)
+    space, maps = family.space, plan.maps
     # The top cell B(x_k, eps) & B(f(x_{k-1}), eps) lies in the eps-ball at
     # level k by construction, touching its sphere whenever f(x_{k-1}) != x_k,
     # so only the levels below it are checked against the tube.
@@ -258,10 +289,10 @@ def pullback_shadow(
         horizon=k,
         epsilon=epsilon,
         per_step_errors=tuple(errors),
-        diameter_pair=certificate_pair(epsilon, maps),  # delta_budget read these rates
+        diameter_pair=plan.certificate,
         measured_diameter=ldexp(radii[0][0], radii[0][1] + 1),
         resolution_floor_step=chain.resolution_floor(space),
-        delta_schedule=tuple(budget.values[:k]),
+        delta_schedule=tuple(plan.budget.values[:k]),
         max_defect=po.max_defect,
         verdict=errors[k] < epsilon,
     )

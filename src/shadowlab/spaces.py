@@ -1,10 +1,10 @@
 """State spaces: the circle, finite metric spaces, and binary products.
 
 Points are plain Python values: a float in [0, 1) for the circle, an integer
-index for finite spaces, and a 2-tuple of factor points for products. A circle
-point is reduced to [0, 1) once: by ``require`` where it enters, or by the last
-step of the function that makes it (map methods, ``displace``, the cell
-calculus). Metrics and maps take points of the space and reduce nothing.
+index for finite spaces, a 2-tuple of factor points for products, never a bool.
+A circle point is reduced to [0, 1) once: by ``require`` where it enters, or by
+the last step of the function that makes it (map methods, ``displace``, the
+cell calculus). Metrics and maps take points of the space and reduce nothing.
 
 Each kind is one class that owns its geometry: metric, membership, canonical
 representatives, displacement, random draws and, on circles and products, the
@@ -111,7 +111,7 @@ class CircleSpace(StateSpace):
     reduce = staticmethod(circle_reduce)
 
     def contains(self, p) -> bool:
-        return isinstance(p, (float, int)) and isfinite(p)
+        return isinstance(p, (float, int)) and not isinstance(p, bool) and isfinite(p)
 
     def _displace(self, p, amount: float, sign: int):
         return circle_reduce(p + sign * amount)
@@ -168,7 +168,7 @@ class FiniteSpace(StateSpace):
         return max(max(row) for row in self.distances)
 
     def contains(self, p) -> bool:
-        return isinstance(p, int) and 0 <= p < len(self.distances)
+        return isinstance(p, int) and not isinstance(p, bool) and 0 <= p < len(self.distances)
 
     def _displace(self, p, amount: float, sign: int):
         best = p

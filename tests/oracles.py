@@ -10,7 +10,9 @@ and branch lists built in two passes before it.
 The series writer keeps csv.writer, whose bytes the runners' own CSV lines
 must reproduce. ``orbit_table`` and ``best_orbit`` keep the per-index
 best-orbit search (orbits by ``compose``, errors by ``space.distance``) that
-``FiniteKernel.best`` replaced. The certificate checks at the end hold
+``FiniteKernel.best`` replaced. ``find_cut_reference`` keeps the limit
+route's linear cut scan, each tail sup recomputed from the defects, that
+bisection replaced. The certificate checks at the end hold
 the solver's own output to bounds computed apart from it: the float rate
 product it replaced, the eps-tube with the rounding allowance, and a
 rounded-up product of the rates.
@@ -256,6 +258,15 @@ def head_is_exact(spliced, tol=1e-10):
         fam.space.distance(fam.evaluate(i, po.points[i]), po.points[i + 1]) > tol
         for i in range(spliced.cut_index)
     )
+
+
+def find_cut_reference(defects, horizon, oracle, target, start=0):
+    """The first cut k >= start whose tail sup, max(defects[k:]), lies strictly below
+    the oracle's modulus: the linear scan that bisection replaced, one probe per cut."""
+    for k in range(start, horizon + 1):
+        if max(defects[k:], default=0.0) < oracle.modulus(target, k, horizon):
+            return k
+    return None
 
 
 def _cell_max_distance(space, cell, point):
@@ -569,7 +580,7 @@ def validate_tube(chain, po, epsilon):
     k = len(chain.centres) - 1
     distance = po.family.space.distance
     for j in range(k):
-        extent = _reach(distance(chain.centres[j], po.points[j]), chain.radii[j], k - j + 1)
+        extent = _reach(distance(chain.centres[j], po.points[j]), ldexp(*chain.radii[j]), k - j + 1)
         if extent > epsilon:
             raise ValueError(f"cell at {j} leaves the tube: {extent} > {epsilon}")
 

@@ -82,7 +82,7 @@ def test_instrument_patches_and_restores_a_fresh_import():
 
         fam = lib.families.finite_cycle_family(3)
         po = lib.pseudo_orbits.PseudoOrbit.from_points(fam, (0, 2))
-        assert limits.ExhaustiveOracle(fam).shadow(po, 0.5)[0] == 0
+        assert limits.ExhaustiveOracle(fam).shadow(po, 0.5, 0, po.horizon)[0] == 0
         budget = products.VariantBudget(epsilon=0.6, delta=0.4, max_len=3)
         assert products.VARIANT_CHECKERS["h"](fam, budget).passed
         # The finite paths above follow step tables and never compose.

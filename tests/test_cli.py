@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from shadowlab import cli
+from shadowlab import cli, solver
 from shadowlab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -297,3 +297,19 @@ def test_barely_expanding_past_its_float_rates_fails_with_the_step(tmp_path, cap
     assert "NotExpanding: rate 1 - 2^-54 rounds to 1.0 at step 53 (witness: 53)" in capsys.readouterr().err
     # The scenario expects to fail, so the suite counts the failure as a pass.
     assert run_suite(tmp_path, tmp_path / "suite", quiet=True) == EXIT_OK
+
+
+def test_shadow_seeds_share_one_delta_budget(tmp_path, monkeypatch):
+    calls = []
+    budget = solver.delta_budget
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return budget(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "delta_budget", counted)
+    assert SMALL_SHADOW["parameters"]["seeds"] == 3
+    path = write_scenario(tmp_path, "small-shadow", SMALL_SHADOW)
+    assert run_scenario(path, tmp_path, quiet=True) == EXIT_OK
+    assert len(calls) == 1
+

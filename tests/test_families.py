@@ -294,3 +294,13 @@ def test_rates_need_expanding_maps():
         assert not fam.expanding
         with pytest.raises(NotExpandingError):
             fam.rate_at(0)
+
+
+@pytest.mark.parametrize("alpha", [True, False])
+def test_rotation_rejects_a_boolean_alpha(alpha):
+    # rotation_family(True) built the identity rotation (alpha reduced to 0.0).
+    with pytest.raises(ValueError, match="alpha"):
+        rotation_family(alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        family_from_descriptor({"kind": "rotation", "alpha": alpha})
+

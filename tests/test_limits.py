@@ -1,9 +1,10 @@
 import hashlib
+import math
 
 import pytest
 
 from oracles import head_is_exact
-from shadowlab import limits, pseudo_orbits
+from shadowlab import limits, pseudo_orbits, solver
 from shadowlab.errors import (
     HypothesisFailedError,
     NotEquicontinuousAtHorizonError,
@@ -25,6 +26,7 @@ from shadowlab.limits import (
     LimitShadowResult,
     PullbackOracle,
     SplicedOrbit,
+    TransportOracle,
     equicontinuity_modulus,
     limit_shadow_point,
     shadowing_oracle,
@@ -313,12 +315,60 @@ def test_levels_sharing_a_cut_share_one_splice_and_one_pullback(monkeypatch):
     assert len(splices) == 1
 
 
-def test_rotation_composes_once_per_level_and_once_for_the_table(monkeypatch):
+def test_rotation_composes_once_per_level(monkeypatch):
+    # The final table reads the last level's orbit, which is y_final's.
     fam, po = harmonic_rotation_orbit(2000)
     calls = counting(monkeypatch, MapFamily, "compose")
     result = limit_shadow_point(fam, po, levels=8)
     assert len({rec.cut for rec in result.levels}) == len(result.levels)
-    assert len(calls) == len(result.levels) + 1
+    assert len(calls) == len(result.levels)
+
+
+@pytest.mark.parametrize(
+    "make,x0,horizon",
+    [(rotation_family, 0.2, 2000), (eight_state_family, 0, 600), (doubling_family, 0.2, 400), (slow_expanding_family, 0.2, 400)],
+    ids=["transport", "exhaustive", "pullback", "pullback-rising-rates"],
+)
+def test_each_level_bisects_for_its_cut(monkeypatch, make, x0, horizon):
+    fam = make()
+    if fam.space.kind == "finite":
+        defects = [1.0 if i in (2, 5, 150) else 0.0 for i in range(horizon)]
+    else:
+        defects = [1.0 / (i + 1) for i in range(horizon)]
+    po = inject_defects(fam, x0, defects)
+    probes = [counting(monkeypatch, oracle, "modulus") for oracle in (TransportOracle, ExhaustiveOracle, PullbackOracle)]
+    result = limit_shadow_point(fam, po, levels=8)
+    assert any(rec.cut > 0 for rec in result.levels)
+    # At most ceil(log2(h + 2)) probes per bisection, and one for the record's delta.
+    assert 0 < sum(map(len, probes)) <= 8 * (math.ceil(math.log2(horizon + 2)) + 2)
+
+
+def test_each_level_measures_its_window_from_its_cut(monkeypatch):
+    # The splice's tail is the data, so the window [cut, min(2 cut, h)] of
+    # the shadow's orbit against the splice is its error against the data.
+    fam, po = harmonic_rotation_orbit(2000)
+    shadows = counting(monkeypatch, TransportOracle, "shadow")
+    result = limit_shadow_point(fam, po, levels=8)
+    windows = [(rec.cut, min(max(2 * rec.cut, rec.cut + 1), po.horizon)) for rec in result.levels]
+    assert [args[3:] for args in shadows] == windows
+    for rec, (lo, hi) in zip(result.levels, windows):
+        assert rec.window_error == fam.sup_distance(fam.compose(rec.point, hi), po.points, lo, hi)
+
+
+def test_pullback_route_builds_one_budget_per_accuracy(monkeypatch):
+    # The modulus and every shadow at one accuracy share one plan, so each
+    # accuracy reads the family's rates once: delta_budget is their one reader.
+    fam = alternating_family()
+    po = inject_defects(fam, 0.2, [1.0 / (i + 1) for i in range(1000)])
+    budgets = counting(monkeypatch, solver, "delta_budget")
+    reads = counting(monkeypatch, MapFamily, "rates")
+    # Targets from 1/9 down fall below the accuracy cap 0.99 * delta_0 / 2 = 0.12375.
+    result = limit_shadow_point(fam, po, levels=12)
+    oracle = PullbackOracle(fam)
+    accuracies = {oracle.accuracy(rec.target) for rec in result.levels}
+    assert len(accuracies) > 1
+    assert sorted(args[1] for args in budgets) == sorted(accuracies)
+    assert len(reads) == len(accuracies)
 
 
 def test_non_limit_pseudo_orbit_rejected():
@@ -366,8 +416,15 @@ def first_sup_minimiser(family, points):
 def test_exhaustive_oracle_breaks_ties_toward_first_start(make, points, expected):
     fam = make()
     po = PseudoOrbit.from_points(fam, points)
-    assert ExhaustiveOracle(fam).shadow(po, 0.5) == expected
+    assert whole_window_shadow(ExhaustiveOracle(fam), po) == expected
     assert first_sup_minimiser(fam, points) == expected
+
+
+def whole_window_shadow(oracle, po):
+    """(y, sup error, orbit) of a shadow whose window is the whole horizon."""
+    y, err, window_err, orbit = oracle.shadow(po, 0.5, 0, po.horizon)
+    assert window_err == err
+    return y, err, orbit
 
 
 @pytest.mark.parametrize("noise", [0.015, 1.015])
@@ -375,7 +432,20 @@ def test_exhaustive_oracle_breaks_ties_toward_first_start(make, points, expected
 def test_exhaustive_oracle_returns_first_sup_minimiser(seed, noise):
     fam = eight_state_family()
     po = perturb_orbit(fam, seed % 8, 9, noise, seed)
-    assert ExhaustiveOracle(fam).shadow(po, 0.5) == first_sup_minimiser(fam, po.points)
+    assert whole_window_shadow(ExhaustiveOracle(fam), po) == first_sup_minimiser(fam, po.points)
+
+
+@pytest.mark.parametrize("make", [rotation_family, eight_state_family], ids=["transport", "exhaustive"])
+@pytest.mark.parametrize("lo,hi", [(0, 0), (0, 4), (3, 6), (5, 9), (9, 9)])
+def test_oracle_window_error_is_the_sup_over_the_window(make, lo, hi):
+    fam = make()
+    po = perturb_orbit(fam, 0.3 if fam.space.kind == "circle" else 1, 9, 0.05, 7)
+    oracle = shadowing_oracle(fam)
+    y, err, window_err, orbit = oracle.shadow(po, 0.5, lo, hi)
+    errors = [fam.space.distance(a, b) for a, b in zip(orbit, po.points)]
+    assert orbit == fam.compose(y, po.horizon)
+    assert err == max(errors)
+    assert window_err == max(errors[lo : hi + 1])
 
 
 def test_exhaustive_oracle_builds_one_kernel_per_horizon(monkeypatch):
@@ -396,19 +466,19 @@ def test_exhaustive_oracle_builds_one_kernel_per_horizon(monkeypatch):
     monkeypatch.setattr(MapFamily, "compose", counted)
     oracle = ExhaustiveOracle(fam)
     for seed in range(6):
-        oracle.shadow(perturb_orbit(fam, seed % 8, 200, 0.015, seed), 0.5)
+        oracle.shadow(perturb_orbit(fam, seed % 8, 200, 0.015, seed), 0.5, 0, 200)
     assert built == [200]
-    oracle.shadow(perturb_orbit(fam, 0, 50, 0.015, 0), 0.5)
+    oracle.shadow(perturb_orbit(fam, 0, 50, 0.015, 0), 0.5, 0, 50)
     assert built == [200, 50]
     assert composed == []  # the kernel follows step tables, not compose
-    # Six levels at h=200 share one cut and one kernel; the one compose is
-    # the final table's, out to the widest window.
+    # Six levels at h=200 share one cut and one kernel; the final table
+    # reads the kernel's witness orbit and composes nothing.
     built.clear()
     po = inject_defects(fam, 0, [1.0 if i in (2, 5) else 0.0 for i in range(200)])
     result = limit_shadow_point(fam, po, levels=6)
     assert len(result.levels) == 6
     assert built == [200]
-    assert len(composed) == 1
+    assert composed == []
 
 
 def test_exhaustive_oracle_measures_the_minimum_distance_once(monkeypatch):

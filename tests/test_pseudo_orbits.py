@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from shadowlab.errors import NoiseExceedsSpaceError
+from shadowlab.errors import NoiseExceedsSpaceError, PointOutsideSpaceError
 from shadowlab.families import (
     doubling_family,
     eight_state_family,
@@ -147,3 +147,13 @@ def test_csv_rows_include_defects():
     assert rows[0][0] == 0
     assert rows[0][-1] == po.defects[0]
     assert rows[-1][-1] == ""
+
+
+@pytest.mark.parametrize("make,start", [(eight_state_family, True), (doubling_family, False)])
+def test_a_boolean_start_point_is_refused(make, start):
+    # inject_defects(eight_state_family(), True, ...) kept True as state 1.
+    with pytest.raises(PointOutsideSpaceError):
+        inject_defects(make(), start, [0.0, 0.0])
+    with pytest.raises(PointOutsideSpaceError):
+        perturb_orbit(make(), start, 4, 0.0, seed=0)
+

@@ -30,10 +30,12 @@ from shadowlab.families import (
 )
 from shadowlab.pseudo_orbits import PseudoOrbit, inject_defects, perturb_orbit
 from shadowlab.solver import (
+    MARGIN,
     DeltaSchedule,
     PullbackChain,
     delta_budget,
     periodic_shadow,
+    pullback_plan,
     pullback_shadow,
 )
 from shadowlab.spaces import circle_distance
@@ -576,3 +578,34 @@ def test_rule_backed_maps_are_built_once_per_window(monkeypatch):
     report, _ = pullback_shadow(fam, po, 0.1)
     assert report.verdict
     assert len(built) <= 128
+
+
+# ---------------------------------------------------------------------------
+# pullback plans: one per (family, epsilon, margin, horizon)
+
+
+def test_a_plan_shadows_as_the_call_that_builds_its_own():
+    pair = product_family(doubling_family(), doubling_family())
+    for fam, x0 in ((doubling_family(), 0.3), (slow_expanding_family(), 0.2), (pair, (0.3, 0.7))):
+        plan = pullback_plan(fam, 0.1, 0.9, horizon=48)
+        for seed in range(3):
+            po = perturb_orbit(fam, x0, 48, 0.001, seed)
+            assert pullback_shadow(fam, po, 0.1, 0.9, plan=plan) == pullback_shadow(fam, po, 0.1, 0.9)
+
+
+def test_a_plan_for_another_shape_raises():
+    fam = doubling_family()
+    po = perturb_orbit(fam, 0.3, 16, 0.01, 1)
+    others = [
+        pullback_plan(doubling_family(), 0.1, horizon=16),  # an equal family, but another object
+        pullback_plan(alternating_family(), 0.1, horizon=16),
+        pullback_plan(fam, 0.05, horizon=16),
+        pullback_plan(fam, 0.1, 0.5, horizon=16),
+        pullback_plan(fam, 0.1, horizon=15),
+    ]
+    for plan in others:
+        with pytest.raises(ValueError, match="plan"):
+            pullback_shadow(fam, po, 0.1, plan=plan)
+    report, _ = pullback_shadow(fam, po, 0.1, MARGIN, plan=pullback_plan(fam, 0.1, horizon=16))
+    assert report.verdict
+

@@ -112,3 +112,16 @@ def test_non_finite_points_are_outside_every_continuous_space(bad):
         point = (bad, 0) if space.kind == "product" else bad
         with pytest.raises(PointOutsideSpaceError):
             space.require(point)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_outside_every_space(flag):
+    # bool is an int subclass: CircleSpace().require(True) returned 0.0, and
+    # a finite space kept True as state 1.
+    finite = eight_state_family().space_at(0)
+    for space in (circle_space(), finite, product_space(circle_space(), finite)):
+        point = (0.5, flag) if space.kind == "product" else flag
+        assert not space.contains(point)
+        with pytest.raises(PointOutsideSpaceError):
+            space.require(point)
+

@@ -40,13 +40,13 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/solver.py",
-        "if _reach(d, radii[j], k - j + 1) > epsilon:",
-        "if _reach(d, radii[j], k - j + 1) > epsilon + 1e-12:",
+        "if _reach(d, r, k - j + 1) > epsilon:",
+        "if _reach(d, r, k - j + 1) > epsilon + 1e-12:",
     ),
     (
         "src/shadowlab/solver.py",
-        "if _reach(distance(w, z), radii[j + 1], k - j) >= delta0:",
-        "if _reach(distance(w, z), radii[j + 1], k - j) >= delta0 + 1e-12:",
+        "if _reach(distance(w, z), r, k - j) >= delta0:",
+        "if _reach(distance(w, z), r, k - j) >= delta0 + 1e-12:",
     ),
     (
         "src/shadowlab/solver.py",
@@ -75,8 +75,8 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/limits.py",
-        "if defect_tails[k] < oracle.modulus(target, k, horizon):",
-        "if defect_tails[k] <= oracle.modulus(target, k, horizon):",
+        "key=lambda k: defect_tails[k] < oracle.modulus(target, k, horizon))",
+        "key=lambda k: defect_tails[k] <= oracle.modulus(target, k, horizon))",
     ),
     (
         # The pullback modulus reads the budgets of steps 0 ... horizon - cut - 1
@@ -84,6 +84,12 @@ MUTANTS = [
         "src/shadowlab/limits.py",
         "minima = list(accumulate(reversed(values), min))[::-1]",
         "minima = list(accumulate(values, min))[::-1]",
+    ),
+    (
+        # A level's window error skips the cut itself.
+        "src/shadowlab/limits.py",
+        "oracle.shadow(spliced.orbit, target, cut, _window_hi(cut, horizon))",
+        "oracle.shadow(spliced.orbit, target, cut + 1, _window_hi(cut, horizon))",
     ),
     (
         "src/shadowlab/limits.py",
@@ -156,6 +162,12 @@ MUTANTS = [
         "if ldexp(m, e - bound_e) > 2 * bound_m:",
     ),
     (
+        # pullback_shadow takes a plan built for another shape.
+        "src/shadowlab/solver.py",
+        "if plan.family is not family or (plan.epsilon, plan.margin, plan.horizon) != (epsilon, margin, k):",
+        "if False:",
+    ),
+    (
         "src/shadowlab/solver.py",
         "verdict=errors[k] < epsilon,",
         "verdict=errors[k] <= epsilon,",
@@ -216,6 +228,7 @@ DEFAULT_TESTS = [
     "tests/test_families.py",
     "tests/test_finite_kernel.py",
     "tests/test_limits.py",
+    "tests/test_limit_properties.py",
     "tests/test_density.py",
     "tests/test_products.py",
     "tests/test_averaging.py",
