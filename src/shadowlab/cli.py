@@ -109,13 +109,16 @@ def _nonempty(convert):
     return convert_list
 
 
-def _family(holder: dict, field: str) -> MapFamily:
-    """The family described at holder[field]; a descriptor the library rejects is a config error."""
+def _family(holder: dict, field: str, kinds=("circle", "finite", "product")) -> MapFamily:
+    """The family described at holder[field]; a rejected descriptor or a space not in `kinds` is a config error."""
     desc = _require(holder, field, dict)
     try:
-        return family_from_descriptor(desc)
+        family = family_from_descriptor(desc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalidError(f"{field}: invalid family descriptor {desc!r}: {exc!r}") from exc
+    if family.space.kind not in kinds:
+        raise ConfigInvalidError(f"{field}: needs a {' or '.join(kinds)} family, got a {family.space.kind} space")
+    return family
 
 
 def _on_squares(value: float, horizon: int, shift: int) -> list:
@@ -186,7 +189,7 @@ def _table_lines(records, table) -> list:
 
 
 def _run_shadow(scenario: dict, params: dict):
-    family = _family(scenario, "family")
+    family = _family(scenario, "family", ("circle",))  # x0 is one float
     epsilon = _param(params, "epsilon", _POSITIVE, required=True)
     noise = _param(params, "noise", _NONNEGATIVE, required=True)
     horizon = _param(params, "horizon", _at_least(0), 64)
@@ -241,13 +244,12 @@ def _run_shadow(scenario: dict, params: dict):
 
 
 def _run_periodic(scenario: dict, params: dict):
-    family = _family(scenario, "family")
-    if family.space.kind != "circle":
-        raise ConfigInvalidError(f"family: periodic needs a circle family, got a {family.space.kind} space")
+    family = _family(scenario, "family", ("circle",))
     epsilon = _param(params, "epsilon", _POSITIVE, required=True)
     delta = _param(params, "delta", _NONNEGATIVE, required=True)
     base = _param(params, "base_points", _nonempty(_FINITE), required=True)
-    horizon = _param(params, "horizon", _at_least(0), 4 * len(base))
+    # Fewer than len(base) + 1 points show no period.
+    horizon = _param(params, "horizon", _at_least(len(base)), 4 * len(base))
     seed = _param(params, "seed", _INTEGER, 0)
     rng = random.Random(seed)
     jitter = [rng.uniform(-delta / 3.0, delta / 3.0) for _ in base]
@@ -273,8 +275,8 @@ def _run_periodic(scenario: dict, params: dict):
 
 
 def _run_limit(scenario: dict, params: dict):
-    family = _family(scenario, "family")
-    horizon = _param(params, "horizon", _at_least(0), 10_000)
+    family = _family(scenario, "family", ("circle", "finite"))  # x0 is one number
+    horizon = _param(params, "horizon", _at_least(1), 10_000)  # at 0 no level checks anything
     levels = _param(params, "levels", _at_least(1), 8)
     profile = _param(params, "profile", dict, {"kind": "harmonic"})
     finite = family.space.kind == "finite"
@@ -310,8 +312,8 @@ def _run_limit(scenario: dict, params: dict):
 
 
 def _run_average(scenario: dict, params: dict):
-    family = _family(scenario, "family")
-    horizon = _param(params, "horizon", _at_least(0), 10_000)
+    family = _family(scenario, "family", ("finite",))  # the averaged-shadowing oracle is finite
+    horizon = _param(params, "horizon", _at_least(1), 10_000)
     subset = _param(params, "subset", _nonempty(_INTEGER), required=True)
     magnitude = _param(params, "magnitude", _POSITIVE, 1.01)
     tol = _param(params, "tolerance", _POSITIVE, 0.05)
@@ -356,7 +358,7 @@ def _run_average(scenario: dict, params: dict):
 
 
 def _run_density(scenario: dict, params: dict):
-    horizon = _param(params, "horizon", _at_least(0), 10_000)
+    horizon = _param(params, "horizon", _at_least(1), 10_000)
     profile = _param(params, "profile", dict, {"kind": "squares_indicator"})
     bound = _param(params, "bound", _FINITE, 1.0)
     values = _profile_values(profile, 2 * horizon)

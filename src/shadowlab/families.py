@@ -3,9 +3,9 @@
 A family is a sequence of onto maps f_n: X -> X on one state space X (the
 paper's X_n = X case) with the composition F_n = f_{n-1} o ... o f_0 and
 F_0 = identity. Expanding families additionally expose inverse branches:
-local right inverses defined on balls of radius `branch_radius` whose
-Lipschitz constants are the per-step contraction rates. Each branch is
-affine there, and `branch_slope` gives its own slope, rounded up.
+local right inverses on balls of radius `branch_radius` whose Lipschitz
+constants are the per-step rates. Each branch is affine there; a map's
+`pull(branch, w, y)` gives y's image under it and its own slope, rounded up.
 
 Built-ins bracket the hypothesis boundary of the pullback shadowing
 guarantee: constant doubling (rate 1/2), alternating doubling/tripling, a
@@ -98,14 +98,11 @@ class CircleLinearMap:
     def branch_of(self, x: float) -> int:
         return min(int(x * self.degree), self.degree - 1)
 
-    def branch_slope(self, branch: int) -> float:
-        return self.slope
-
-    def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
+    def pull(self, branch: int, w: float, y: float) -> tuple:
         if not 0 <= branch < self.degree:
             raise InvalidBranchIdError(f"branch {branch} not in 0..{self.degree - 1}")
         z = circle_reduce((w + branch) / self.degree)  # preimages(w)[branch]
-        return circle_reduce(z + circle_signed_gap(w, y) / self.degree)
+        return circle_reduce(z + circle_signed_gap(w, y) / self.degree), self.slope
 
 
 class TwoSlopeCircleMap:
@@ -137,23 +134,18 @@ class TwoSlopeCircleMap:
     def branch_of(self, x: float) -> int:
         return 0 if x < self.lam else 1
 
-    def branch_slope(self, branch: int) -> float:
-        return self.slopes[branch]
-
-    def _lift_inverse(self, t: float) -> float:
-        # Inverse of the lifted covering; G(t + 2) = G(t) + 1.
+    def pull(self, branch: int, w: float, y: float) -> tuple:
+        if branch not in (0, 1):
+            raise InvalidBranchIdError(f"branch {branch} not in (0, 1)")
+        # Invert the lifted covering, G(t + 2) = G(t) + 1, at the lift t of y.
+        t = w + branch + circle_signed_gap(w, y)
         base = math.floor(t / 2.0)
         r = t - 2.0 * base
         if r < 1.0:
             val = self.lam * r
         else:
             val = self.lam + (1.0 - self.lam) * (r - 1.0)
-        return val + base
-
-    def inverse_branch_point(self, branch: int, w: float, y: float) -> float:
-        if branch not in (0, 1):
-            raise InvalidBranchIdError(f"branch {branch} not in (0, 1)")
-        return circle_reduce(self._lift_inverse(w + branch + circle_signed_gap(w, y)))
+        return circle_reduce(val + base), self.slopes[branch]
 
 
 class CircleRotation:
@@ -191,7 +183,7 @@ class FiniteMap:
 
 
 class ProductMap:
-    """Componentwise pair map; branch ids are (left, right) pairs, the rate the larger one."""
+    """Componentwise pair map; branch ids are (left, right) pairs, the rate and each slope the larger one."""
 
     def __init__(self, left, right):
         self.left = left
@@ -214,14 +206,10 @@ class ProductMap:
     def branch_of(self, x):
         return (self.left.branch_of(x[0]), self.right.branch_of(x[1]))
 
-    def branch_slope(self, branch) -> float:
-        return max(self.left.branch_slope(branch[0]), self.right.branch_slope(branch[1]))
-
-    def inverse_branch_point(self, branch, w, y):
-        return (
-            self.left.inverse_branch_point(branch[0], w[0], y[0]),
-            self.right.inverse_branch_point(branch[1], w[1], y[1]),
-        )
+    def pull(self, branch, w, y) -> tuple:
+        a, s = self.left.pull(branch[0], w[0], y[0])
+        b, t = self.right.pull(branch[1], w[1], y[1])
+        return (a, b), max(s, t)
 
 
 # ---------------------------------------------------------------------------

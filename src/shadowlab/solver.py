@@ -13,11 +13,12 @@ prod(rates of the k inverted maps), is one round-to-nearest product kept as
 
 Pseudo-orbit points are canonical (validated where they entered), so each
 solver resolves its maps once as a `MapFamily.window` and hands them with
-the points to `pull_back_chain`, the one backward pass: its step j computes
-f_j(x_j) and the branch of x_j where it uses them, with no image or branch
-list and no re-validation, and each level's float radius once. Callers that
-shadow many pseudo-orbits of one shape share one `PullbackPlan` of the maps,
-budget and certificate.
+the points to `pull_back_chain`, the one backward pass: its step j makes
+three map calls, `apply`, `branch_of` and `pull` (the pulled-back centre and
+its branch's slope), with no image or branch list and no re-validation, and
+computes each level's float radius once. Callers that shadow many
+pseudo-orbits of one shape share one `PullbackPlan` of the maps, budget and
+certificate.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def pull_back_chain(
 
     Step j, for j < k = len(maps), computes w = f_j(x_j) and raises
     BranchDomainViolated unless the cell around z_{j+1} lies in the open
-    branch domain B(w, delta_0); then it applies f_j's inverse branch through
-    x_j, anchored at w, to z_{j+1} and sets r_j = up(s_j * r_{j+1}) with s_j
-    that branch's slope. `points` may run past x_k. Given `epsilon`, each
+    branch domain B(w, delta_0); then one `pull` applies f_j's inverse branch
+    through x_j, anchored at w, to z_{j+1} and gives that branch's slope s_j,
+    and r_j = up(s_j * r_{j+1}). `points` may run past x_k. Given `epsilon`, each
     level j < k must lie in the closed ball B(x_j, epsilon), else EmptyCell,
     and errors[j] = d(z_j, x_j); without it, errors is empty.
 
@@ -206,9 +207,8 @@ def pull_back_chain(
             raise BranchDomainViolatedError(
                 f"cell at step {j + 1} leaves the branch domain", witness=j + 1
             )
-        branch = mapobj.branch_of(x)
-        z = mapobj.inverse_branch_point(branch, w, z)
-        m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))
+        z, slope = mapobj.pull(mapobj.branch_of(x), w, z)
+        m, de = frexp(nextafter(slope * m, inf))
         e += de
         r = ldexp(m, e)
         centres[j], radii[j] = z, (m, e)
@@ -247,7 +247,6 @@ def pullback_shadow(
     po: PseudoOrbit,
     epsilon: float,
     margin: float = MARGIN,
-    check_budget: bool = True,
     plan: Optional[PullbackPlan] = None,
 ) -> Tuple[ShadowReport, PullbackChain]:
     """Shadow a budget-compliant pseudo-orbit by backward pullback.
@@ -268,8 +267,7 @@ def pullback_shadow(
     plan = plan or pullback_plan(family, epsilon, margin, k)
     if plan.family is not family or (plan.epsilon, plan.margin, plan.horizon) != (epsilon, margin, k):
         raise ValueError("the plan was built for another family, epsilon, margin or horizon")
-    if check_budget:
-        plan.budget.check(po.defects)
+    plan.budget.check(po.defects)
 
     space, maps = family.space, plan.maps
     # The top cell B(x_k, eps) & B(f(x_{k-1}), eps) lies in the eps-ball at

@@ -30,7 +30,7 @@ def circle_reduce(x: float) -> float:
 def circle_distance(a: float, b: float) -> float:
     """Arc distance between two points of the circle (floats in [0, 1))."""
     gap = abs(a - b)
-    return min(gap, 1.0 - gap)
+    return gap if gap <= 0.5 else 1.0 - gap
 
 
 def circle_signed_gap(base: float, other: float) -> float:
@@ -135,8 +135,8 @@ class CircleSpace(StateSpace):
         Built-in branches are continuous and monotone on the branch domain, so
         the image of an arc is spanned exactly by the images of its endpoints.
         """
-        lo = mapobj.inverse_branch_point(branch, w, circle_reduce(cell[0] - cell[1]))
-        hi = mapobj.inverse_branch_point(branch, w, circle_reduce(cell[0] + cell[1]))
+        lo = mapobj.pull(branch, w, circle_reduce(cell[0] - cell[1]))[0]
+        hi = mapobj.pull(branch, w, circle_reduce(cell[0] + cell[1]))[0]
         gap = circle_signed_gap(lo, hi)
         return (circle_reduce(lo + gap / 2.0), abs(gap) / 2.0)
 

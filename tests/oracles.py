@@ -6,7 +6,10 @@ re-enumerates pseudo-orbits with its own breadth-first machinery, and the
 two-pass pullback keeps the solver's previous algorithm, built from the maps
 and the spaces' arc calculus, which the solver now uses for its top cell only.
 ``pull_back_chain_reference`` keeps the backward chain as it ran on image
-and branch lists built in two passes before it.
+and branch lists built in two passes before it; both pull back through
+``inverse_branch_point_reference`` and ``branch_slope_reference``, the two
+map methods that ``pull`` replaced. ``ungated_plan`` lifts the budget gate
+so that tests reach the solver's own raises.
 The series writer keeps csv.writer, whose bytes the runners' own CSV lines
 must reproduce. ``orbit_table`` and ``best_orbit`` keep the per-index
 best-orbit search (orbits by ``compose``, errors by ``space.distance``) that
@@ -269,6 +272,59 @@ def find_cut_reference(defects, horizon, oracle, target, start=0):
     return None
 
 
+def inverse_branch_point_reference(mapobj, branch, w, y):
+    """y under inverse branch `branch` of `mapobj`, anchored at w, as the maps'
+    `inverse_branch_point` computed it before `pull` returned it with the slope.
+
+    Products pair their factors' points; a branch id outside the map raises
+    InvalidBranchIdError.
+    """
+    from shadowlab.errors import InvalidBranchIdError
+    from shadowlab.families import CircleLinearMap, ProductMap
+    from shadowlab.spaces import circle_reduce, circle_signed_gap
+
+    if isinstance(mapobj, ProductMap):
+        return (
+            inverse_branch_point_reference(mapobj.left, branch[0], w[0], y[0]),
+            inverse_branch_point_reference(mapobj.right, branch[1], w[1], y[1]),
+        )
+    if isinstance(mapobj, CircleLinearMap):
+        if not 0 <= branch < mapobj.degree:
+            raise InvalidBranchIdError(f"branch {branch} not in 0..{mapobj.degree - 1}")
+        z = circle_reduce((w + branch) / mapobj.degree)
+        return circle_reduce(z + circle_signed_gap(w, y) / mapobj.degree)
+    if branch not in (0, 1):
+        raise InvalidBranchIdError(f"branch {branch} not in (0, 1)")
+    # The two-slope map's lifted covering G(t + 2) = G(t) + 1, inverted at t.
+    t = w + branch + circle_signed_gap(w, y)
+    base = math.floor(t / 2.0)
+    r = t - 2.0 * base
+    if r < 1.0:
+        val = mapobj.lam * r
+    else:
+        val = mapobj.lam + (1.0 - mapobj.lam) * (r - 1.0)
+    return circle_reduce(val + base)
+
+
+def branch_slope_reference(mapobj, branch):
+    """The slope of inverse branch `branch`, rounded up, as the maps' `branch_slope` gave it:
+    1/degree, lam or 1 - lam, or the float above where that rounds down; on a product the
+    larger of the factors' slopes."""
+    from shadowlab.families import CircleLinearMap, ProductMap
+
+    if isinstance(mapobj, ProductMap):
+        return max(branch_slope_reference(mapobj.left, branch[0]), branch_slope_reference(mapobj.right, branch[1]))
+    if isinstance(mapobj, CircleLinearMap):
+        rate = 1.0 / mapobj.degree
+        num, den = rate.as_integer_ratio()
+        return rate if num * mapobj.degree >= den else nextafter(rate, inf)
+    lam = mapobj.lam
+    if branch == 0:
+        return lam
+    upper = 1.0 - lam
+    return upper if 1.0 - upper <= lam else nextafter(upper, inf)
+
+
 def _cell_max_distance(space, cell, point):
     """Largest distance from `point` to an arc, or to a pair of arcs on a product."""
     if space.kind == "product":
@@ -309,10 +365,21 @@ def two_pass_pullback(family, po, epsilon, slack=1e-12):
     for j in range(k - 1, -1, -1):
         if space.distance(images[j], z) >= radius:
             raise BranchDomainViolatedError(f"backward iterate leaves branch domain at step {j}")
-        z = points[j] = maps[j].inverse_branch_point(branches[j], images[j], z)
+        z = points[j] = inverse_branch_point_reference(maps[j], branches[j], images[j], z)
     errors = tuple(map(space.distance, points, po.points))
     bound = diameter_bound_reference(epsilon, (m.rate for m in maps))
     return points[0], errors, all(e < epsilon for e in errors), bound, space.cell_diameter(bottom)
+
+
+def ungated_plan(family, epsilon, horizon):
+    """A pullback plan whose budget admits every defect, so that a test reaches the
+    solver's EmptyCell and BranchDomainViolated raises past the hypothesis gate."""
+    from dataclasses import replace
+
+    from shadowlab.solver import DeltaSchedule, pullback_plan
+
+    plan = pullback_plan(family, epsilon, horizon=horizon)
+    return replace(plan, budget=DeltaSchedule(epsilon, plan.margin, (inf,) * horizon))
 
 
 def _reach_reference(distance, radius, steps):
@@ -344,8 +411,8 @@ def pull_back_chain_reference(family, maps, points, z, radius=0.0, epsilon=None)
                 f"cell at step {j + 1} leaves the branch domain", witness=j + 1
             )
         mapobj, branch = maps[j], branches[j]
-        z = mapobj.inverse_branch_point(branch, images[j], z)
-        m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))
+        z = inverse_branch_point_reference(mapobj, branch, images[j], z)
+        m, de = frexp(nextafter(branch_slope_reference(mapobj, branch) * m, inf))
         e += de
         centres[j], radii[j] = z, (m, e)
         if epsilon is not None:

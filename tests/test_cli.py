@@ -256,6 +256,21 @@ INVALID_CONFIGS = {
     "nan-periodic-base-point": _with(_bundled("doubling-periodic"), base_points=[math.nan, 0.5]),
     "nan-density-bound": {**_DENSITY, "parameters": {**_DENSITY["parameters"], "bound": math.nan}},
     "nan-profile-scale": _with(_bundled("rotation-limit"), profile={"kind": "harmonic", "scale": math.nan}),
+    "zero-density-horizon": {**_DENSITY, "parameters": {**_DENSITY["parameters"], "horizon": 0}},
+    "zero-average-horizon": _with(_bundled("eight-state-average"), horizon=0),
+    "zero-periodic-horizon": _with(_bundled("doubling-periodic"), horizon=0),
+    "periodic-horizon-below-the-period": _with(_bundled("doubling-periodic"), horizon=1),
+    "zero-limit-horizon": _with(_bundled("rotation-limit"), horizon=0),
+    "shadow-on-a-product": _with(SMALL_SHADOW, {"kind": "product", "factors": [_DOUBLING] * 2}),
+    "shadow-on-a-finite-family": _with(SMALL_SHADOW, {"kind": "eight_state"}, x0=0),
+    "average-on-a-circle-family": _with(_bundled("eight-state-average"), {"kind": "identity"}, subset=[0], x0=0),
+    "average-on-a-finite-product": _with(
+        _bundled("eight-state-average"), {"kind": "product", "factors": [{"kind": "eight_state"}, {"kind": "two_bit_swap"}]}
+    ),
+    "limit-on-a-circle-product": _with(_bundled("rotation-limit"), {"kind": "product", "factors": [_DOUBLING] * 2}),
+    "limit-on-a-finite-product": _with(
+        _bundled("rotation-limit"), {"kind": "product", "factors": [{"kind": "eight_state"}, {"kind": "two_bit_swap"}]}
+    ),
 }
 
 

@@ -65,26 +65,28 @@ def test_compose_agrees_with_continuation_exactly():
 
 def test_inverse_branch_examples():
     double = doubling_family().map_at(0)
-    assert double.inverse_branch_point(0, 0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert double.inverse_branch_point(0, 0.5, 0.52) == pytest.approx(0.26, abs=1e-15)
+    assert double.pull(0, 0.5, 0.5) == (pytest.approx(0.25, abs=1e-15), 0.5)
+    assert double.pull(0, 0.5, 0.52) == (pytest.approx(0.26, abs=1e-15), 0.5)
     triple = tripling_family().map_at(0)
-    assert triple.inverse_branch_point(1, 0.3, 0.33) == pytest.approx(0.11 + 1.0 / 3.0, abs=1e-12)
+    assert triple.pull(1, 0.3, 0.33)[0] == pytest.approx(0.11 + 1.0 / 3.0, abs=1e-12)
 
 
 def test_inverse_branch_errors():
     with pytest.raises(InvalidBranchIdError):
-        doubling_family().map_at(0).inverse_branch_point(5, 0.5, 0.51)
+        doubling_family().map_at(0).pull(5, 0.5, 0.51)
+    with pytest.raises(InvalidBranchIdError):
+        slow_expanding_family().map_at(0).pull(2, 0.5, 0.51)
 
 
 def test_branch_slopes_are_the_exact_slopes_rounded_up():
     # The slope is the exact one when it is a float, else the float just above it.
     for degree in range(1, 13):
-        slope = CircleLinearMap(degree).branch_slope(0)
+        slope = CircleLinearMap(degree).pull(0, 0.0, 0.0)[1]
         assert Fraction(math.nextafter(slope, 0.0)) < Fraction(1, degree) <= Fraction(slope)
     for lam in (0.1, 0.3, 1 / 3, 0.5, 2 / 3, 0.9):
         mapobj = TwoSlopeCircleMap(lam)
-        assert mapobj.branch_slope(0) == lam
-        slope = mapobj.branch_slope(1)
+        assert mapobj.pull(0, 0.0, 0.0)[1] == lam
+        slope = mapobj.pull(1, 0.0, 0.0)[1]
         assert Fraction(math.nextafter(slope, 0.0)) < 1 - Fraction(lam) <= Fraction(slope)
 
 
@@ -104,8 +106,8 @@ def test_inverse_branch_lipschitz_sampled(make):
         z = space.displace(w, rng.random() * fam.branch_radius, -1)
         mapobj = fam.map_at(n)
         for branch in range(len(mapobj.preimages(w))):
-            gy = mapobj.inverse_branch_point(branch, w, y)
-            gz = mapobj.inverse_branch_point(branch, w, z)
+            gy = mapobj.pull(branch, w, y)[0]
+            gz = mapobj.pull(branch, w, z)[0]
             assert space.distance(gy, gz) <= rate * space.distance(y, z) + 1e-12
 
 
@@ -120,7 +122,7 @@ def test_inverse_branch_round_trip(make):
         y = space.displace(w, rng.random() * fam.branch_radius * 0.99, 1)
         mapobj = fam.map_at(n)
         for branch in range(len(mapobj.preimages(w))):
-            z = mapobj.inverse_branch_point(branch, w, y)
+            z = mapobj.pull(branch, w, y)[0]
             assert fam.space_at(n + 1).distance(fam.evaluate(n, z), y) < 1e-10
 
 
@@ -134,7 +136,7 @@ def test_branch_at_preimage_recovers_point():
             x = fam.space_at(n).random_point(rng)
             w = fam.evaluate(n, x)
             mapobj = fam.map_at(n)
-            z = mapobj.inverse_branch_point(mapobj.branch_of(x), w, w)
+            z = mapobj.pull(mapobj.branch_of(x), w, w)[0]
             assert fam.space_at(n).distance(z, x) < 1e-10
 
 

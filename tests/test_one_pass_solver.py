@@ -25,9 +25,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
+    branch_slope_reference,
     diameter_bound_reference,
     pull_back_chain_reference,
     two_pass_pullback,
+    ungated_plan,
 )
 from shadowlab.errors import EmptyCellError, ShadowlabError  # noqa: E402
 from shadowlab.families import (  # noqa: E402
@@ -93,7 +95,7 @@ def test_one_pass_solver_equals_the_two_pass_solver(name, data):
     # The budget gate is off, as the two-pass oracle has none: on slow_expanding
     # a defect asked for at budget * (1 - 2^-40) can land one float step above
     # a budget near 1e-4, and the gate has its own tests.
-    report, _ = pullback_shadow(fam, po, EPSILON, check_budget=False)
+    report, _ = pullback_shadow(fam, po, EPSILON, plan=ungated_plan(fam, EPSILON, po.horizon))
     assert report.verdict
     try:
         old = two_pass_pullback(fam, po, EPSILON)[:4]
@@ -118,12 +120,12 @@ def test_one_pass_solver_equals_the_two_pass_solver(name, data):
 def test_radius_bounds_never_fall_below_the_exact_recursion(name, data):
     fam = FAMILIES[name]
     po = data.draw(pseudo_orbits(fam, st.sampled_from([0, 1, 2, 200, 1100])))
-    _, chain = pullback_shadow(fam, po, EPSILON, check_budget=False)
+    _, chain = pullback_shadow(fam, po, EPSILON, plan=ungated_plan(fam, EPSILON, po.horizon))
     k = po.horizon
     maps = fam.window(k)
     exact = Fraction(math.ldexp(*chain.radii[k]))
     for j in range(k - 1, -1, -1):
-        exact *= Fraction(maps[j].branch_slope(maps[j].branch_of(po.points[j])))
+        exact *= Fraction(branch_slope_reference(maps[j], maps[j].branch_of(po.points[j])))
         m, e = chain.radii[j]
         assert Fraction(m) * Fraction(2) ** e >= exact, j
 

@@ -62,8 +62,8 @@ def test_product_rates_and_branch_pairs():
         z = space.displace(w, rng.random() * 0.2, -1)
         mapobj = prod.map_at(0)
         branch = mapobj.branch_of(space.random_point(rng))
-        gy = mapobj.inverse_branch_point(branch, w, y)
-        gz = mapobj.inverse_branch_point(branch, w, z)
+        (gy, slope), (gz, _) = mapobj.pull(branch, w, y), mapobj.pull(branch, w, z)
+        assert slope == 0.5  # the larger factor slope
         assert space.distance(gy, gz) <= 0.5 * space.distance(y, z) + 1e-12
 
 

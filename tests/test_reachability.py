@@ -73,7 +73,6 @@ def test_every_definition_is_reached_outside_the_tests():
 
 # Options only tests set, kept on purpose, each with its reason.
 ALLOWED_OPTIONS = {
-    "pullback_shadow(check_budget)": "tests reach the EmptyCell and BranchDomain raises with it",
     "inject_defects(signs)": "tests draw defects with random signs; removing it would move its loop into them",
     "equicontinuity_modulus(samples)": "kept until a certified modulus replaces the empirical one",
     "equicontinuity_modulus(horizon)": "kept until a certified modulus replaces the empirical one",

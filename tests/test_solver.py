@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import doubling_grid_minimizer, uniqueness_certificate, validate_tube
+from oracles import doubling_grid_minimizer, ungated_plan, uniqueness_certificate, validate_tube
 from shadowlab.errors import (
     BranchDomainViolatedError,
     DeltaBudgetViolatedError,
@@ -148,7 +148,7 @@ def test_empty_cell_with_budget_check_disabled():
     points[3] = fam.space_at(3).reduce(points[3] + 0.4)  # jump beyond 2 eps
     po = PseudoOrbit.from_points(fam, points)
     with pytest.raises(EmptyCellError):
-        pullback_shadow(fam, po, 0.1, check_budget=False)
+        pullback_shadow(fam, po, 0.1, plan=ungated_plan(fam, 0.1, po.horizon))
 
 
 def test_verdict_rejects_an_error_equal_to_epsilon():
@@ -156,7 +156,7 @@ def test_verdict_rejects_an_error_equal_to_epsilon():
     # point, so the last per-step error equals eps and a strict verdict fails.
     fam = doubling_family()
     po = PseudoOrbit.from_points(fam, [0.1875, 0.25])
-    report, _ = pullback_shadow(fam, po, 0.0625, check_budget=False)
+    report, _ = pullback_shadow(fam, po, 0.0625, plan=ungated_plan(fam, 0.0625, po.horizon))
     assert report.per_step_errors == (0.03125, 0.0625)
     assert report.verdict is False
 
@@ -167,7 +167,7 @@ def test_top_cell_touching_the_eps_sphere_passes():
     # numerically; up(eps) plus the rounding allowance would exceed eps.
     fam = doubling_family()
     po = PseudoOrbit.from_points(fam, [0.1875, 0.25])
-    _, chain = pullback_shadow(fam, po, 0.0625, check_budget=False)
+    _, chain = pullback_shadow(fam, po, 0.0625, plan=ungated_plan(fam, 0.0625, po.horizon))
     assert chain.centres[1] == 0.3125 and math.ldexp(*chain.radii[1]) == 0.0
     validate_tube(chain, po, 0.0625)
 
@@ -180,7 +180,7 @@ def test_a_level_below_the_top_at_exactly_epsilon_fails_the_tube():
     fam = doubling_family()
     po = PseudoOrbit.from_points(fam, [0.140625, 0.1875, 0.25])
     with pytest.raises(EmptyCellError) as caught:
-        pullback_shadow(fam, po, 0.0625, check_budget=False)
+        pullback_shadow(fam, po, 0.0625, plan=ungated_plan(fam, 0.0625, po.horizon))
     assert caught.value.witness == 0
     chain = PullbackChain([0.078125, 0.15625, 0.3125], [(0.0, 0), (0.0, 0), (0.0, 0)])
     with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_branch_domain_check_counts_the_cell_radius():
     po = PseudoOrbit.from_points(fam, [0.296875, 0.375, 0.75])
     assert fam.space.distance(fam.map_at(0).apply(0.296875), 0.375) + 0.03125 == fam.branch_radius
     with pytest.raises(BranchDomainViolatedError) as caught:
-        pullback_shadow(fam, po, 0.0625, check_budget=False)
+        pullback_shadow(fam, po, 0.0625, plan=ungated_plan(fam, 0.0625, po.horizon))
     assert caught.value.witness == 1
 
 

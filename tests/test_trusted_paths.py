@@ -3,7 +3,7 @@
 A circle point is reduced to [0, 1) once, by one of two owners: ``require``
 where it enters (start points, ``PseudoOrbit.from_points``, ``evaluate``),
 or the last step of the function that makes it (a map's ``apply``,
-``preimages`` and ``inverse_branch_point``, ``displace`` and the cell
+``preimages`` and ``pull``, ``displace`` and the cell
 calculus). Metrics and map methods then run on those points without
 reducing them again. That is only sound because every maker returns a
 canonical point of its space; these tests check it over every built-in
@@ -23,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import branch_slope_reference, inverse_branch_point_reference  # noqa: E402
 from shadowlab import families as families_module  # noqa: E402
 from shadowlab import spaces  # noqa: E402
 from shadowlab.cli import EXIT_FAIL, EXIT_OK, bundled_scenarios_dir, run_scenario, run_suite  # noqa: E402
@@ -35,10 +36,12 @@ from shadowlab.families import (  # noqa: E402
     BUILTIN_FAMILIES,
     CircleLinearMap,
     CircleRotation,
+    ProductMap,
     TwoSlopeCircleMap,
     doubling_family,
     product_family,
     slow_expanding_family,
+    tripling_family,
 )
 from shadowlab.pseudo_orbits import (  # noqa: E402
     PseudoOrbit,
@@ -47,11 +50,12 @@ from shadowlab.pseudo_orbits import (  # noqa: E402
     perturb_orbit,
 )
 from shadowlab.solver import pullback_shadow  # noqa: E402
-from shadowlab.spaces import CircleSpace, circle_reduce, circle_signed_gap  # noqa: E402
+from shadowlab.spaces import CircleSpace, circle_distance, circle_reduce, circle_signed_gap  # noqa: E402
 
 FAMILIES = {name: build() for name, build in BUILTIN_FAMILIES.items()}
 FAMILIES["doubling*doubling"] = product_family(doubling_family(), doubling_family())
 FAMILIES["slow_expanding*doubling"] = product_family(slow_expanding_family(), doubling_family())
+FAMILIES["doubling*tripling"] = product_family(doubling_family(), tripling_family())
 EXPANDING = sorted(name for name, fam in FAMILIES.items() if fam.expanding)
 CIRCLE_FAMILIES = sorted(name for name, fam in FAMILIES.items() if not fam.space.is_enumerable)
 
@@ -179,7 +183,7 @@ def test_inverse_branches_return_canonical_points(data, n, share, sign):
     x = space.require(raw)
     w = mapobj.apply(x)
     y = space.reduce(space.displace(w, share * family.branch_radius, sign))
-    z = mapobj.inverse_branch_point(mapobj.branch_of(x), w, y)
+    z = mapobj.pull(mapobj.branch_of(x), w, y)[0]
     assert same(space.reduce(z), z)
 
 
@@ -193,10 +197,46 @@ def test_single_inverse_branch_equals_the_preimage_list(degree, branch, w, y):
     mapobj = CircleLinearMap(degree)
     if branch >= degree:
         with pytest.raises(InvalidBranchIdError):
-            mapobj.inverse_branch_point(branch, w, y)
+            mapobj.pull(branch, w, y)
         return
     expected = circle_reduce(mapobj.preimages(w)[branch] + circle_signed_gap(w, y) / degree)
-    assert same(mapobj.inverse_branch_point(branch, w, y), expected)
+    assert same(mapobj.pull(branch, w, y)[0], expected)
+
+
+def _branch_ids(mapobj):
+    """A map's branch ids and one invalid id past each end, paired on a product."""
+    if isinstance(mapobj, ProductMap):
+        return st.tuples(_branch_ids(mapobj.left), _branch_ids(mapobj.right))
+    return st.integers(-1, len(mapobj.preimages(0.0)))
+
+
+def _pulled(pull) -> str:
+    """repr of what `pull()` returns, or the raise of an invalid branch id."""
+    try:
+        return repr(pull())
+    except InvalidBranchIdError:
+        return "InvalidBranchId"
+
+
+# barely_expanding has maps at steps below 53 only.
+@given(data=st.data(), name=st.sampled_from(EXPANDING), n=st.integers(0, 52))
+def test_pull_equals_the_inverse_branch_and_slope_references(data, name, n):
+    family = FAMILIES[name]
+    mapobj = family.map_at(n)
+    w, y = data.draw(space_points(family.space)), data.draw(space_points(family.space))
+    branch = data.draw(_branch_ids(mapobj))
+    expected = _pulled(
+        lambda: (inverse_branch_point_reference(mapobj, branch, w, y), branch_slope_reference(mapobj, branch))
+    )
+    assert _pulled(lambda: mapobj.pull(branch, w, y)) == expected
+
+
+@given(gap=st.one_of(st.floats(0.0, 1.0), st.just(math.nan)), a=circle_points(), b=circle_points())
+def test_circle_distance_equals_the_min_form(gap, a, b):
+    # The metric tests gap <= 1/2 instead of taking min(gap, 1 - gap); the two
+    # agree on every gap in [0, 1], NaN included.
+    assert same(circle_distance(gap, 0.0), min(gap, 1.0 - gap))
+    assert same(circle_distance(a, b), min(abs(a - b), 1.0 - abs(a - b)))
 
 
 def test_window_resolves_each_map_once():
@@ -236,8 +276,8 @@ def _canonical_inputs(fn):
 
 
 _CIRCLE_METHODS = {
-    CircleLinearMap: ("apply", "preimages", "branch_of", "inverse_branch_point"),
-    TwoSlopeCircleMap: ("apply", "preimages", "branch_of", "inverse_branch_point"),
+    CircleLinearMap: ("apply", "preimages", "branch_of", "pull"),
+    TwoSlopeCircleMap: ("apply", "preimages", "branch_of", "pull"),
     CircleRotation: ("apply", "preimages"),
 }
 

@@ -50,8 +50,14 @@ MUTANTS = [
     ),
     (
         "src/shadowlab/solver.py",
-        "m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, inf))",
-        "m, de = frexp(nextafter(mapobj.branch_slope(branch) * m, -inf))",
+        "m, de = frexp(nextafter(slope * m, inf))",
+        "m, de = frexp(nextafter(slope * m, -inf))",
+    ),
+    (
+        # A product's pull reports the smaller factor slope, so radii shrink too fast.
+        "src/shadowlab/families.py",
+        "return (a, b), max(s, t)",
+        "return (a, b), min(s, t)",
     ),
     (
         "src/shadowlab/families.py",
@@ -213,6 +219,24 @@ MUTANTS = [
         "src/shadowlab/families.py",
         "return [self.lam * w, circle_reduce(self.lam + (1.0 - self.lam) * w)]",
         "return [self.lam * w, self.lam + (1.0 - self.lam) * w]",
+    ),
+    (
+        # A periodic horizon too short to show the period runs, and dies in the solver.
+        "src/shadowlab/cli.py",
+        'horizon = _param(params, "horizon", _at_least(len(base)), 4 * len(base))',
+        'horizon = _param(params, "horizon", _at_least(0), 4 * len(base))',
+    ),
+    (
+        # A limit run at horizon 0 passes without checking a level.
+        "src/shadowlab/cli.py",
+        'horizon = _param(params, "horizon", _at_least(1), 10_000)  # at 0 no level checks anything',
+        'horizon = _param(params, "horizon", _at_least(0), 10_000)  # at 0 no level checks anything',
+    ),
+    (
+        # A limit run on a product family dies on its one-number x0 instead of exiting 2.
+        "src/shadowlab/cli.py",
+        'def _run_limit(scenario: dict, params: dict):\n    family = _family(scenario, "family", ("circle", "finite"))',
+        'def _run_limit(scenario: dict, params: dict):\n    family = _family(scenario, "family")',
     ),
     (
         # A base point off [0, 1) reaches the metric unreduced.
