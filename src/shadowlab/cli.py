@@ -463,7 +463,12 @@ def load_scenario(path: Path) -> dict:
         raise ConfigInvalidError(f"cannot parse scenario {path}: {exc}") from exc
     if not isinstance(scenario, dict):
         raise ConfigInvalidError("scenario root must be an object")
-    _require(scenario, "name", str)
+    name = _require(scenario, "name", str)
+    # The name becomes a file name in the output directory, so it may not leave it.
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigInvalidError(f"name: must be a plain file name, got {name!r}")
+    if not isinstance(scenario.get("expect_fail", False), bool):
+        raise ConfigInvalidError(f"expect_fail: must be true or false, got {scenario['expect_fail']!r}")
     experiment = _require(scenario, "experiment", str)
     if experiment not in EXPERIMENTS:
         raise ConfigInvalidError(
@@ -548,7 +553,7 @@ def run_suite(
                 print(f"config error in {path.name}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_CONFIG)
             continue
-        expect_fail = bool(scenario.get("expect_fail", False))
+        expect_fail = scenario.get("expect_fail", False)
         code = run_scenario(path, out_dir, seed=seed, horizon=horizon, quiet=True)
         runtime = time.perf_counter() - started
         if code == EXIT_CONFIG:

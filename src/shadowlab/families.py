@@ -628,6 +628,8 @@ def family_from_descriptor(desc: dict) -> MapFamily:
     """Build a family from the declarative JSON descriptor used by the CLI."""
     kind = desc.get("kind")
     if kind == "product":
+        if desc.keys() - {"kind", "factors"}:
+            raise ValueError(f"a product takes only kind and factors, got {sorted(desc)}")
         left, right = desc["factors"]
         return product_family(family_from_descriptor(left), family_from_descriptor(right))
     if kind not in BUILTIN_FAMILIES:

@@ -16,12 +16,14 @@ gives a level's sup and window errors; the last orbit serves the table.
 
 Shadowing itself enters as a per-family oracle: exact transport for
 isometry families, exhaustive search for finite-state families, and the
-pullback solver for expanding families.
+pullback solver for expanding families. The strong-equicontinuity modulus
+of the paper's third result is exact, read from the same two flags that
+pick the first two oracles: the least positive distance on a finite space,
+epsilon on an isometry family; no other family has one.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -42,78 +44,26 @@ CAUCHY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Strong equicontinuity (empirical modulus, never a certificate)
+# Strong equicontinuity (an exact modulus, read from the family)
 
 
-@dataclass(frozen=True)
-class EquicontinuityEstimate:
-    epsilon: float
-    horizon: int
-    modulus: float
-    ladder: Tuple[Tuple[float, bool], ...]
-    note: str = "empirical estimate from sampled pairs; not a certificate"
+def equicontinuity_modulus(family: MapFamily, epsilon: float) -> float:
+    """A delta such that d(x, y) < delta keeps d(F(x), F(y)) < epsilon for every
+    composition F = f_{m+n-1} o ... o f_m.
 
-
-def equicontinuity_modulus(
-    family: MapFamily,
-    epsilon: float,
-    samples: int = 64,
-    horizon: int = 32,
-    ladder_depth: int = 10,
-    seed: int = 0,
-) -> EquicontinuityEstimate:
-    """Largest dyadic rung delta with all sampled delta-close pairs staying
-    epsilon-close under every composition window within the horizon.
-
-    Expanding families fail every rung (pairs separate geometrically), which
-    is the expected outcome, reported as NotEquicontinuousAtHorizon.
+    On a finite space it is the least positive distance, below which points
+    coincide; on an isometry family it is epsilon. A product is finite, or an
+    isometry, exactly when both factors are. Any other family raises
+    NotEquicontinuousAtHorizon with its name as witness.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rng = random.Random(seed)
-    ladder = [epsilon * 0.5**k for k in range(ladder_depth)]
-    results = []
-    passing = None
-    starts = list(range(0, min(horizon, 8)))
-    space = family.space
-    for rung in ladder:
-        ok = True
-        for m in starts:
-            pairs = []
-            for _ in range(max(4, samples // max(1, len(starts)))):
-                x = space.random_point(rng)
-                pairs.append((x, space.displace(x, rng.random() * rung, 1)))
-            # Adversarial pair right at the rung boundary.
-            x = space.random_point(rng)
-            pairs.append((x, space.displace(x, rung * 0.999, 1)))
-            for x, y in pairs:
-                a, b = x, y
-                for n in range(m, horizon):
-                    if space.distance(a, b) >= epsilon:
-                        ok = False
-                        break
-                    a = family.evaluate(n, a)
-                    b = family.evaluate(n, b)
-                if ok and space.distance(a, b) >= epsilon:
-                    ok = False
-                if not ok:
-                    break
-            if not ok:
-                break
-        results.append((rung, ok))
-        if ok:
-            passing = rung
-            break
-    if passing is None:
-        raise NotEquicontinuousAtHorizonError(
-            f"no rung of the dyadic ladder down to {ladder[-1]} passes at horizon {horizon}",
-            witness=tuple(results),
-        )
-    return EquicontinuityEstimate(
-        epsilon=epsilon,
-        horizon=horizon,
-        modulus=passing,
-        ladder=tuple(results),
+    if family.space.is_enumerable:
+        return family.space.min_positive_distance()
+    if family.is_isometry:
+        return epsilon
+    raise NotEquicontinuousAtHorizonError(
+        f"family {family.name!r} is neither finite nor an isometry family", witness=family.name
     )
 
 

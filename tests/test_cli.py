@@ -271,6 +271,18 @@ INVALID_CONFIGS = {
     "limit-on-a-finite-product": _with(
         _bundled("rotation-limit"), {"kind": "product", "factors": [{"kind": "eight_state"}, {"kind": "two_bit_swap"}]}
     ),
+    "unknown-product-key": _product_case(
+        left={"kind": "product", "factors": [{"kind": "identity_pair"}] * 2, "extra": 1}
+    ),
+    "name-leaving-the-out-directory": {**SMALL_SHADOW, "name": "../escaped"},
+    "name-with-a-slash": {**SMALL_SHADOW, "name": "a/b"},
+    "name-with-a-backslash": {**SMALL_SHADOW, "name": "a\\b"},
+    "name-with-a-nul": {**SMALL_SHADOW, "name": "a\0b"},
+    "empty-name": {**SMALL_SHADOW, "name": ""},
+    "dot-name": {**SMALL_SHADOW, "name": "."},
+    "dot-dot-name": {**SMALL_SHADOW, "name": ".."},
+    "string-expect-fail": {**_DENSITY, "expect_fail": "false"},
+    "numeric-expect-fail": {**_DENSITY, "expect_fail": 0},
 }
 
 
@@ -281,6 +293,7 @@ def test_invalid_scenario_configs_exit_2(tmp_path, case):
     path = write_scenario(tmp_path, "invalid", INVALID_CONFIGS[case])
     assert run_scenario(path, tmp_path / "out", quiet=True) == EXIT_CONFIG
     assert run_suite(tmp_path, tmp_path / "suite", quiet=True) == EXIT_CONFIG
+    assert not list(tmp_path.rglob("*.report.json"))  # neither in an out directory nor beside one
 
 
 def test_periodic_distance_to_base_measures_from_the_reduced_base_point(tmp_path):

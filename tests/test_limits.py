@@ -18,8 +18,11 @@ from shadowlab.families import (
     eight_state_family,
     finite_cycle_family,
     identity_family,
+    identity_pair_family,
+    product_family,
     rotation_family,
     slow_expanding_family,
+    two_bit_swap_family,
 )
 from shadowlab.limits import (
     ExhaustiveOracle,
@@ -46,27 +49,64 @@ def harmonic_rotation_orbit(horizon=10_000):
 
 
 def test_identity_modulus_is_epsilon():
-    est = equicontinuity_modulus(identity_family(), 0.1)
-    assert est.modulus == 0.1
-    assert "estimate" in est.note
+    assert equicontinuity_modulus(identity_family(), 0.1) == 0.1
 
 
 def test_rotation_modulus_is_epsilon():
-    est = equicontinuity_modulus(rotation_family(), 0.1)
-    assert est.modulus == 0.1
+    assert equicontinuity_modulus(rotation_family(), 0.1) == 0.1
 
 
-def test_doubling_fails_every_rung():
-    with pytest.raises(NotEquicontinuousAtHorizonError):
-        equicontinuity_modulus(doubling_family(), 0.1, horizon=20)
+def test_doubling_has_no_modulus():
+    with pytest.raises(NotEquicontinuousAtHorizonError) as info:
+        equicontinuity_modulus(doubling_family(), 0.1)
+    assert info.value.witness == "doubling"
 
 
 def test_product_of_isometries_keeps_full_modulus():
-    from shadowlab.families import product_family
-
     prod = product_family(rotation_family(), rotation_family(0.25))
-    est = equicontinuity_modulus(prod, 0.1)
-    assert est.modulus == 0.1
+    assert equicontinuity_modulus(prod, 0.1) == 0.1
+
+
+def test_eight_state_modulus_is_its_parking_distance():
+    # The least positive distance, 0.01, whatever epsilon is: closer points coincide.
+    for eps in (0.001, 0.1, 10.0):
+        assert equicontinuity_modulus(eight_state_family(), eps) == 0.01
+
+
+def test_finite_product_modulus_is_the_least_product_distance():
+    # The 3-cycle's distances are 1, the swap's 0.5 and 1; max-metric pairs
+    # differing in the swap factor alone sit 0.5 apart.
+    prod = product_family(finite_cycle_family(3), two_bit_swap_family())
+    assert equicontinuity_modulus(prod, 0.1) == 0.5
+
+
+def test_circle_times_non_isometric_finite_has_no_modulus():
+    with pytest.raises(NotEquicontinuousAtHorizonError):
+        equicontinuity_modulus(product_family(rotation_family(), eight_state_family()), 0.1)
+
+
+_FINITE_FAMILIES = [finite_cycle_family(3), finite_cycle_family(6), identity_pair_family(),
+                    two_bit_swap_family(), eight_state_family()]
+
+
+@pytest.mark.parametrize(
+    "family",
+    _FINITE_FAMILIES + [product_family(a, b) for a in _FINITE_FAMILIES for b in _FINITE_FAMILIES],
+    ids=lambda family: family.name,
+)
+def test_finite_modulus_holds_for_every_pair(family):
+    # Every pair closer than delta stays within epsilon under every composition
+    # f_{m+n-1} o ... o f_m that starts in one schedule period and runs two.
+    period, points = family.maps.period, family.space.points
+    distance = family.space.distance
+    for eps in (0.005, 0.1, 1.0):
+        delta = equicontinuity_modulus(family, eps)
+        close = [(x, y) for x in points for y in points if distance(x, y) < delta]
+        for m in range(period):
+            for x, y in close:
+                for n in range(m, m + 2 * period):
+                    x, y = family.evaluate(n, x), family.evaluate(n, y)
+                    assert distance(x, y) < eps
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from oracles import (
 )
 from shadowlab.errors import BudgetExceededError
 from shadowlab.families import (
+    alternating_family,
     barely_expanding_family,
     doubling_family,
     family_from_descriptor,
@@ -139,15 +140,32 @@ def test_h_check_matches_brute_force_oracle(eps, delta):
         assert mine.witness is not None
 
 
-def test_h_check_continuous_doubling():
-    budget = VariantBudget(epsilon=0.1, delta=0.049, max_len=6, trials=8)
-    assert h_shadow_check(doubling_family(), budget).passed
+# Long pseudo-orbits need the orbit read from the backward chain: iterating
+# forward multiplies the start point's float error by the full expansion.
+@pytest.mark.parametrize("max_len", [6, 30, 40, 60])
+@pytest.mark.parametrize("make", [doubling_family, tripling_family, alternating_family])
+def test_h_check_continuous_circle_families(make, max_len):
+    budget = VariantBudget(epsilon=0.1, delta=0.049, max_len=max_len, trials=8)
+    result = h_shadow_check(make(), budget)
+    assert result.passed and result.checked == 8
 
 
-def test_h_check_continuous_product():
-    prod = product_family(doubling_family(), tripling_family())
-    budget = VariantBudget(epsilon=0.1, delta=0.049, max_len=5, trials=6)
-    assert h_shadow_check(prod, budget).passed
+@pytest.mark.parametrize("max_len", [6, 30, 40, 60])
+@pytest.mark.parametrize("right", [tripling_family, doubling_family])
+def test_h_check_continuous_product(right, max_len):
+    prod = product_family(doubling_family(), right())
+    budget = VariantBudget(epsilon=0.1, delta=0.049, max_len=max_len, trials=6)
+    result = h_shadow_check(prod, budget)
+    assert result.passed and result.checked == 6
+
+
+def test_h_check_continuous_fails_outside_the_tube():
+    # Trial 3's backward chain leaves the 0.05-tube at delta 0.08; without
+    # the tube check its exact orbit would still land, and the check pass.
+    budget = VariantBudget(epsilon=0.05, delta=0.08, max_len=10, trials=8)
+    result = h_shadow_check(doubling_family(), budget)
+    assert not result.passed and result.checked == 4
+    assert len(result.witness) == 10
 
 
 def test_product_of_passing_systems_passes_h():

@@ -24,7 +24,7 @@ PACKAGE = ROOT / "src" / "shadowlab"
 
 # Test-only definitions kept on purpose, each with its reason.
 ALLOWED = {
-    "equicontinuity_modulus": "kept until a certified modulus replaces the empirical one",
+    "equicontinuity_modulus": "the paper's strong-equicontinuity hypothesis, now exact; item 10 puts it on the limit route",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -74,11 +74,6 @@ def test_every_definition_is_reached_outside_the_tests():
 # Options only tests set, kept on purpose, each with its reason.
 ALLOWED_OPTIONS = {
     "inject_defects(signs)": "tests draw defects with random signs; removing it would move its loop into them",
-    "equicontinuity_modulus(samples)": "kept until a certified modulus replaces the empirical one",
-    "equicontinuity_modulus(horizon)": "kept until a certified modulus replaces the empirical one",
-    "equicontinuity_modulus(ladder_depth)": "kept until a certified modulus replaces the empirical one",
-    "equicontinuity_modulus(seed)": "kept until a certified modulus replaces the empirical one",
-    "EquicontinuityEstimate(note)": "kept until a certified modulus replaces the empirical one",
     "VariantBudget(enumeration_limit)": "tests pin the node count at which a walk raises BudgetExceeded",
     "VariantBudget(lipschitz_bound)": "tests pin the Lipschitz checker's boundary with it",
     "rotation_family(alpha)": "scenario descriptors set it through BUILTIN_FAMILIES[kind](**params)",

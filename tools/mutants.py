@@ -1,12 +1,13 @@
 """Mutation check for the library's boundary gates (opt-in, stdlib only).
 
 Each mutant loosens one gate by a single textual edit; a gate that the tests
-keep in ``tests/oracles.py`` is mutated there. For every mutant the
-script copies ``src/``, ``tests/`` and ``bench/`` (which the benchmark hook
-tests load, and which no mutant edits) into a fresh scratch directory,
-applies the edit there, and runs ``pytest -x`` on the named test files. A
-mutant is killed when the tests fail, and survives when they pass. The
-working tree is never edited.
+keep in ``tests/oracles.py`` is mutated there. The script copies ``src/``,
+``tests/`` and ``bench/`` (which the benchmark hook tests load, and which no
+mutant edits) once into a snapshot, so an edit to the working tree during a
+run reaches no mutant. For every mutant it copies the snapshot into a fresh
+scratch directory, applies the edit there, and runs ``pytest -x`` on the
+named test files. A mutant is killed when the tests fail, and survives when
+they pass. The working tree is never edited.
 
     python3 tools/mutants.py                      # the gate tests' files
     python3 tools/mutants.py tests/test_solver.py # other pytest arguments
@@ -244,6 +245,36 @@ MUTANTS = [
         "family.space.distance(point, family.space.reduce(base[0]))",
         "family.space.distance(point, base[0])",
     ),
+    (
+        # A finite family's modulus is epsilon, which lets distinct points in.
+        "src/shadowlab/limits.py",
+        "return family.space.min_positive_distance()",
+        "return epsilon",
+    ),
+    (
+        # The continuous h check reads the chain's landing but no tube.
+        "src/shadowlab/products.py",
+        "po.points[-1], 0.0, eps)",
+        "po.points[-1])",
+    ),
+    (
+        # A scenario name with a separator writes its report outside the out directory.
+        "src/shadowlab/cli.py",
+        r'if name in ("", ".", "..") or any(c in name for c in "/\\\0"):',
+        'if name in ("", ".", ".."):',
+    ),
+    (
+        # expect_fail "false" is read by truthiness and inverts a passing verdict.
+        "src/shadowlab/cli.py",
+        'if not isinstance(scenario.get("expect_fail", False), bool):',
+        'if not isinstance(scenario.get("expect_fail", False), (bool, str)):',
+    ),
+    (
+        # A product descriptor drops its unknown keys.
+        "src/shadowlab/families.py",
+        'if desc.keys() - {"kind", "factors"}:',
+        "if False:",
+    ),
 ]
 
 DEFAULT_TESTS = [
@@ -264,10 +295,13 @@ DEFAULT_TESTS = [
 ]
 
 
-def _copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+# Caches a test run leaves behind; no copy takes them, so each mutant starts clean.
+_IGNORE = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+
+
+def _snapshot(dest: Path) -> None:
     for part in ("src", "tests", "bench"):
-        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+        shutil.copytree(ROOT / part, dest / part, ignore=_IGNORE)
 
 
 def _tests_pass(copy: Path, tests: list) -> bool:
@@ -277,12 +311,12 @@ def _tests_pass(copy: Path, tests: list) -> bool:
     return subprocess.run(cmd, cwd=copy, env=env, stdout=quiet, stderr=quiet).returncode == 0
 
 
-def run_one(mutant, tests: list) -> str:
-    """'killed', 'survived' or 'stale' for one mutant, in its own scratch copy."""
+def run_one(mutant, tests: list, snapshot: Path) -> str:
+    """'killed', 'survived' or 'stale' for one mutant, in its own copy of the snapshot."""
     path, old, new = mutant
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
-        copy = Path(scratch)
-        _copy_tree(copy)
+        copy = Path(scratch) / "tree"
+        shutil.copytree(snapshot, copy, ignore=_IGNORE)
         target = copy / path
         text = target.read_text()
         if text.count(old) != 1:
@@ -294,16 +328,17 @@ def run_one(mutant, tests: list) -> str:
 def main(argv: list) -> int:
     tests = argv or DEFAULT_TESTS
     with tempfile.TemporaryDirectory(prefix="mutant-base-") as scratch:
-        _copy_tree(Path(scratch))
-        if not _tests_pass(Path(scratch), tests):
+        snapshot = Path(scratch) / "tree"
+        _snapshot(snapshot)
+        if not _tests_pass(snapshot, tests):
             print("the unmutated tests fail; no mutant can be judged")
             return 2
-    outcomes = []
-    for mutant in MUTANTS:
-        outcome = run_one(mutant, tests)
-        outcomes.append(outcome)
-        path, old, new = mutant
-        print(f"{outcome:8}  {path}: {old!r} -> {new!r}", flush=True)
+        outcomes = []
+        for mutant in MUTANTS:
+            outcome = run_one(mutant, tests, snapshot)
+            outcomes.append(outcome)
+            path, old, new = mutant
+            print(f"{outcome:8}  {path}: {old!r} -> {new!r}", flush=True)
     killed = outcomes.count("killed")
     print(f"{killed}/{len(MUTANTS)} killed")
     if "stale" in outcomes:
