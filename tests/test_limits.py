@@ -56,7 +56,7 @@ def test_rotation_modulus_is_epsilon():
     assert equicontinuity_modulus(rotation_family(), 0.1) == 0.1
 
 
-def test_doubling_has_no_modulus():
+def test_doubling_fails_every_rung():
     with pytest.raises(NotEquicontinuousAtHorizonError) as info:
         equicontinuity_modulus(doubling_family(), 0.1)
     assert info.value.witness == "doubling"

@@ -140,6 +140,17 @@ def test_h_check_matches_brute_force_oracle(eps, delta):
         assert mine.witness is not None
 
 
+def test_h_check_continuous_doubling():
+    budget = VariantBudget(epsilon=0.1, delta=0.049, max_len=6, trials=8)
+    assert h_shadow_check(doubling_family(), budget).passed
+
+
+def test_h_check_continuous_product():
+    prod = product_family(doubling_family(), tripling_family())
+    budget = VariantBudget(epsilon=0.1, delta=0.049, max_len=5, trials=6)
+    assert h_shadow_check(prod, budget).passed
+
+
 # Long pseudo-orbits need the orbit read from the backward chain: iterating
 # forward multiplies the start point's float error by the full expansion.
 @pytest.mark.parametrize("max_len", [6, 30, 40, 60])
@@ -152,7 +163,7 @@ def test_h_check_continuous_circle_families(make, max_len):
 
 @pytest.mark.parametrize("max_len", [6, 30, 40, 60])
 @pytest.mark.parametrize("right", [tripling_family, doubling_family])
-def test_h_check_continuous_product(right, max_len):
+def test_h_check_continuous_product_long_orbits(right, max_len):
     prod = product_family(doubling_family(), right())
     budget = VariantBudget(epsilon=0.1, delta=0.049, max_len=max_len, trials=6)
     result = h_shadow_check(prod, budget)
